@@ -26,6 +26,7 @@ from .core import (
     REGISTER_CAPACITY,
     RegisterBank,
     RegisterOverflowError,
+    STEP_CODES,
     StepCount,
     StepKind,
     StopRule,
@@ -79,7 +80,7 @@ __all__ = [
     "InternalConsistencyError", "I_MINUS", "I_PLUS", "J_MINUS", "J_PLUS",
     "PRESETS", "ParseError", "PiResult", "PreconditionError",
     "REGISTER_CAPACITY", "RealSampleSeries", "RegisterBank",
-    "RegisterOverflowError", "ScaledDifference", "StepCount", "StepKind",
+    "RegisterOverflowError", "STEP_CODES", "ScaledDifference", "StepCount", "StepKind",
     "StopRule", "TraceRecord", "Viewport", "WORK_REGISTERS", "WhilePositive",
     "apply_step", "characteristic_indices", "choose_step", "class_derivative",
     "composite_generate", "designation_violations", "difference_field",

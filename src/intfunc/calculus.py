@@ -11,8 +11,10 @@ two step kinds are interleaved.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -212,24 +214,28 @@ def regulator_monotone_check(trace: GenerationTrace, axis_restricted: bool = Fal
     restriction exists to support one axis' characteristic study, and which
     axis that is depends on which step kind is sparser).
     """
-    records = list(trace)
     if not axis_restricted:
-        for axis in (Axis.I, Axis.J):
-            series = [r.bank.value(axis.regulator) for r in records
-                      if r.step.axis is axis]
-            if any(a > b for a, b in zip(series, series[1:])):
-                return False
-        return True
+        return all(_non_decreasing(trace.regulator_series(axis)) for axis in (Axis.I, Axis.J))
 
+    # The value each step left in its own axis' regulator.
+    own = list(map(_pick_by_axis, trace.codes, trace.column("RX"), trace.column("RY")))
     any_study = False
     for axis in (Axis.I, Axis.J):
-        positions = [t for t, r in enumerate(records) if r.step.axis is axis]
-        if not positions:
+        mask = trace.axis_mask(axis)
+        if 1 not in mask:
             continue
         any_study = True
-        keep = set(positions) | {t - 1 for t in positions if t > 0}
-        series = [records[t].bank.value(records[t].step.axis.regulator)
-                  for t in sorted(keep)]
-        if all(a <= b for a, b in zip(series, series[1:])):
+        # Step t stays if it or step t + 1 is characteristic for the axis.
+        keep = map(operator.or_, mask, mask[1:] + b"\0")
+        if _non_decreasing(list(compress(own, keep))):
             return True
     return not any_study
+
+
+def _pick_by_axis(code: int, rx: int, ry: int) -> int:
+    """The regulator of the step's own axis: RY for j steps (odd codes)."""
+    return ry if code & 1 else rx
+
+
+def _non_decreasing(series: list[int]) -> bool:
+    return not any(map(operator.gt, series, series[1:]))

@@ -23,7 +23,9 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from array import array
 from fractions import Fraction
+from itertools import islice, repeat
 from pathlib import Path
 from typing import IO
 
@@ -39,11 +41,12 @@ from .core import (
     IntegerPair,
     ParseError,
     PreconditionError,
+    REGISTER_CAPACITY,
     RegisterBank,
     RegisterOverflowError,
+    STEP_CODES,
     StepCount,
     StepKind,
-    TraceRecord,
     WhilePositive,
     generate,
 )
@@ -161,13 +164,26 @@ def format_config(config: GeneratorConfig) -> str:
 # ---------------------------------------------------------------------------
 # Trace files
 
+_TOKENS = tuple(step.token for step in STEP_CODES)
+_CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
+_CHUNK_ROWS = 4096
+
+
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(TRACE_COLUMNS)
-    for record in trace:
-        bank = record.bank
-        writer.writerow([record.k, record.step.token, record.i, record.j]
-                        + [getattr(bank, name) for name in ALL_REGISTERS])
+    """Write the CSV rows, a chunk at a time, joined from per-column strings.
+
+    No field can hold a comma, quote or line break, so the output is what
+    csv.writer would write for the same rows, byte for byte.
+    """
+    n = len(trace)
+    columns = [map(str, range(1, n + 1)), map(_TOKENS.__getitem__, trace.codes),
+               map(str, trace.i), map(str, trace.j)]
+    columns += [repeat(str(entry), n) if isinstance(entry, int) else map(str, entry)
+                for entry in trace.registers]
+    stream.write(",".join(TRACE_COLUMNS) + "\n")
+    rows = map(",".join, zip(*columns))
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        stream.write("\n".join(chunk) + "\n")
 
 
 def write_trace_file(trace: GenerationTrace, path: str) -> None:
@@ -175,7 +191,68 @@ def write_trace_file(trace: GenerationTrace, path: str) -> None:
         write_trace(trace, handle)
 
 
+def _parse_column(cells: tuple[str, ...]) -> array:
+    """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
+    A column whose cells all hold the same text is parsed once."""
+    if cells.count(cells[0]) == len(cells):
+        values = [int(cells[0])]
+    else:
+        values = list(map(int, cells))
+    if min(values) < -REGISTER_CAPACITY or max(values) > REGISTER_CAPACITY:
+        raise ValueError
+    if len(values) < len(cells):
+        return array("q", values) * len(cells)
+    return array("q", values)
+
+
+def _parse_rows(rows: list[list[str]], k: int) -> tuple[bytes, list[array]]:
+    """Step codes and the i, j and register columns of non-blank rows whose
+    first step index should be ``k``."""
+    if not rows:
+        return b"", []
+    if any(len(row) != len(TRACE_COLUMNS) for row in rows):
+        raise ValueError
+    cells = list(zip(*rows))
+    if list(map(int, cells[0])) != list(range(k, k + len(rows))):
+        raise ValueError
+    codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
+    return codes, [_parse_column(column) for column in cells[2:]]
+
+
+def _check_row(row: list[str], k: int) -> None:
+    if len(row) != len(TRACE_COLUMNS):
+        raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(row)}")
+    if _parse_int(row[0], "k") != k:
+        raise ParseError(f"step index {row[0]} out of order")
+    StepKind.from_token(row[1])
+    for name, cell in zip(TRACE_COLUMNS[2:], row[2:]):
+        value = _parse_int(cell, name)
+        if abs(value) <= REGISTER_CAPACITY:
+            continue
+        if name in ("i", "j"):
+            raise ParseError(f"position {name} = {value} is out of range")
+        raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
+
+
+def _raise_first_defect(rows, lineno: int, k: int) -> None:
+    """Check ``rows`` one at a time, numbered from ``lineno`` and expected to
+    start at step index ``k``; raise for the first malformed one."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue
+        try:
+            _check_row(row, k)
+        except (ParseError, RegisterOverflowError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        k += 1
+
+
 def read_trace(stream: IO[str]) -> GenerationTrace:
+    """Parse a trace CSV into columns, a chunk of rows at a time.
+
+    Each chunk is checked column by column; only a chunk that fails is
+    rescanned row by row, so the error names the first bad line.
+    """
     reader = csv.reader(stream)
     try:
         header = next(reader)
@@ -183,23 +260,20 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
         raise ParseError("empty trace file (missing header)") from None
     if tuple(header) != TRACE_COLUMNS:
         raise ParseError("trace header does not match the expected 20 columns")
-    records = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(TRACE_COLUMNS):
-            raise ParseError(f"line {lineno}: expected {len(TRACE_COLUMNS)} columns, "
-                             f"got {len(row)}")
-        k = _parse_int(row[0], "k")
-        if k != len(records) + 1:
-            raise ParseError(f"line {lineno}: step index {k} out of order")
-        step = StepKind.from_token(row[1])
-        i = _parse_int(row[2], "i")
-        j = _parse_int(row[3], "j")
-        values = {name: _parse_int(cell, name)
-                  for name, cell in zip(ALL_REGISTERS, row[4:])}
-        records.append(TraceRecord(k, step, i, j, RegisterBank(**values)))
-    return GenerationTrace(tuple(records))
+    codes = bytearray()
+    columns = [array("q") for _ in TRACE_COLUMNS[2:]]
+    lineno = 2
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        try:
+            new_codes, parsed = _parse_rows([row for row in chunk if row], len(codes) + 1)
+        except (ValueError, KeyError):
+            _raise_first_defect(chunk, lineno, len(codes) + 1)
+            raise
+        codes += new_codes
+        for column, values in zip(columns, parsed):
+            column += values
+        lineno += len(chunk)
+    return GenerationTrace.from_columns(codes, *columns[:2], columns[2:])
 
 
 def read_trace_file(path: str) -> GenerationTrace:
@@ -209,22 +283,18 @@ def read_trace_file(path: str) -> GenerationTrace:
 
 def trace_for_function(f: IntegerFunction) -> GenerationTrace:
     """Serialize a bare integer function as a trace with an all-zero bank."""
-    bank = RegisterBank()
-    records = tuple(
-        TraceRecord(k, step, element.i, element.j, bank)
-        for k, (step, element) in enumerate(zip(f.steps, f.elements[1:]), start=1))
-    return GenerationTrace(records)
+    return GenerationTrace.from_function(f)
 
 
 def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
     """Rebuild the integer function a trace walked (start inferred from row 1)."""
-    if not trace.records:
+    if not len(trace):
         raise PreconditionError("trace has no steps; cannot recover an integer function")
-    first = trace.records[0]
-    di = first.step.sign if first.step.axis is Axis.I else 0
-    dj = first.step.sign if first.step.axis is Axis.J else 0
-    start = IntegerPair(first.i - di, first.j - dj)
-    return IntegerFunction(start, tuple(r.step for r in trace.records))
+    first = STEP_CODES[trace.codes[0]]
+    di = first.sign if first.axis is Axis.I else 0
+    dj = first.sign if first.axis is Axis.J else 0
+    start = IntegerPair(trace.i[0] - di, trace.j[0] - dj)
+    return IntegerFunction(start, map(STEP_CODES.__getitem__, trace.codes))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +358,16 @@ def _cmd_derive(args) -> int:
 
 def _cmd_pi(args) -> int:
     result = pi_bounds(args.x0)
-    line = (f"i={result.i_quarter} j={result.j_quarter} "
-            f"lower={format_bound(result.lower, round_up=False)} "
-            f"upper={format_bound(result.upper, round_up=True)} "
-            f"steps={result.step_count} elapsed={result.elapsed:.3f}s")
-    print(line)
     if args.trace:
-        config = harmonic_config(args.x0, cap=result.step_count)
-        _, trace = generate(config)
+        # Trace first: if the two-regulator run overflows, nothing is printed
+        # and no file is left behind.
+        _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
         write_trace_file(trace, args.trace)
+    print(f"i={result.i_quarter} j={result.j_quarter} "
+          f"lower={format_bound(result.lower, round_up=False)} "
+          f"upper={format_bound(result.upper, round_up=True)} "
+          f"steps={result.step_count} elapsed={result.elapsed:.3f}s")
+    if args.trace:
         print(f"wrote {args.trace}: {len(trace)} steps")
     return EXIT_OK
 

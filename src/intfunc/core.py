@@ -10,7 +10,10 @@ work registers that feed each other in a fixed cascade.
 from __future__ import annotations
 
 import enum
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
 #: Register values are kept inside +/- REGISTER_CAPACITY.  Arithmetic is exact
@@ -24,6 +27,7 @@ WORK_REGISTERS = (
 )
 REGULATORS = ("RX", "RY")
 ALL_REGISTERS = REGULATORS + WORK_REGISTERS
+_SLOT = {name: n for n, name in enumerate(ALL_REGISTERS)}
 
 
 class IntegerFunctionError(Exception):
@@ -90,6 +94,9 @@ I_MINUS = StepKind(Axis.I, -1)
 J_PLUS = StepKind(Axis.J, 1)
 J_MINUS = StepKind(Axis.J, -1)
 
+#: A step's Freeman chain code is its index here: 0 = i+, 1 = j+, 2 = i-, 3 = j-.
+STEP_CODES = (I_PLUS, J_PLUS, I_MINUS, J_MINUS)
+
 # Direction suffixes accepted in step strings; a bare letter means +.
 _SIGN_SUFFIXES = {"": 1, "+": 1, "⁺": 1, "-": -1, "−": -1, "⁻": -1}
 
@@ -122,15 +129,13 @@ class IntegerFunction:
     def __init__(self, start, steps=()):
         self.start = IntegerPair(*start)
         self.steps = tuple(steps)
-        i, j = self.start
-        elements = [self.start]
-        for step in self.steps:
-            if step.axis is Axis.I:
-                i += step.sign
-            else:
-                j += step.sign
-            elements.append(IntegerPair(i, j))
-        self.elements = tuple(elements)
+        di = [step.sign if step.axis is Axis.I else 0 for step in self.steps]
+        dj = [step.sign if step.axis is Axis.J else 0 for step in self.steps]
+        # tuple.__new__ builds each IntegerPair without the Python-level
+        # NamedTuple constructor, which would double the cost per element.
+        self.elements = tuple(map(tuple.__new__, repeat(IntegerPair),
+                                  zip(accumulate(di, initial=self.start.i),
+                                      accumulate(dj, initial=self.start.j))))
 
     @property
     def length(self) -> int:
@@ -275,24 +280,6 @@ def apply_step(bank: RegisterBank, axis: Axis) -> RegisterBank:
     return RegisterBank(**values)
 
 
-def _apply_step_harmonized(bank: RegisterBank, axis: Axis) -> tuple[RegisterBank, int]:
-    # Same cascade as apply_step, but the regulator gains the magnitude of the
-    # rank-1 rate register and the caller moves the coordinate by its sign
-    # (sign of 0 counts as +1).  With positive rates this reduces exactly to
-    # apply_step, which is what makes monotone runs a special case.
-    values = bank.as_dict()
-    pairs = _CASCADES[axis.letter]
-    for source, target in pairs[:-1]:
-        values[target] = _checked(values[target] + values[source],
-                                  f"{target} += {source}")
-    rate_name, regulator = pairs[-1]
-    rate = values[rate_name]
-    sign = 1 if rate >= 0 else -1
-    values[regulator] = _checked(values[regulator] + abs(rate),
-                                 f"{regulator} += |{rate_name}|")
-    return RegisterBank(**values), sign
-
-
 @dataclass(frozen=True)
 class StepCount:
     """Stop after exactly ``count`` steps."""
@@ -354,42 +341,143 @@ class TraceRecord(NamedTuple):
     bank: RegisterBank
 
 
-@dataclass(frozen=True)
+# Step codes as 0/1 flags per axis, for bytes.translate: i steps are the even
+# codes, j steps the odd ones.
+_AXIS_MASKS = {Axis.I: bytes([1, 0, 1, 0]) + bytes(252),
+               Axis.J: bytes([0, 1, 0, 1]) + bytes(252)}
+
+
+def _position_columns(pairs) -> tuple[array, array]:
+    """The i and j columns of a trace from its (i, j) positions."""
+    try:
+        return array("q", [p[0] for p in pairs]), array("q", [p[1] for p in pairs])
+    except OverflowError:
+        raise PreconditionError(
+            f"a trace holds positions within +/- {REGISTER_CAPACITY}") from None
+
+
 class GenerationTrace:
-    records: tuple[TraceRecord, ...] = ()
+    """Per-step state of a generator run, stored as columns.
+
+    ``codes`` holds one Freeman chain code per step (its index in
+    STEP_CODES: 0 = i+, 1 = j+, 2 = i-, 3 = j-).  ``i`` and ``j`` are
+    array('q') columns of the position after each step.  ``registers`` has
+    one entry per name in ALL_REGISTERS: an array('q') column of the value
+    after each step, or a single int for a register that holds one value
+    throughout.  TraceRecord and RegisterBank views are built
+    only when ``records``, iteration or indexing asks for them.
+    """
+
+    __slots__ = ("codes", "i", "j", "registers")
+
+    def __init__(self, records=()):
+        records = tuple(records)
+        for k, record in enumerate(records, start=1):
+            if record.k != k:
+                raise PreconditionError(
+                    f"trace record {k} carries step index {record.k}")
+        self._fill(bytearray(STEP_CODES.index(r.step) for r in records),
+                   *_position_columns([(r.i, r.j) for r in records]),
+                   [array("q", [r.bank.value(name) for r in records])
+                    for name in ALL_REGISTERS])
+
+    @classmethod
+    def from_columns(cls, codes, i, j, registers) -> "GenerationTrace":
+        """Wrap columns as described in the class docstring, unchecked."""
+        trace = cls.__new__(cls)
+        trace._fill(codes, i, j, registers)
+        return trace
+
+    def _fill(self, codes, i, j, registers) -> None:
+        # A register column whose values never change is kept as one int.
+        self.codes, self.i, self.j = codes, i, j
+        self.registers = tuple(
+            entry[0] if not isinstance(entry, int) and entry
+            and entry.count(entry[0]) == len(entry) else entry
+            for entry in registers)
+
+    @classmethod
+    def from_function(cls, f: IntegerFunction) -> "GenerationTrace":
+        """The trace of a bare integer function: its path, an all-zero bank."""
+        return cls.from_columns(bytearray(map(STEP_CODES.index, f.steps)),
+                                *_position_columns(f.elements[1:]), (0,) * len(ALL_REGISTERS))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.codes)
+
+    def _record(self, t: int) -> TraceRecord:
+        values = {name: entry if isinstance(entry, int) else entry[t]
+                  for name, entry in zip(ALL_REGISTERS, self.registers)}
+        return TraceRecord(t + 1, STEP_CODES[self.codes[t]], self.i[t], self.j[t],
+                           RegisterBank(**values))
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return map(self._record, range(len(self)))
 
     def __getitem__(self, index):
-        return self.records[index]
+        if isinstance(index, slice):
+            return tuple(map(self._record, range(len(self))[index]))
+        return self._record(range(len(self))[index])
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        return tuple(self)
+
+    def column(self, name: str) -> array:
+        """Values of one register after each step."""
+        if name not in ALL_REGISTERS:
+            raise PreconditionError(f"unknown register name: {name}")
+        entry = self.registers[_SLOT[name]]
+        return array("q", [entry]) * len(self) if isinstance(entry, int) else entry
+
+    def axis_mask(self, axis: Axis) -> bytes:
+        """One byte per step: 1 where the step moved ``axis``, else 0."""
+        return self.codes.translate(_AXIS_MASKS[axis])
 
     def regulator_series(self, axis: Axis) -> list[int]:
         """Values the axis' regulator took, one per step of that axis."""
-        return [r.bank.value(axis.regulator) for r in self.records
-                if r.step.axis is axis]
+        return list(compress(self.column(axis.regulator), self.axis_mask(axis)))
 
     def register_series(self, name: str) -> list[int]:
-        return [r.bank.value(name) for r in self.records]
+        return list(self.column(name))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GenerationTrace):
+            return NotImplemented
+        # Constant columns are always stored as ints, so equal registers are
+        # stored alike (an empty trace has no register values to compare).
+        return (self.codes == other.codes and self.i == other.i and self.j == other.j
+                and (not self.codes or self.registers == other.registers))
+
+    def __hash__(self) -> int:
+        return hash((bytes(self.codes), self.i.tobytes(), self.j.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"GenerationTrace(steps={len(self)})"
 
 
-def implied_designation(bank: RegisterBank) -> frozenset[str]:
-    """Work registers that are non-zero and provably constant for this bank.
+def _constant_registers(bank: RegisterBank) -> set[str]:
+    """Work registers no cascade addition can change for this bank.
 
     A register is structurally constant when every higher-rank register that
     could feed it starts at zero and is itself constant; rank-3 registers are
-    always constant.  The non-zero constant registers form the IF's type
-    designation (written {X, Y}, {XXY, Y}, ...).
+    always constant.
     """
     def constant(name):
         if len(name) == 3:
             return True
         return all(bank.value(f) == 0 and constant(f) for f in (name + "X", name + "Y"))
 
-    return frozenset(n for n in WORK_REGISTERS if bank.value(n) != 0 and constant(n))
+    return {name for name in WORK_REGISTERS if constant(name)}
+
+
+def implied_designation(bank: RegisterBank) -> frozenset[str]:
+    """Work registers that are non-zero and provably constant for this bank.
+
+    The non-zero structurally constant registers form the IF's type
+    designation (written {X, Y}, {XXY, Y}, ...).
+    """
+    return frozenset(n for n in _constant_registers(bank) if bank.value(n) != 0)
 
 
 def designation_violations(designation, initial_bank: RegisterBank,
@@ -398,54 +486,116 @@ def designation_violations(designation, initial_bank: RegisterBank,
     unknown = sorted(set(designation) - set(WORK_REGISTERS))
     if unknown:
         raise PreconditionError(f"designation contains non-work registers: {unknown}")
-    expected = {name: initial_bank.value(name) for name in designation}
-    changed = set()
-    for record in trace.records:
-        for name, want in expected.items():
-            if record.bank.value(name) != want:
-                changed.add(name)
-    return sorted(changed)
+    changed = []
+    for name in sorted(set(designation)):
+        entry, want = trace.registers[_SLOT[name]], initial_bank.value(name)
+        if len(trace) and (entry != want if isinstance(entry, int)
+                           else entry.count(want) != len(trace)):
+            changed.append(name)
+    return changed
 
 
-def _generate(config: GeneratorConfig, harmonized: bool):
+def _compile_side(bank: RegisterBank, axis: Axis, harmonized: bool, fixed: set[str]):
+    """One axis' step for the kernel: (pairs, rate, regulator, code).
+
+    ``pairs`` are the cascade's (source, target) register slots in firing
+    order, less those whose source is zero and structurally constant (in
+    ``fixed``): they would only ever add zero.  In sign-harmonized mode the
+    rank-1 pair is taken out of the full cascade as ``rate``, whose magnitude
+    the regulator gains and whose sign moves the coordinate; a dropped zero
+    rate leaves ``rate`` None, which moves the coordinate by +1 as in
+    monotone mode.  ``code`` is the step code of the + step.
+    """
+    cascade = _CASCADES[axis.letter]
+    rate = None
+    if harmonized:
+        cascade, (rate_name, _) = cascade[:-1], cascade[-1]
+        if not (rate_name in fixed and bank.value(rate_name) == 0):
+            rate = _SLOT[rate_name]
+    pairs = tuple((_SLOT[source], _SLOT[target]) for source, target in cascade
+                  if not (source in fixed and bank.value(source) == 0))
+    return pairs, rate, _SLOT[axis.regulator], STEP_CODES.index(StepKind(axis, 1))
+
+
+_BATCH_VALUES = 1 << 14
+
+
+def _overflow(context: str, value: int) -> RegisterOverflowError:
+    return RegisterOverflowError(f"register overflow in {context}: {value}")
+
+
+def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
+    """The register machine: run ``config`` in its mode until its stop rule.
+
+    State is a flat list of the 16 register values.  Each step compares
+    RX - RY, runs the chosen axis' compiled cascade with every addition
+    checked against REGISTER_CAPACITY, and records the step code, the two
+    regulators and every register some live pair targets.  Positions follow
+    from the step codes once the run is over.
+    """
     bank = config.bank
-    designation = implied_designation(bank)
-    i, j = config.start
+    harmonized = config.mode is GenerationMode.SIGN_HARMONIZED
+    fixed = _constant_registers(bank)
+    i_side = _compile_side(bank, Axis.I, harmonized, fixed)
+    j_side = _compile_side(bank, Axis.J, harmonized, fixed)
+    # The regulators are always recorded, so a snapshot is never a bare int.
+    recorded = [0, 1] + sorted({target for side in (i_side, j_side)
+                                for _, target in side[0]} - {0, 1})
+    snapshot = itemgetter(*recorded)
     if isinstance(config.stop, StepCount):
         limit, watched = config.stop.count, None
     else:
-        limit, watched = config.stop.cap, config.stop.register
-    steps = []
-    records = []
-    k = 0
-    while True:
-        if k >= limit:
-            if watched is None:
-                break
-            raise CapExhaustedError(
-                f"{watched} still positive after {limit} steps (cap exhausted)")
-        k += 1
-        axis = choose_step(bank)
-        if harmonized:
-            bank, sign = _apply_step_harmonized(bank, axis)
-        else:
-            bank = apply_step(bank, axis)
-            sign = 1
-        if axis is Axis.I:
-            i += sign
-        else:
-            j += sign
-        step = StepKind(axis, sign)
-        steps.append(step)
-        records.append(TraceRecord(k, step, i, j, bank))
-        if watched is not None and bank.value(watched) <= 0:
+        limit, watched = config.stop.cap, _SLOT[config.stop.register]
+    regs = [bank.value(name) for name in ALL_REGISTERS]
+    cap = REGISTER_CAPACITY
+    codes = bytearray()
+    # Snapshots gather as ints in ``pending`` and move to the packed ``flat``
+    # array in batches, so a long run holds about 8 bytes per recorded value.
+    flat = array("q")
+    pending = []
+    for _ in range(limit):
+        difference = regs[0] - regs[1]
+        if not -cap <= difference <= cap:
+            raise _overflow("RX - RY", difference)
+        pairs, rate, regulator, code = j_side if difference > 0 else i_side
+        for source, target in pairs:
+            value = regs[target] + regs[source]
+            if not -cap <= value <= cap:
+                raise _overflow(f"{ALL_REGISTERS[target]} += {ALL_REGISTERS[source]}", value)
+            regs[target] = value
+        if rate is not None:
+            value = regs[rate]
+            if value < 0:
+                value = -value
+                code += 2
+            value += regs[regulator]
+            if not -cap <= value <= cap:
+                raise _overflow(f"{ALL_REGISTERS[regulator]} += |{ALL_REGISTERS[rate]}|", value)
+            regs[regulator] = value
+        codes.append(code)
+        pending += snapshot(regs)
+        if len(pending) >= _BATCH_VALUES:
+            flat.fromlist(pending)
+            pending.clear()
+        if watched is not None and regs[watched] <= 0:
             break
-    trace = GenerationTrace(tuple(records))
-    changed = designation_violations(designation, config.bank, trace)
+    else:
+        if watched is not None:
+            raise CapExhaustedError(
+                f"{config.stop.register} still positive after {limit} steps (cap exhausted)")
+    flat.fromlist(pending)
+    width = len(recorded)
+    columns = {slot: flat[n::width] for n, slot in enumerate(recorded)}
+    del flat, pending
+    f = IntegerFunction(config.start, map(STEP_CODES.__getitem__, codes))
+    trace = GenerationTrace.from_columns(
+        codes, *_position_columns(f.elements[1:]),
+        [columns.get(slot, value) for slot, value in enumerate(regs)])
+    changed = designation_violations(implied_designation(bank), bank, trace)
     if changed:
         raise InternalConsistencyError(
             f"type-designation registers changed during generation: {changed}")
-    return IntegerFunction(config.start, steps), trace
+    return f, trace
 
 
 def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
@@ -459,4 +609,4 @@ def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]
     if config.mode is not GenerationMode.MONOTONE:
         raise PreconditionError(
             "generate handles monotone mode only; use curves.composite_generate")
-    return _generate(config, harmonized=False)
+    return _run(config)

@@ -28,7 +28,7 @@ from .core import (
     StepCount,
     StepKind,
     WhilePositive,
-    _generate,
+    _run,
 )
 from .calculus import IntegerScale
 
@@ -324,4 +324,4 @@ def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, Genera
         raise PreconditionError("composite_generate requires SIGN_HARMONIZED mode")
     if not isinstance(config.stop, StepCount):
         raise PreconditionError("composite runs must use a StepCount stop rule")
-    return _generate(config, harmonized=True)
+    return _run(config)

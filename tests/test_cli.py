@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import random
@@ -5,17 +6,20 @@ import random
 import pytest
 
 from intfunc import (
+    ALL_REGISTERS,
     Axis,
     GenerationMode,
     GenerationTrace,
     IntegerPair,
     RegisterBank,
+    RegisterOverflowError,
     StepKind,
     TraceRecord,
     from_step_sequence,
     generate,
 )
 from intfunc.cli import (
+    TRACE_COLUMNS,
     ParseError,
     config_from_items,
     format_config,
@@ -28,7 +32,12 @@ from intfunc.cli import (
     write_trace,
     write_trace_file,
 )
-from intfunc.curves import harmonic_config, line_config
+from intfunc.curves import (
+    composite_generate,
+    egg_figure_config,
+    harmonic_config,
+    line_config,
+)
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -136,6 +145,79 @@ class TestTraceFiles:
             write_trace(trace, buffer)
             assert read_trace(io.StringIO(buffer.getvalue())) == trace
 
+    def test_rows_match_csv_writer(self):
+        # Negative and 19-digit register values, generated and composite
+        # traces: the column writer must produce csv.writer's bytes.
+        rng = random.Random(29)
+        kinds = [StepKind(a, s) for a in (Axis.I, Axis.J) for s in (1, -1)]
+        traces = [generate(harmonic_config(10**6))[1],
+                  composite_generate(egg_figure_config(300))[1]]
+        for _ in range(30):
+            i, j = rng.randint(-9, 9), rng.randint(-9, 9)
+            records = []
+            for k in range(1, rng.randint(1, 40)):
+                step = rng.choice(kinds)
+                i += step.sign if step.axis is Axis.I else 0
+                j += step.sign if step.axis is Axis.J else 0
+                bank = RegisterBank.from_mapping({
+                    name: rng.choice([-1, 1]) * rng.randint(10**18, 2**63 - 1)
+                    for name in rng.sample(ALL_REGISTERS, rng.randint(0, 16))})
+                records.append(TraceRecord(k, step, i, j, bank))
+            traces.append(GenerationTrace(records))
+        for trace in traces:
+            expected = io.StringIO()
+            writer = csv.writer(expected, lineterminator="\n")
+            writer.writerow(TRACE_COLUMNS)
+            for r in trace.records:
+                writer.writerow([r.k, r.step.token, r.i, r.j]
+                                + [r.bank.value(name) for name in ALL_REGISTERS])
+            buffer = io.StringIO()
+            write_trace(trace, buffer)
+            assert buffer.getvalue() == expected.getvalue()
+            assert read_trace(io.StringIO(buffer.getvalue())) == trace
+
+    def test_register_beyond_capacity_is_an_overflow(self, tmp_path, capsys):
+        _, trace = generate(line_config(3, 5, 8))
+        path = tmp_path / "trace.csv"
+        write_trace_file(trace, str(path))
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[TRACE_COLUMNS.index("XY")] = str(2**63)
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RegisterOverflowError, match="line 4"):
+            read_trace_file(str(path))
+        code, out, err = run_cli("render", "--in", str(path), "--format", "ascii",
+                                 capsys=capsys)
+        assert (code, out) == (4, "")
+        assert "overflow" in err
+
+    def test_position_beyond_range_is_a_parse_error(self):
+        text = ",".join(TRACE_COLUMNS) + "\n" + f"1,i+,{2**63},0" + ",0" * 16 + "\n"
+        with pytest.raises(ParseError, match="line 2"):
+            read_trace(io.StringIO(text))
+
+    @pytest.mark.parametrize("first, second", [(3, 5), (5000, 9000), (4098, 4099)])
+    def test_earlier_of_two_defects_is_reported(self, first, second):
+        # Line numbers count the header as line 1; the defects may fall in
+        # one chunk of rows or in two.
+        _, trace = generate(line_config(7, 11, 10000))
+        buffer = io.StringIO()
+        write_trace(trace, buffer)
+        lines = buffer.getvalue().splitlines()
+        lines[first - 1] = lines[first - 1].replace("i+", "up").replace("j+", "up")
+        cells = lines[second - 1].split(",")
+        cells[TRACE_COLUMNS.index("RX")] = "1e3"
+        lines[second - 1] = ",".join(cells)
+        with pytest.raises(ParseError, match=f"line {first}:"):
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+        # Swapped kinds: the overflow on the earlier line wins.
+        cells = lines[first - 1].split(",")
+        cells[TRACE_COLUMNS.index("YYY")] = str(-2**63)
+        lines[first - 1] = ",".join(cells).replace("up", "i+")
+        with pytest.raises(RegisterOverflowError, match=f"line {first}:"):
+            read_trace(io.StringIO("\n".join(lines) + "\n"))
+
     def test_function_round_trip_through_trace(self, sample_if):
         trace = trace_for_function(sample_if)
         assert function_from_trace(trace) == sample_if
@@ -242,6 +324,25 @@ class TestPiCommand:
         trace = read_trace_file(str(trace_path))
         assert len(trace) == 24
         assert (trace[-1].i, trace[-1].j) == (15, 9)
+
+    def test_trace_prints_bounds_then_summary(self, tmp_path, capsys):
+        trace_path = tmp_path / "pi.csv"
+        code, out, _ = run_cli("pi", "--x0", "100", "--trace", str(trace_path),
+                               capsys=capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("i=15 j=9 lower=1.4 upper=1.777778 steps=24 ")
+        assert lines[1:] == [f"wrote {trace_path}: 24 steps"]
+
+    def test_trace_overflow_prints_nothing(self, tmp_path, capsys):
+        # pi_bounds keeps only RX - RY, but the traced machine keeps both
+        # regulators, and RY passes 2**63 at step 184 469 at this seed.
+        trace_path = tmp_path / "big.csv"
+        code, out, err = run_cli("pi", "--x0", "100000000000000", "--trace",
+                                 str(trace_path), capsys=capsys)
+        assert (code, out) == (4, "")
+        assert "overflow" in err
+        assert not trace_path.exists()
 
 
 class TestDigitizeAndRender:
