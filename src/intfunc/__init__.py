@@ -69,7 +69,7 @@ from .curves import (
     sinusoid_figure_config,
     uniform_motion_config,
 )
-from .render import Viewport, occupancy, render_ascii, render_pbm, render_svg
+from .render import MAX_GRID_CELLS, Viewport, occupancy, render_ascii, render_pbm, render_svg
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,7 @@ __all__ = [
     "DifferenceField", "GenerationMode", "GenerationTrace", "GeneratorConfig",
     "IntegerFunction", "IntegerFunctionError", "IntegerPair", "IntegerScale",
     "InternalConsistencyError", "I_MINUS", "I_PLUS", "J_MINUS", "J_PLUS",
-    "PRESETS", "ParseError", "PiResult", "PreconditionError",
+    "MAX_GRID_CELLS", "PRESETS", "ParseError", "PiResult", "PreconditionError",
     "REGISTER_CAPACITY", "RealSampleSeries", "RegisterBank",
     "RegisterOverflowError", "STEP_CODES", "ScaledDifference", "StepCount", "StepKind",
     "StopRule", "TraceRecord", "Viewport", "WORK_REGISTERS", "WhilePositive",

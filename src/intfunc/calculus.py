@@ -10,11 +10,10 @@ two step kinds are interleaved.
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, islice
 from typing import Iterator, NamedTuple
 
 from .core import (
@@ -42,28 +41,30 @@ def characteristic_indices(f: IntegerFunction, axis: Axis) -> list[Characteristi
             for k, step in enumerate(f.steps, start=1) if step.axis is axis]
 
 
-def _characteristic_points(f: IntegerFunction, axis: Axis) -> list[tuple[int, int]]:
-    """(study coordinate, cross coordinate) at each characteristic element.
+def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
+    """First characteristic coordinate and the cross coordinate at each
+    characteristic element.
 
-    The study axis must only take + steps; otherwise a characteristic
-    coordinate could repeat and the field would be ill-defined.  The cross
-    axis is unconstrained, which is what allows differentiating derivatives
-    whose cross coordinate goes back down.
+    The study axis must only take + steps, so the characteristic coordinates
+    are first, first + 1, ... and a plain list indexed by their offset holds
+    the cross coordinates.  A study step going down would make a coordinate
+    repeat and the field ill-defined.  The cross axis is unconstrained, which
+    is what allows differentiating derivatives whose cross coordinate goes
+    back down.
     """
-    points = []
-    for k, step in enumerate(f.steps, start=1):
-        if step.axis is not axis:
-            continue
-        if step.sign < 0:
-            raise PreconditionError(
-                f"{axis.value} coordinate decreases at step {k}; difference fields "
-                f"need a non-decreasing {axis.value} coordinate")
-        element = f.elements[k]
-        if axis is Axis.I:
-            points.append((element.i, element.j))
-        else:
-            points.append((element.j, element.i))
-    return points
+    study, other = (0, 1) if axis is Axis.I else (1, 0)
+    plus = I_PLUS if axis is Axis.I else J_PLUS
+    cross = list(compress(map(operator.itemgetter(other), islice(f.elements, 1, None)),
+                          map(plus.__eq__, f.steps)))
+    # The study coordinate moves by (+ steps) - (- steps): by len(cross)
+    # exactly when no study step goes down.
+    if f.end[study] - f.start[study] != len(cross):
+        k = next(k for k, step in enumerate(f.steps, start=1)
+                 if step.axis is axis and step.sign < 0)
+        raise PreconditionError(
+            f"{axis.value} coordinate decreases at step {k}; difference fields "
+            f"need a non-decreasing {axis.value} coordinate")
+    return f.start[study] + 1, cross
 
 
 @dataclass(frozen=True)
@@ -100,11 +101,23 @@ def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> Differe
     """
     if not isinstance(diff_class, int) or diff_class < 1:
         raise PreconditionError("difference class must be a positive integer")
-    points = _characteristic_points(f, axis)
-    cross = {c: x for c, x in points}
-    entries = tuple((c, cross[c + diff_class] - x)
-                    for c, x in points if c + diff_class in cross)
+    return _field(axis, diff_class, *_cross_coordinates(f, axis))
+
+
+def _field(axis: Axis, diff_class: int, first: int, cross: list[int]) -> DifferenceField:
+    """Class ``diff_class`` of the cross list: cross[c + D] - cross[c]."""
+    n = len(cross)
+    entries = tuple(zip(range(first, first + n - diff_class),
+                        map(operator.sub, cross[diff_class:], cross)))
     return DifferenceField(axis, diff_class, entries)
+
+
+def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
+    """Every non-empty field, classes 1 .. n - 1 in order, built one at a time
+    from a single cross list.  A study axis that goes down raises here, before
+    the first field."""
+    first, cross = _cross_coordinates(f, axis)
+    return (_field(axis, diff_class, first, cross) for diff_class in range(1, len(cross)))
 
 
 @dataclass(frozen=True)
@@ -151,17 +164,12 @@ def class_derivative(f: IntegerFunction, axis: Axis, diff_class: int) -> Integer
 
 
 def full_derivative(f: IntegerFunction, axis: Axis) -> dict[int, DifferenceField]:
-    """Difference fields for every class that has at least one entry."""
-    points = _characteristic_points(f, axis)
-    result: dict[int, DifferenceField] = {}
-    if len(points) < 2:
-        return result
-    span = points[-1][0] - points[0][0]
-    for diff_class in range(1, span + 1):
-        field = difference_field(f, axis, diff_class)
-        if field.entries:
-            result[diff_class] = field
-    return result
+    """Difference fields for every class that has at least one entry.
+
+    With n characteristic elements that is classes 1 .. n - 1, holding
+    n(n - 1)/2 entries in all.
+    """
+    return {field.diff_class: field for field in _class_fields(f, axis)}
 
 
 @dataclass(frozen=True)
@@ -183,7 +191,11 @@ class IntegerScale:
         return IntegerScale(self.unit / m)
 
     def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
-        return IntegerPair(math.floor(x / self.unit), math.floor(y / self.unit))
+        """(floor(x / unit), floor(y / unit)), floored on numerators and
+        denominators; unit > 0 keeps the divisor positive."""
+        num, den = self.unit.numerator, self.unit.denominator
+        return IntegerPair((x.numerator * den) // (x.denominator * num),
+                           (y.numerator * den) // (y.denominator * num))
 
 
 def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,

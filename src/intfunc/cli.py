@@ -50,7 +50,7 @@ from .core import (
     WhilePositive,
     generate,
 )
-from .calculus import IntegerScale, difference_field, full_derivative
+from .calculus import IntegerScale, _class_fields, difference_field
 from .curves import (
     composite_generate,
     digitize,
@@ -343,16 +343,18 @@ def _cmd_derive(args) -> int:
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     axis = Axis(args.axis)
+    write = sys.stdout.write
     if args.all:
-        print("class,coordinate,d")
-        for diff_class, field in sorted(full_derivative(f, axis).items()):
-            for coordinate, d in field:
-                print(f"{diff_class},{coordinate},{d}")
+        # One class at a time from one cross list: memory holds one class,
+        # not all n(n - 1)/2 entries.
+        fields = _class_fields(f, axis)
+        write("class,coordinate,d\n")
+        for field in fields:
+            write("".join(map(f"{field.diff_class},%s,%s\n".__mod__, field.entries)))
     else:
         field = difference_field(f, axis, args.diff_class)
-        print("coordinate,d")
-        for coordinate, d in field:
-            print(f"{coordinate},{d}")
+        write("coordinate,d\n")
+        write("".join(map("%s,%s\n".__mod__, field.entries)))
     return EXIT_OK
 
 

@@ -10,9 +10,11 @@ between two exact rationals.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable
 
 from .core import (
@@ -264,13 +266,18 @@ class RealSampleSeries:
     def __post_init__(self):
         converted = []
         for x, y in self.points:
-            if isinstance(x, float) or isinstance(y, float):
-                raise PreconditionError(
-                    "samples must be exact rationals; convert floats explicitly")
-            converted.append((Fraction(x), Fraction(y)))
-        for (x0, _), (x1, _) in zip(converted, converted[1:]):
-            if x1 <= x0:
-                raise PreconditionError("sample x values must be strictly increasing")
+            if type(x) is not Fraction or type(y) is not Fraction:
+                if isinstance(x, float) or isinstance(y, float):
+                    raise PreconditionError(
+                        "samples must be exact rationals; convert floats explicitly")
+                x, y = Fraction(x), Fraction(y)
+            converted.append((x, y))
+        # x1 > x0, compared on numerators and denominators.
+        nums = [x.numerator for x, _ in converted]
+        dens = [x.denominator for x, _ in converted]
+        if not all(map(operator.gt, map(operator.mul, nums[1:], dens),
+                       map(operator.mul, nums, dens[1:]))):
+            raise PreconditionError("sample x values must be strictly increasing")
         object.__setattr__(self, "points", tuple(converted))
 
     @classmethod
@@ -279,6 +286,15 @@ class RealSampleSeries:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+# Steps for a cell change (di, dj) between consecutive samples: none for the
+# same cell, the i step first at an exact corner crossing.  A jump missing
+# here is more than one cell.
+_JUMP_STEPS = {
+    (di, dj): ((StepKind(Axis.I, di),) if di else ()) + ((StepKind(Axis.J, dj),) if dj else ())
+    for di in (-1, 0, 1) for dj in (-1, 0, 1)
+}
 
 
 def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
@@ -292,24 +308,20 @@ def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
     """
     if not samples.points:
         raise PreconditionError("at least one sample is required")
-    cells: list[IntegerPair] = []
-    for x, y in samples.points:
-        cell = scale.cell_of(x, y)
-        if not cells or cells[-1] != cell:
-            cells.append(cell)
-    steps: list[StepKind] = []
-    for previous, current in zip(cells, cells[1:]):
-        di = current.i - previous.i
-        dj = current.j - previous.j
-        if abs(di) > 1 or abs(dj) > 1:
-            raise PreconditionError(
-                f"samples too sparse: cell jump ({di}, {dj}) between "
-                f"{tuple(previous)} and {tuple(current)}")
-        if di:
-            steps.append(StepKind(Axis.I, di))
-        if dj:
-            steps.append(StepKind(Axis.J, dj))
-    return IntegerFunction(cells[0], steps)
+    # floor(x / u) on numerators and denominators, as in IntegerScale.cell_of.
+    num, den = scale.unit.numerator, scale.unit.denominator
+    ci = [(x.numerator * den) // (x.denominator * num) for x, _ in samples.points]
+    cj = [(y.numerator * den) // (y.denominator * num) for _, y in samples.points]
+    jumps = zip(map(operator.sub, ci[1:], ci), map(operator.sub, cj[1:], cj))
+    try:
+        steps = list(chain.from_iterable(map(_JUMP_STEPS.__getitem__, jumps)))
+    except KeyError:
+        t = next(t for t in range(1, len(ci))
+                 if abs(ci[t] - ci[t - 1]) > 1 or abs(cj[t] - cj[t - 1]) > 1)
+        raise PreconditionError(
+            f"samples too sparse: cell jump ({ci[t] - ci[t - 1]}, {cj[t] - cj[t - 1]}) "
+            f"between {(ci[t - 1], cj[t - 1])} and {(ci[t], cj[t])}") from None
+    return IntegerFunction(IntegerPair(ci[0], cj[0]), steps)
 
 
 def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:

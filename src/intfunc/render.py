@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from xml.etree import ElementTree
 
 from .core import IntegerFunction, PreconditionError
+
+#: Largest viewport area, in cells, that ASCII and PBM output will fill.
+#: Their size grows with the area; SVG grows with the occupied cells and has
+#: no such limit.
+MAX_GRID_CELLS = 10**8
 
 
 @dataclass(frozen=True)
@@ -26,13 +30,8 @@ class Viewport:
 
     @classmethod
     def around(cls, f: IntegerFunction, cell_px: int = 16) -> "Viewport":
-        return cls(
-            i_min=min(e.i for e in f.elements),
-            i_max=max(e.i for e in f.elements),
-            j_min=min(e.j for e in f.elements),
-            j_max=max(e.j for e in f.elements),
-            cell_px=cell_px,
-        )
+        i, j = zip(*f.elements)
+        return cls(i_min=min(i), i_max=max(i), j_min=min(j), j_max=max(j), cell_px=cell_px)
 
     @property
     def columns(self) -> int:
@@ -55,49 +54,75 @@ def occupancy(f: IntegerFunction, viewport: Viewport) -> list[list[bool]]:
     ]
 
 
+def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
+    """The ASCII text as one buffer, rows top to bottom, each ending in a
+    newline, filled from the set of occupied cells.
+
+    One buffer rather than one object per row keeps memory at the output
+    size for any viewport shape.  Raises PreconditionError, before
+    allocating anything, when the viewport holds more than MAX_GRID_CELLS
+    cells.
+    """
+    columns, rows = viewport.columns, viewport.rows
+    if columns * rows > MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"viewport of {columns} x {rows} = {columns * rows} cells is over the "
+            f"ASCII/PBM grid limit of {MAX_GRID_CELLS} cells")
+    i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
+    width = columns + 1
+    grid = bytearray(b"." * columns + b"\n") * rows
+    for i, j in set(f.elements):
+        if i_min <= i <= i_max and j_min <= j <= j_max:
+            grid[(j_max - j) * width + i - i_min] = 0x23  # '#'
+    return grid
+
+
+_ASCII_TO_PBM = bytes.maketrans(b".#", b"01")
+
+
 def render_ascii(f: IntegerFunction, viewport: Viewport) -> str:
-    """'#' for occupied cells, '.' otherwise, one text row per cell row."""
-    grid = occupancy(f, viewport)
-    return "".join("".join("#" if cell else "." for cell in row) + "\n" for row in grid)
+    """'#' for occupied cells, '.' otherwise, one text row per cell row.
+
+    Same cells as ``occupancy``; over MAX_GRID_CELLS cells is a
+    PreconditionError.
+    """
+    return _ascii_grid(f, viewport).decode("ascii")
 
 
 def render_pbm(f: IntegerFunction, viewport: Viewport) -> bytes:
-    """Plain PBM (P1): magic, dimensions, then one row of 0/1 digits per line."""
-    grid = occupancy(f, viewport)
-    lines = [f"P1", f"{viewport.columns} {viewport.rows}"]
-    lines.extend("".join("1" if cell else "0" for cell in row) for row in grid)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    """Plain PBM (P1): magic, dimensions, then one row of 0/1 digits per line.
+
+    Same cells as ``occupancy``; over MAX_GRID_CELLS cells is a
+    PreconditionError.
+    """
+    header = f"P1\n{viewport.columns} {viewport.rows}\n".encode("ascii")
+    return header + _ascii_grid(f, viewport).translate(_ASCII_TO_PBM)
 
 
 def render_svg(f: IntegerFunction, viewport: Viewport,
                scale_label: str | None = None) -> str:
-    """One square per occupied cell, j growing upward, optional scale label."""
+    """One square per occupied cell, j growing upward, optional scale label.
+
+    The text is what ElementTree would serialize for the same tree: no
+    whitespace between elements, " />" closing empty ones, and only &, < and
+    > escaped in the label.
+    """
     px = viewport.cell_px
     width = viewport.columns * px
     height = viewport.rows * px
-    svg = ElementTree.Element("svg", {
-        "xmlns": "http://www.w3.org/2000/svg",
-        "width": str(width),
-        "height": str(height),
-        "viewBox": f"0 0 {width} {height}",
-    })
-    cells = sorted(set(f.elements))
-    for i, j in cells:
-        if viewport.i_min <= i <= viewport.i_max and viewport.j_min <= j <= viewport.j_max:
-            ElementTree.SubElement(svg, "rect", {
-                "x": str((i - viewport.i_min) * px),
-                "y": str((viewport.j_max - j) * px),
-                "width": str(px),
-                "height": str(px),
-                "fill": "black",
-            })
+    i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
+    rect = f'<rect x="%s" y="%s" width="{px}" height="{px}" fill="black" />'
+    parts = [rect % ((i - i_min) * px, (j_max - j) * px)
+             for i, j in sorted(set(f.elements))
+             if i_min <= i <= i_max and j_min <= j <= j_max]
     if scale_label is not None:
-        label = ElementTree.SubElement(svg, "text", {
-            "x": "2",
-            "y": str(max(12, px - 2)),
-            "font-size": str(max(10, px - 4)),
-            "fill": "red",
-        })
-        label.text = scale_label
-    body = ElementTree.tostring(svg, encoding="unicode")
+        text = f'<text x="2" y="{max(12, px - 2)}" font-size="{max(10, px - 4)}" fill="red"'
+        if scale_label:
+            escaped = scale_label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            parts.append(f"{text}>{escaped}</text>")
+        else:
+            parts.append(text + " />")
+    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+           f'viewBox="0 0 {width} {height}"')
+    body = f'{svg}>{"".join(parts)}</svg>' if parts else svg + " />"
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"

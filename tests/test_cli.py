@@ -10,12 +10,15 @@ from intfunc import (
     Axis,
     GenerationMode,
     GenerationTrace,
+    IntegerFunction,
     IntegerPair,
     RegisterBank,
     RegisterOverflowError,
     StepKind,
     TraceRecord,
+    difference_field,
     from_step_sequence,
+    full_derivative,
     generate,
 )
 from intfunc.cli import (
@@ -460,3 +463,103 @@ class TestExitCodes:
                              str(samples_path), "--out", str(tmp_path / "o.csv"),
                              capsys=capsys)
         assert code == 3
+
+
+def _first_difference(got, want):
+    """None, or the first line where two long outputs differ (a plain ==
+    would make pytest diff every line on failure)."""
+    if got == want:
+        return None
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    n = next((n for n, (a, b) in enumerate(zip(got_lines, want_lines)) if a != b),
+             min(len(got_lines), len(want_lines)))
+    return n, got_lines[n:n + 1], want_lines[n:n + 1]
+
+
+class TestStreamedDerive:
+    """derive writes one class at a time; stdout must be what one print per
+    entry of the eager API gives."""
+
+    @pytest.fixture
+    def harmonic_trace(self, tmp_path):
+        _, trace = generate(harmonic_config(10**5))
+        path = tmp_path / "harmonic.csv"
+        write_trace_file(trace, str(path))
+        return path, function_from_trace(trace)
+
+    @pytest.mark.parametrize("axis", ["i", "j"])
+    def test_all_matches_full_derivative(self, harmonic_trace, capsys, axis):
+        path, f = harmonic_trace
+        code, out, _ = run_cli("derive", "--in", str(path), "--axis", axis, "--all",
+                               capsys=capsys)
+        assert code == 0
+        expected = "class,coordinate,d\n" + "".join(
+            f"{diff_class},{c},{d}\n"
+            for diff_class, field in sorted(full_derivative(f, Axis(axis)).items())
+            for c, d in field)
+        assert _first_difference(out, expected) is None
+
+    @pytest.mark.parametrize("diff_class", [1, 5, 200, 10**6])
+    def test_class_matches_difference_field(self, harmonic_trace, capsys, diff_class):
+        path, f = harmonic_trace
+        code, out, _ = run_cli("derive", "--in", str(path), "--axis", "i",
+                               "--class", str(diff_class), capsys=capsys)
+        assert code == 0
+        field = difference_field(f, Axis.I, diff_class)
+        expected = "coordinate,d\n" + "".join(f"{c},{d}\n" for c, d in field)
+        assert _first_difference(out, expected) is None
+
+    @pytest.mark.parametrize("mode", [["--all"], ["--class", "1"]])
+    def test_decreasing_study_axis_prints_nothing(self, tmp_path, capsys, mode):
+        path = tmp_path / "back.csv"
+        write_trace_file(trace_for_function(from_step_sequence((0, 0), "i j i- i")),
+                         str(path))
+        code, out, err = run_cli("derive", "--in", str(path), "--axis", "i", *mode,
+                                 capsys=capsys)
+        assert code == 5
+        assert out == ""
+        assert "decreases at step 3" in err
+
+
+class TestGridLimit:
+    """ASCII and PBM refuse a viewport over MAX_GRID_CELLS before any output."""
+
+    @pytest.fixture
+    def elbow_path(self, tmp_path):
+        path = tmp_path / "elbow.csv"
+        write_trace_file(trace_for_function(from_step_sequence((0, 0), "i j")), str(path))
+        return path
+
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm"])
+    def test_viewport_over_limit(self, elbow_path, tmp_path, capsys, fmt):
+        # 100 001 x 1 000 cells, just over 10**8.
+        out_path = tmp_path / f"big.{fmt}"
+        for out_args in ([], ["--out", str(out_path)]):
+            code, out, err = run_cli("render", "--in", str(elbow_path), "--format", fmt,
+                                     "--viewport", "0:100000:0:999", *out_args,
+                                     capsys=capsys)
+            assert code == 5
+            assert out == ""
+            assert "grid limit" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("fmt", ["ascii", "pbm"])
+    def test_bounding_box_over_limit(self, tmp_path, capsys, fmt):
+        # 10 000 i steps then 10 000 j steps: a 10 001 x 10 001 box.
+        path = tmp_path / "corner.csv"
+        f = IntegerFunction((0, 0), [StepKind(Axis.I, 1)] * 10**4 + [StepKind(Axis.J, 1)] * 10**4)
+        write_trace_file(trace_for_function(f), str(path))
+        out_path = tmp_path / f"corner.{fmt}"
+        for out_args in ([], ["--out", str(out_path)]):
+            code, out, err = run_cli("render", "--in", str(path), "--format", fmt,
+                                     *out_args, capsys=capsys)
+            assert code == 5
+            assert out == ""
+            assert "10001 x 10001" in err
+        assert not out_path.exists()
+
+    def test_svg_has_no_area_limit(self, elbow_path, capsys):
+        code, out, _ = run_cli("render", "--in", str(elbow_path), "--format", "svg",
+                               "--viewport", "0:100000:0:999", capsys=capsys)
+        assert code == 0
+        assert out.count("<rect") == 3
