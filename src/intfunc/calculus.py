@@ -21,10 +21,8 @@ from .core import (
     GenerationTrace,
     IntegerFunction,
     IntegerPair,
-    I_PLUS,
-    J_MINUS,
-    J_PLUS,
     PreconditionError,
+    _AXIS_MASKS,
 )
 
 
@@ -38,7 +36,7 @@ class CharacteristicIndex(NamedTuple):
 def characteristic_indices(f: IntegerFunction, axis: Axis) -> list[CharacteristicIndex]:
     """All step indices k >= 1 whose step moved the given axis, in order."""
     return [CharacteristicIndex(k, axis)
-            for k, step in enumerate(f.steps, start=1) if step.axis is axis]
+            for k in compress(range(1, f.length + 1), f.codes.translate(_AXIS_MASKS[axis]))]
 
 
 def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
@@ -52,19 +50,16 @@ def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
     is what allows differentiating derivatives whose cross coordinate goes
     back down.
     """
-    study, other = (0, 1) if axis is Axis.I else (1, 0)
-    plus = I_PLUS if axis is Axis.I else J_PLUS
-    cross = list(compress(map(operator.itemgetter(other), islice(f.elements, 1, None)),
-                          map(plus.__eq__, f.steps)))
-    # The study coordinate moves by (+ steps) - (- steps): by len(cross)
-    # exactly when no study step goes down.
-    if f.end[study] - f.start[study] != len(cross):
-        k = next(k for k, step in enumerate(f.steps, start=1)
-                 if step.axis is axis and step.sign < 0)
+    study, other = (f.i, f.j) if axis is Axis.I else (f.j, f.i)
+    cross = list(compress(islice(other, 1, None), f.codes.translate(_AXIS_MASKS[axis])))
+    # The study coordinate moves by (+ steps) - (- steps), and len(cross) is
+    # (+ steps) + (- steps): they agree exactly when no study step goes down.
+    if study[-1] - study[0] != len(cross):
+        k = f.codes.index(2 if axis is Axis.I else 3) + 1
         raise PreconditionError(
             f"{axis.value} coordinate decreases at step {k}; difference fields "
             f"need a non-decreasing {axis.value} coordinate")
-    return f.start[study] + 1, cross
+    return study[0] + 1, cross
 
 
 @dataclass(frozen=True)
@@ -154,13 +149,13 @@ def class_derivative(f: IntegerFunction, axis: Axis, diff_class: int) -> Integer
         raise PreconditionError(
             f"no characteristic pairs {field.diff_class} apart; empty field")
     (start_c, start_d), *rest = field.entries
-    steps = []
+    # Step codes: 0 = i+, then 1 = j+ or 3 = j- for each unit of change.
+    codes = bytearray()
     previous = start_d
     for _, d in rest:
-        steps.append(I_PLUS)
-        steps.extend([J_PLUS if d > previous else J_MINUS] * abs(d - previous))
+        codes += b"\0" + (b"\1" if d > previous else b"\3") * abs(d - previous)
         previous = d
-    return IntegerFunction(IntegerPair(start_c, start_d), steps)
+    return IntegerFunction.from_codes((start_c, start_d), codes)
 
 
 def full_derivative(f: IntegerFunction, axis: Axis) -> dict[int, DifferenceField]:
@@ -208,8 +203,8 @@ def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,
     """
     if not isinstance(m, int) or m < 1:
         raise PreconditionError("refinement factor m must be a positive integer")
-    covered = {(e.i // m, e.j // m) for e in fine.elements}
-    return [e for e in coarse.elements if (e.i, e.j) not in covered]
+    covered = {(i // m, j // m) for i, j in zip(fine.i, fine.j)}
+    return [IntegerPair(*e) for e in zip(coarse.i, coarse.j) if e not in covered]
 
 
 def regulator_monotone_check(trace: GenerationTrace, axis_restricted: bool = False) -> bool:

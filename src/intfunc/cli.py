@@ -32,7 +32,6 @@ from typing import IO
 from .core import (
     ALL_REGISTERS,
     Axis,
-    CapExhaustedError,
     GenerationMode,
     GenerationTrace,
     GeneratorConfig,
@@ -46,7 +45,6 @@ from .core import (
     RegisterOverflowError,
     STEP_CODES,
     StepCount,
-    StepKind,
     WhilePositive,
     generate,
 )
@@ -61,7 +59,7 @@ from .curves import (
     RealSampleSeries,
     uniform_motion_config,
 )
-from .render import Viewport, render_ascii, render_pbm, render_svg
+from .render import Viewport, _XML_INVALID, render_ascii, render_pbm, render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -224,7 +222,8 @@ def _check_row(row: list[str], k: int) -> None:
         raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(row)}")
     if _parse_int(row[0], "k") != k:
         raise ParseError(f"step index {row[0]} out of order")
-    StepKind.from_token(row[1])
+    if row[1] not in _CODE_OF_TOKEN:
+        raise ParseError(f"invalid step token {row[1]!r} (expected i+, i-, j+ or j-)")
     for name, cell in zip(TRACE_COLUMNS[2:], row[2:]):
         value = _parse_int(cell, name)
         if abs(value) <= REGISTER_CAPACITY:
@@ -283,18 +282,16 @@ def read_trace_file(path: str) -> GenerationTrace:
 
 def trace_for_function(f: IntegerFunction) -> GenerationTrace:
     """Serialize a bare integer function as a trace with an all-zero bank."""
-    return GenerationTrace.from_function(f)
+    return GenerationTrace.from_columns(f.codes, f.i[1:], f.j[1:], (0,) * len(ALL_REGISTERS))
 
 
 def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
     """Rebuild the integer function a trace walked (start inferred from row 1)."""
     if not len(trace):
         raise PreconditionError("trace has no steps; cannot recover an integer function")
-    first = STEP_CODES[trace.codes[0]]
-    di = first.sign if first.axis is Axis.I else 0
-    dj = first.sign if first.axis is Axis.J else 0
-    start = IntegerPair(trace.i[0] - di, trace.j[0] - dj)
-    return IntegerFunction(start, map(STEP_CODES.__getitem__, trace.codes))
+    # The first step's move, by its code: i+, j+, i-, j-.
+    di, dj = ((1, 0), (0, 1), (-1, 0), (0, -1))[trace.codes[0]]
+    return IntegerFunction.from_codes((trace.i[0] - di, trace.j[0] - dj), trace.codes)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +393,8 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
 
 
 def _cmd_render(args) -> int:
+    if args.format == "svg" and args.label and (bad := _XML_INVALID.search(args.label)):
+        raise PreconditionError(f"--label holds {bad.group()!r}, which XML 1.0 does not allow")
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     if args.viewport:
@@ -508,9 +507,6 @@ def main(argv=None) -> int:
     except RegisterOverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (PreconditionError, CapExhaustedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except IntegerFunctionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

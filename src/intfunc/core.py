@@ -67,10 +67,6 @@ class Axis(enum.Enum):
     def regulator(self) -> str:
         return "RX" if self is Axis.I else "RY"
 
-    @property
-    def other(self) -> "Axis":
-        return Axis.J if self is Axis.I else Axis.I
-
 
 class StepKind(NamedTuple):
     """One lattice move: an axis and a +/-1 direction."""
@@ -81,12 +77,6 @@ class StepKind(NamedTuple):
     @property
     def token(self) -> str:
         return self.axis.value + ("+" if self.sign > 0 else "-")
-
-    @classmethod
-    def from_token(cls, token: str) -> "StepKind":
-        if len(token) == 2 and token[0] in "ij" and token[1] in "+-":
-            return cls(Axis(token[0]), 1 if token[1] == "+" else -1)
-        raise ParseError(f"invalid step token {token!r} (expected i+, i-, j+ or j-)")
 
 
 I_PLUS = StepKind(Axis.I, 1)
@@ -117,52 +107,93 @@ class IntegerPair(NamedTuple):
     j: int
 
 
+# bytes.translate tables by step code: the move along i and along j as signed
+# bytes (0xff = -1), and 0/1 flags per axis (i steps even codes, j steps odd).
+_I_MOVES = bytes([1, 0, 0xFF, 0]) + bytes(252)
+_J_MOVES = bytes([0, 1, 0, 0xFF]) + bytes(252)
+_AXIS_MASKS = {Axis.I: bytes([1, 0, 1, 0]) + bytes(252),
+               Axis.J: bytes([0, 1, 0, 1]) + bytes(252)}
+_TRANSPOSED = bytes([1, 0, 3, 2]) + bytes(252)
+_CODE_OF_STEP = {step: code for code, step in enumerate(STEP_CODES)}
+
+
+def _walk(origin: int, codes: bytes, moves: bytes) -> array:
+    """One coordinate of a path: ``origin``, then its value after each step."""
+    try:
+        column = array("q", list(accumulate(array("b", codes.translate(moves)), initial=origin)))
+        # array('q') also holds -2**63; only a path that can get there is scanned.
+        if origin - len(codes) >= -REGISTER_CAPACITY or min(column) >= -REGISTER_CAPACITY:
+            return column
+    except OverflowError:
+        pass
+    raise PreconditionError(f"path positions must lie within +/- {REGISTER_CAPACITY}")
+
+
 class IntegerFunction:
     """A finite lattice path: a start pair plus a sequence of unit steps.
 
-    The element list is derived eagerly; consecutive elements are neighbours
-    by construction, so any step sequence yields a valid integer function.
+    ``codes`` holds one Freeman chain code per step (its index in STEP_CODES)
+    and ``i``, ``j`` are array('q') columns of the n + 1 element coordinates,
+    built from the codes; positions must lie within +/- REGISTER_CAPACITY.
+    ``steps`` and ``elements`` are tuple views built on read.
     """
 
-    __slots__ = ("start", "steps", "elements")
+    __slots__ = ("start", "codes", "i", "j")
 
     def __init__(self, start, steps=()):
-        self.start = IntegerPair(*start)
-        self.steps = tuple(steps)
-        di = [step.sign if step.axis is Axis.I else 0 for step in self.steps]
-        dj = [step.sign if step.axis is Axis.J else 0 for step in self.steps]
+        # Anything not in STEP_CODES gets code 4, which _fill rejects.
+        self._fill(start, bytes(_CODE_OF_STEP.get(step, 4) for step in steps))
+
+    @classmethod
+    def from_codes(cls, start, codes: bytes) -> "IntegerFunction":
+        """The path from ``start`` through the steps of ``codes``."""
+        f = cls.__new__(cls)
+        f._fill(start, bytes(codes))
+        return f
+
+    def _fill(self, start, codes: bytes) -> None:
+        if bad := codes.translate(None, b"\0\1\2\3"):
+            raise PreconditionError(
+                f"step {codes.index(bad[0]) + 1} is not a unit step (i+, j+, i- or j-)")
+        self.start, self.codes = IntegerPair(*start), codes
+        self.i, self.j = _walk(self.start.i, codes, _I_MOVES), _walk(self.start.j, codes, _J_MOVES)
+
+    @property
+    def steps(self) -> tuple[StepKind, ...]:
+        return tuple(map(STEP_CODES.__getitem__, self.codes))
+
+    @property
+    def elements(self) -> tuple[IntegerPair, ...]:
         # tuple.__new__ builds each IntegerPair without the Python-level
         # NamedTuple constructor, which would double the cost per element.
-        self.elements = tuple(map(tuple.__new__, repeat(IntegerPair),
-                                  zip(accumulate(di, initial=self.start.i),
-                                      accumulate(dj, initial=self.start.j))))
+        return tuple(map(tuple.__new__, repeat(IntegerPair), zip(self.i, self.j)))
 
     @property
     def length(self) -> int:
         """Number of steps (one less than the number of elements)."""
-        return len(self.steps)
+        return len(self.codes)
 
     @property
     def end(self) -> IntegerPair:
-        return self.elements[-1]
+        return IntegerPair(self.i[-1], self.j[-1])
 
     def is_monotone(self) -> bool:
-        return all(step.sign > 0 for step in self.steps)
+        return 2 not in self.codes and 3 not in self.codes
 
     def transposed(self) -> "IntegerFunction":
         """Swap the roles of the two coordinates (i <-> j)."""
-        return IntegerFunction(
-            IntegerPair(self.start.j, self.start.i),
-            tuple(StepKind(s.axis.other, s.sign) for s in self.steps),
-        )
+        f = IntegerFunction.__new__(IntegerFunction)
+        f.start, f.i, f.j = IntegerPair(self.start.j, self.start.i), self.j, self.i
+        f.codes = self.codes.translate(_TRANSPOSED)
+        return f
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerFunction):
             return NotImplemented
-        return self.start == other.start and self.steps == other.steps
+        return self.start == other.start and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.start, self.steps))
+        return hash((self.start, self.codes))
 
     def __repr__(self) -> str:
         return (f"IntegerFunction(start={tuple(self.start)}, "
@@ -341,21 +372,6 @@ class TraceRecord(NamedTuple):
     bank: RegisterBank
 
 
-# Step codes as 0/1 flags per axis, for bytes.translate: i steps are the even
-# codes, j steps the odd ones.
-_AXIS_MASKS = {Axis.I: bytes([1, 0, 1, 0]) + bytes(252),
-               Axis.J: bytes([0, 1, 0, 1]) + bytes(252)}
-
-
-def _position_columns(pairs) -> tuple[array, array]:
-    """The i and j columns of a trace from its (i, j) positions."""
-    try:
-        return array("q", [p[0] for p in pairs]), array("q", [p[1] for p in pairs])
-    except OverflowError:
-        raise PreconditionError(
-            f"a trace holds positions within +/- {REGISTER_CAPACITY}") from None
-
-
 class GenerationTrace:
     """Per-step state of a generator run, stored as columns.
 
@@ -376,10 +392,13 @@ class GenerationTrace:
             if record.k != k:
                 raise PreconditionError(
                     f"trace record {k} carries step index {record.k}")
-        self._fill(bytearray(STEP_CODES.index(r.step) for r in records),
-                   *_position_columns([(r.i, r.j) for r in records]),
-                   [array("q", [r.bank.value(name) for r in records])
-                    for name in ALL_REGISTERS])
+        try:
+            i, j = array("q", [r.i for r in records]), array("q", [r.j for r in records])
+        except OverflowError:
+            raise PreconditionError(
+                f"a trace holds positions within +/- {REGISTER_CAPACITY}") from None
+        self._fill(bytearray(STEP_CODES.index(r.step) for r in records), i, j,
+                   [array("q", [r.bank.value(name) for r in records]) for name in ALL_REGISTERS])
 
     @classmethod
     def from_columns(cls, codes, i, j, registers) -> "GenerationTrace":
@@ -395,12 +414,6 @@ class GenerationTrace:
             entry[0] if not isinstance(entry, int) and entry
             and entry.count(entry[0]) == len(entry) else entry
             for entry in registers)
-
-    @classmethod
-    def from_function(cls, f: IntegerFunction) -> "GenerationTrace":
-        """The trace of a bare integer function: its path, an all-zero bank."""
-        return cls.from_columns(bytearray(map(STEP_CODES.index, f.steps)),
-                                *_position_columns(f.elements[1:]), (0,) * len(ALL_REGISTERS))
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -514,7 +527,7 @@ def _compile_side(bank: RegisterBank, axis: Axis, harmonized: bool, fixed: set[s
             rate = _SLOT[rate_name]
     pairs = tuple((_SLOT[source], _SLOT[target]) for source, target in cascade
                   if not (source in fixed and bank.value(source) == 0))
-    return pairs, rate, _SLOT[axis.regulator], STEP_CODES.index(StepKind(axis, 1))
+    return pairs, rate, _SLOT[axis.regulator], _CODE_OF_STEP[StepKind(axis, 1)]
 
 
 _BATCH_VALUES = 1 << 14
@@ -587,10 +600,9 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     width = len(recorded)
     columns = {slot: flat[n::width] for n, slot in enumerate(recorded)}
     del flat, pending
-    f = IntegerFunction(config.start, map(STEP_CODES.__getitem__, codes))
+    f = IntegerFunction.from_codes(config.start, codes)
     trace = GenerationTrace.from_columns(
-        codes, *_position_columns(f.elements[1:]),
-        [columns.get(slot, value) for slot, value in enumerate(regs)])
+        f.codes, f.i[1:], f.j[1:], [columns.get(slot, value) for slot, value in enumerate(regs)])
     changed = designation_violations(implied_designation(bank), bank, trace)
     if changed:
         raise InternalConsistencyError(

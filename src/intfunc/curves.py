@@ -14,21 +14,17 @@ import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable
 
 from .core import (
-    Axis,
     GenerationMode,
     GenerationTrace,
     GeneratorConfig,
     IntegerFunction,
-    IntegerPair,
     PreconditionError,
     RegisterBank,
     RegisterOverflowError,
     StepCount,
-    StepKind,
     WhilePositive,
     _run,
 )
@@ -41,7 +37,7 @@ PI_SEED_LIMIT = 10**17
 
 
 def _config(start, bank, stop, mode=GenerationMode.MONOTONE) -> GeneratorConfig:
-    return GeneratorConfig(start=IntegerPair(*start), bank=bank, stop=stop, mode=mode)
+    return GeneratorConfig(start=start, bank=bank, stop=stop, mode=mode)
 
 
 def _require_nonzero(**params) -> None:
@@ -288,13 +284,11 @@ class RealSampleSeries:
         return len(self.points)
 
 
-# Steps for a cell change (di, dj) between consecutive samples: none for the
-# same cell, the i step first at an exact corner crossing.  A jump missing
-# here is more than one cell.
-_JUMP_STEPS = {
-    (di, dj): ((StepKind(Axis.I, di),) if di else ()) + ((StepKind(Axis.J, dj),) if dj else ())
-    for di in (-1, 0, 1) for dj in (-1, 0, 1)
-}
+# Step codes for a cell change (di, dj) between consecutive samples: none for
+# the same cell, the i step (0 = i+, 2 = i-) first at an exact corner, then the
+# j step (1 = j+, 3 = j-).  A jump missing here is more than one cell.
+_JUMP_CODES = {(di, dj): {1: b"\0", 0: b"", -1: b"\2"}[di] + {1: b"\1", 0: b"", -1: b"\3"}[dj]
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)}
 
 
 def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
@@ -314,14 +308,14 @@ def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
     cj = [(y.numerator * den) // (y.denominator * num) for _, y in samples.points]
     jumps = zip(map(operator.sub, ci[1:], ci), map(operator.sub, cj[1:], cj))
     try:
-        steps = list(chain.from_iterable(map(_JUMP_STEPS.__getitem__, jumps)))
+        codes = b"".join(map(_JUMP_CODES.__getitem__, jumps))
     except KeyError:
         t = next(t for t in range(1, len(ci))
                  if abs(ci[t] - ci[t - 1]) > 1 or abs(cj[t] - cj[t - 1]) > 1)
         raise PreconditionError(
             f"samples too sparse: cell jump ({ci[t] - ci[t - 1]}, {cj[t] - cj[t - 1]}) "
             f"between {(ci[t - 1], cj[t - 1])} and {(ci[t], cj[t])}") from None
-    return IntegerFunction(IntegerPair(ci[0], cj[0]), steps)
+    return IntegerFunction.from_codes((ci[0], cj[0]), codes)
 
 
 def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .core import IntegerFunction, PreconditionError
@@ -10,6 +11,9 @@ from .core import IntegerFunction, PreconditionError
 #: Their size grows with the area; SVG grows with the occupied cells and has
 #: no such limit.
 MAX_GRID_CELLS = 10**8
+
+# What XML 1.0 forbids: C0 controls but tab, LF and CR; lone surrogates; U+FFFE, U+FFFF.
+_XML_INVALID = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,7 @@ class Viewport:
 
     @classmethod
     def around(cls, f: IntegerFunction, cell_px: int = 16) -> "Viewport":
-        i, j = zip(*f.elements)
-        return cls(i_min=min(i), i_max=max(i), j_min=min(j), j_max=max(j), cell_px=cell_px)
+        return cls(min(f.i), max(f.i), min(f.j), max(f.j), cell_px=cell_px)
 
     @property
     def columns(self) -> int:
@@ -47,7 +50,7 @@ def occupancy(f: IntegerFunction, viewport: Viewport) -> list[list[bool]]:
 
     Duplicate cells of a composite path count once.
     """
-    cells = set(f.elements)
+    cells = set(zip(f.i, f.j))
     return [
         [(i, j) in cells for i in range(viewport.i_min, viewport.i_max + 1)]
         for j in range(viewport.j_max, viewport.j_min - 1, -1)
@@ -71,7 +74,7 @@ def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
     width = columns + 1
     grid = bytearray(b"." * columns + b"\n") * rows
-    for i, j in set(f.elements):
+    for i, j in set(zip(f.i, f.j)):
         if i_min <= i <= i_max and j_min <= j <= j_max:
             grid[(j_max - j) * width + i - i_min] = 0x23  # '#'
     return grid
@@ -113,7 +116,7 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
     rect = f'<rect x="%s" y="%s" width="{px}" height="{px}" fill="black" />'
     parts = [rect % ((i - i_min) * px, (j_max - j) * px)
-             for i, j in sorted(set(f.elements))
+             for i, j in sorted(set(zip(f.i, f.j)))
              if i_min <= i <= i_max and j_min <= j <= j_max]
     if scale_label is not None:
         text = f'<text x="2" y="{max(12, px - 2)}" font-size="{max(10, px - 4)}" fill="red"'
