@@ -62,28 +62,65 @@ def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
     return study[0] + 1, cross
 
 
-@dataclass(frozen=True)
 class DifferenceField:
-    """Characteristic differences of one class, ordered by coordinate."""
+    """Characteristic differences of one class, ordered by coordinate.
 
-    axis: Axis
-    diff_class: int
-    entries: tuple[tuple[int, int], ...]
+    The coordinates are always consecutive, so a field keeps only the first
+    one and the tuple of values; the (coordinate, d) ``entries`` are a view
+    built on each read.
+    """
+
+    __slots__ = ("axis", "diff_class", "first", "_values")
+
+    def __init__(self, axis: Axis, diff_class: int, entries):
+        entries = tuple(entries)
+        first = entries[0][0] if entries else 0
+        if tuple(c for c, _ in entries) != tuple(range(first, first + len(entries))):
+            raise PreconditionError("difference field coordinates must be consecutive")
+        self.axis, self.diff_class, self.first = axis, diff_class, first
+        self._values = tuple(d for _, d in entries)
+
+    @classmethod
+    def from_values(cls, axis: Axis, diff_class: int, first: int,
+                    values: tuple[int, ...]) -> "DifferenceField":
+        """The field whose entries are (first + k, values[k])."""
+        field = cls.__new__(cls)
+        field.axis, field.diff_class, field.first, field._values = axis, diff_class, first, values
+        return field
+
+    @property
+    def entries(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     def coordinates(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.entries)
+        return tuple(range(self.first, self.first + len(self._values)))
 
     def values(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.entries)
+        return self._values
 
     def scaled(self) -> tuple["ScaledDifference", ...]:
-        return tuple(scale_difference(d) for _, d in self.entries)
+        return tuple(map(scale_difference, self._values))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._values)
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self.entries)
+        return zip(range(self.first, self.first + len(self._values)), self._values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DifferenceField):
+            return NotImplemented
+        # Two empty fields are equal whatever their first coordinate.
+        return (self.axis == other.axis and self.diff_class == other.diff_class
+                and self._values == other._values
+                and (self.first == other.first or not self._values))
+
+    def __hash__(self) -> int:
+        return hash((self.axis, self.diff_class, self.entries))
+
+    def __repr__(self) -> str:
+        return (f"DifferenceField(axis={self.axis}, diff_class={self.diff_class}, "
+                f"first={self.first}, values={self._values})")
 
 
 def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> DifferenceField:
@@ -101,10 +138,8 @@ def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> Differe
 
 def _field(axis: Axis, diff_class: int, first: int, cross: list[int]) -> DifferenceField:
     """Class ``diff_class`` of the cross list: cross[c + D] - cross[c]."""
-    n = len(cross)
-    entries = tuple(zip(range(first, first + n - diff_class),
-                        map(operator.sub, cross[diff_class:], cross)))
-    return DifferenceField(axis, diff_class, entries)
+    return DifferenceField.from_values(axis, diff_class, first,
+                                       tuple(map(operator.sub, cross[diff_class:], cross)))
 
 
 def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
@@ -145,24 +180,22 @@ def class_derivative(f: IntegerFunction, axis: Axis, diff_class: int) -> Integer
     would qualify; the upper representative is fixed for determinism.
     """
     field = difference_field(f, axis, diff_class)
-    if not field.entries:
+    values = field.values()
+    if not values:
         raise PreconditionError(
             f"no characteristic pairs {field.diff_class} apart; empty field")
-    (start_c, start_d), *rest = field.entries
     # Step codes: 0 = i+, then 1 = j+ or 3 = j- for each unit of change.
     codes = bytearray()
-    previous = start_d
-    for _, d in rest:
+    for previous, d in zip(values, values[1:]):
         codes += b"\0" + (b"\1" if d > previous else b"\3") * abs(d - previous)
-        previous = d
-    return IntegerFunction.from_codes((start_c, start_d), codes)
+    return IntegerFunction.from_codes((field.first, values[0]), codes)
 
 
 def full_derivative(f: IntegerFunction, axis: Axis) -> dict[int, DifferenceField]:
     """Difference fields for every class that has at least one entry.
 
     With n characteristic elements that is classes 1 .. n - 1, holding
-    n(n - 1)/2 entries in all.
+    n(n - 1)/2 entries in all, kept as one tuple of values per class.
     """
     return {field.diff_class: field for field in _class_fields(f, axis)}
 

@@ -59,7 +59,7 @@ from .curves import (
     RealSampleSeries,
     uniform_motion_config,
 )
-from .render import Viewport, _XML_INVALID, render_ascii, render_pbm, render_svg
+from .render import Viewport, render_ascii, render_pbm, render_svg
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -347,11 +347,11 @@ def _cmd_derive(args) -> int:
         fields = _class_fields(f, axis)
         write("class,coordinate,d\n")
         for field in fields:
-            write("".join(map(f"{field.diff_class},%s,%s\n".__mod__, field.entries)))
+            write("".join(map(f"{field.diff_class},%s,%s\n".__mod__, field)))
     else:
         field = difference_field(f, axis, args.diff_class)
         write("coordinate,d\n")
-        write("".join(map("%s,%s\n".__mod__, field.entries)))
+        write("".join(map("%s,%s\n".__mod__, field)))
     return EXIT_OK
 
 
@@ -393,8 +393,6 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
 
 
 def _cmd_render(args) -> int:
-    if args.format == "svg" and args.label and (bad := _XML_INVALID.search(args.label)):
-        raise PreconditionError(f"--label holds {bad.group()!r}, which XML 1.0 does not allow")
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     if args.viewport:

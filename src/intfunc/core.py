@@ -394,6 +394,9 @@ class GenerationTrace:
                     f"trace record {k} carries step index {record.k}")
         try:
             i, j = array("q", [r.i for r in records]), array("q", [r.j for r in records])
+            # array('q') also holds -2**63, one below the bound.
+            if min(i, default=0) < -REGISTER_CAPACITY or min(j, default=0) < -REGISTER_CAPACITY:
+                raise OverflowError
         except OverflowError:
             raise PreconditionError(
                 f"a trace holds positions within +/- {REGISTER_CAPACITY}") from None

@@ -108,8 +108,11 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
 
     The text is what ElementTree would serialize for the same tree: no
     whitespace between elements, " />" closing empty ones, and only &, < and
-    > escaped in the label.
+    > escaped in the label.  A label holding a character that XML 1.0 does
+    not allow raises PreconditionError.
     """
+    if scale_label and (bad := _XML_INVALID.search(scale_label)):
+        raise PreconditionError(f"scale label holds {bad.group()!r}, which XML 1.0 does not allow")
     px = viewport.cell_px
     width = viewport.columns * px
     height = viewport.rows * px

@@ -104,6 +104,12 @@ def _pbm_reference(f, viewport):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def _xml_char(c):
+    """The Char production of XML 1.0."""
+    n = ord(c)
+    return c in "\t\n\r" or 0x20 <= n <= 0xD7FF or 0xE000 <= n <= 0xFFFD or n >= 0x10000
+
+
 def _svg_reference(f, viewport, scale_label=None):
     px = viewport.cell_px
     width, height = viewport.columns * px, viewport.rows * px
@@ -322,11 +328,15 @@ class TestRender:
 
     @FAST
     @given(views(), st.one_of(st.none(), st.text(max_size=12),
-                              st.sampled_from(("", "a&b<c>\"d'", "1 -> 0.01"))))
+                              st.sampled_from(("", "a&b<c>\"d'", "1 -> 0.01", "a\x01b"))))
     def test_svg(self, view, label):
         f, viewport = view
-        assert render_svg(f, viewport, scale_label=label) == \
-            _svg_reference(f, viewport, scale_label=label)
+        if label and not all(map(_xml_char, label)):
+            with pytest.raises(PreconditionError, match="XML 1.0"):
+                render_svg(f, viewport, scale_label=label)
+        else:
+            assert render_svg(f, viewport, scale_label=label) == \
+                _svg_reference(f, viewport, scale_label=label)
 
     @FAST
     @given(st.builds(IntegerFunction, starts, any_steps))

@@ -2,8 +2,8 @@
 
 The reference below keeps a path the readable way, a StepKind and an
 IntegerPair per step, and every view of the coded path must agree with it.
-Also here: the position bound, malformed steps, the memory the format keeps,
-and XML-invalid SVG labels on the command line.
+Also here: the position bound of paths and trace records, malformed steps,
+the memory the format keeps, and XML-invalid SVG labels on the command line.
 """
 
 import tracemalloc
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from intfunc import (
     Axis,
+    GenerationTrace,
     I_MINUS,
     I_PLUS,
     IntegerFunction,
@@ -25,7 +26,9 @@ from intfunc import (
     J_PLUS,
     PreconditionError,
     REGISTER_CAPACITY,
+    RegisterBank,
     StepKind,
+    TraceRecord,
     from_step_sequence,
     generate,
     harmonic_config,
@@ -145,6 +148,15 @@ class TestPositionBound:
     def test_one_past_the_bound(self, start, steps):
         with pytest.raises(PreconditionError, match="positions"):
             IntegerFunction(start, steps)
+
+    def test_trace_records(self):
+        for i, j in ((CAP, -CAP), (-CAP, CAP)):
+            trace = GenerationTrace([TraceRecord(1, I_PLUS, i, j, RegisterBank())])
+            assert (trace.i[0], trace.j[0]) == (i, j)
+        # -2**63 fits array('q') but not the bound.
+        for i, j in ((-CAP - 1, 0), (0, -CAP - 1), (CAP + 1, 0), (0, CAP + 1)):
+            with pytest.raises(PreconditionError, match="positions"):
+                GenerationTrace([TraceRecord(1, I_MINUS, i, j, RegisterBank())])
 
     def test_from_step_sequence(self):
         with pytest.raises(PreconditionError, match="positions"):
