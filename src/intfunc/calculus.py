@@ -22,7 +22,6 @@ from .core import (
     IntegerFunction,
     IntegerPair,
     PreconditionError,
-    _AXIS_MASKS,
 )
 
 
@@ -36,7 +35,7 @@ class CharacteristicIndex(NamedTuple):
 def characteristic_indices(f: IntegerFunction, axis: Axis) -> list[CharacteristicIndex]:
     """All step indices k >= 1 whose step moved the given axis, in order."""
     return [CharacteristicIndex(k, axis)
-            for k in compress(range(1, f.length + 1), f.codes.translate(_AXIS_MASKS[axis]))]
+            for k in compress(range(1, f.length + 1), f.axis_mask(axis))]
 
 
 def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
@@ -51,7 +50,7 @@ def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
     back down.
     """
     study, other = (f.i, f.j) if axis is Axis.I else (f.j, f.i)
-    cross = list(compress(islice(other, 1, None), f.codes.translate(_AXIS_MASKS[axis])))
+    cross = list(compress(islice(other, 1, None), f.axis_mask(axis)))
     # The study coordinate moves by (+ steps) - (- steps), and len(cross) is
     # (+ steps) + (- steps): they agree exactly when no study step goes down.
     if study[-1] - study[0] != len(cross):
@@ -261,7 +260,7 @@ def regulator_monotone_check(trace: GenerationTrace, axis_restricted: bool = Fal
     own = list(map(_pick_by_axis, trace.codes, trace.column("RX"), trace.column("RY")))
     any_study = False
     for axis in (Axis.I, Axis.J):
-        mask = trace.axis_mask(axis)
+        mask = trace.path.axis_mask(axis)
         if 1 not in mask:
             continue
         any_study = True

@@ -11,11 +11,15 @@ are errors.
 Trace files are CSV with header
 k,step,i,j,RX,RY,X,Y,XX,XY,YX,YY,XXX,XXY,XYX,XYY,YXX,YXY,YYX,YYY
 and one row per executed step (step is one of i+, i-, j+, j-); the register
-columns hold the bank after that step.  The same format serializes bare
-integer functions (register columns all zero).
+columns hold the bank after that step.  Each row's i, j must be one step of
+its kind from the row before (the path starts one step back from the first
+row); a row that breaks this is a parse error.  The same format serializes
+bare integer functions (register columns all zero).
 
-Exit codes: 0 ok, 2 bad usage, 3 parse error, 4 register overflow,
-5 precondition violation (including stop-cap exhaustion).
+Exit codes: 0 ok, 2 bad usage, 3 parse error (a trace position that does
+not follow from its step included), 4 register overflow, 5 precondition
+violation (including stop-cap exhaustion and a trace whose path leaves
++/- REGISTER_CAPACITY).
 """
 
 from __future__ import annotations
@@ -203,9 +207,10 @@ def _parse_column(cells: tuple[str, ...]) -> array:
     return array("q", values)
 
 
-def _parse_rows(rows: list[list[str]], k: int) -> tuple[bytes, list[array]]:
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[bytes, list[array]]:
     """Step codes and the i, j and register columns of non-blank rows whose
-    first step index should be ``k``."""
+    first step index should be ``k`` and whose first step leaves position
+    ``last`` (None for the first row of the file)."""
     if not rows:
         return b"", []
     if any(len(row) != len(TRACE_COLUMNS) for row in rows):
@@ -214,10 +219,17 @@ def _parse_rows(rows: list[list[str]], k: int) -> tuple[bytes, list[array]]:
     if list(map(int, cells[0])) != list(range(k, k + len(rows))):
         raise ValueError
     codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
-    return codes, [_parse_column(column) for column in cells[2:]]
+    columns = [_parse_column(column) for column in cells[2:]]
+    # Only the path is checked here: from_columns raises if a position does
+    # not follow from its step, and the first step must leave ``last``.
+    chunk = GenerationTrace.from_columns(codes, columns[0], columns[1], ())
+    if last is not None and chunk.path.start != last:
+        raise ValueError
+    return codes, columns
 
 
-def _check_row(row: list[str], k: int) -> None:
+def _check_row(row: list[str], k: int, last) -> IntegerPair:
+    """The row's position, once the row is checked; ``last`` as in _parse_rows."""
     if len(row) != len(TRACE_COLUMNS):
         raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(row)}")
     if _parse_int(row[0], "k") != k:
@@ -231,16 +243,25 @@ def _check_row(row: list[str], k: int) -> None:
         if name in ("i", "j"):
             raise ParseError(f"position {name} = {value} is out of range")
         raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
+    position = IntegerPair(int(row[2]), int(row[3]))
+    if last is not None:
+        step = STEP_CODES[_CODE_OF_TOKEN[row[1]]]
+        moved = (last.i + step.sign, last.j) if step.axis is Axis.I else (last.i, last.j + step.sign)
+        if position != moved:
+            raise ParseError(f"position ({position.i}, {position.j}) is not one {row[1]} "
+                             f"step from ({last.i}, {last.j})")
+    return position
 
 
-def _raise_first_defect(rows, lineno: int, k: int) -> None:
+def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
     """Check ``rows`` one at a time, numbered from ``lineno`` and expected to
-    start at step index ``k``; raise for the first malformed one."""
+    start at step index ``k`` from position ``last``; raise for the first
+    malformed one."""
     for lineno, row in enumerate(rows, start=lineno):
         if not row:
             continue
         try:
-            _check_row(row, k)
+            last = _check_row(row, k, last)
         except (ParseError, RegisterOverflowError) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
         k += 1
@@ -263,10 +284,13 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     columns = [array("q") for _ in TRACE_COLUMNS[2:]]
     lineno = 2
     while chunk := list(islice(reader, _CHUNK_ROWS)):
+        last = IntegerPair(columns[0][-1], columns[1][-1]) if codes else None
         try:
-            new_codes, parsed = _parse_rows([row for row in chunk if row], len(codes) + 1)
-        except (ValueError, KeyError):
-            _raise_first_defect(chunk, lineno, len(codes) + 1)
+            new_codes, parsed = _parse_rows([row for row in chunk if row], len(codes) + 1, last)
+        except (ValueError, KeyError, PreconditionError):
+            # With no bad row found, the PreconditionError stands: a path
+            # that starts outside +/- REGISTER_CAPACITY.
+            _raise_first_defect(chunk, lineno, len(codes) + 1, last)
             raise
         codes += new_codes
         for column, values in zip(columns, parsed):
@@ -282,16 +306,14 @@ def read_trace_file(path: str) -> GenerationTrace:
 
 def trace_for_function(f: IntegerFunction) -> GenerationTrace:
     """Serialize a bare integer function as a trace with an all-zero bank."""
-    return GenerationTrace.from_columns(f.codes, f.i[1:], f.j[1:], (0,) * len(ALL_REGISTERS))
+    return GenerationTrace._wrap(f, (0,) * len(ALL_REGISTERS))
 
 
 def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
-    """Rebuild the integer function a trace walked (start inferred from row 1)."""
+    """The integer function a trace walked."""
     if not len(trace):
         raise PreconditionError("trace has no steps; cannot recover an integer function")
-    # The first step's move, by its code: i+, j+, i-, j-.
-    di, dj = ((1, 0), (0, 1), (-1, 0), (0, -1))[trace.codes[0]]
-    return IntegerFunction.from_codes((trace.i[0] - di, trace.j[0] - dj), trace.codes)
+    return trace.path
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +407,11 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
     parts = text.split(":")
     if len(parts) != 4:
         raise ParseError("--viewport expects imin:imax:jmin:jmax")
-    bounds = [_parse_int(part, "viewport bound") for part in parts]
-    try:
-        return Viewport(*bounds, cell_px=cell_px)
-    except PreconditionError as exc:
-        raise ParseError(str(exc)) from None
+    i_min, i_max, j_min, j_max = (_parse_int(part, "viewport bound") for part in parts)
+    # Bounds are what --viewport says; --cell-px is checked by Viewport (exit 5).
+    if i_min > i_max or j_min > j_max:
+        raise ParseError("viewport bounds must satisfy min <= max")
+    return Viewport(i_min, i_max, j_min, j_max, cell_px=cell_px)
 
 
 def _cmd_render(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, compress, count, islice, repeat
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Union
 
@@ -179,6 +179,10 @@ class IntegerFunction:
 
     def is_monotone(self) -> bool:
         return 2 not in self.codes and 3 not in self.codes
+
+    def axis_mask(self, axis: Axis) -> bytes:
+        """One byte per step: 1 where the step moved ``axis``, else 0."""
+        return self.codes.translate(_AXIS_MASKS[axis])
 
     def transposed(self) -> "IntegerFunction":
         """Swap the roles of the two coordinates (i <-> j)."""
@@ -372,19 +376,42 @@ class TraceRecord(NamedTuple):
     bank: RegisterBank
 
 
-class GenerationTrace:
-    """Per-step state of a generator run, stored as columns.
+def _path_through(codes, i, j) -> IntegerFunction:
+    """The path that walks ``codes`` and stands at (i[t], j[t]) after step t + 1.
 
-    ``codes`` holds one Freeman chain code per step (its index in
-    STEP_CODES: 0 = i+, 1 = j+, 2 = i-, 3 = j-).  ``i`` and ``j`` are
-    array('q') columns of the position after each step.  ``registers`` has
-    one entry per name in ALL_REGISTERS: an array('q') column of the value
-    after each step, or a single int for a register that holds one value
-    throughout.  TraceRecord and RegisterBank views are built
-    only when ``records``, iteration or indexing asks for them.
+    It starts one step back from the first position (at the origin when
+    there are no steps).  IntegerFunction.from_codes checks the codes and the
+    position range; a position that does not follow from its step raises
+    PreconditionError naming that step.
+    """
+    start = (0, 0)
+    if codes:
+        # Undo the first step: its move along each axis is a signed byte.
+        start = (i[0] - int.from_bytes(codes[:1].translate(_I_MOVES), "big", signed=True),
+                 j[0] - int.from_bytes(codes[:1].translate(_J_MOVES), "big", signed=True))
+    path = IntegerFunction.from_codes(start, codes)
+    # Equal array('q') columns compare in C; anything else is scanned.
+    if not (path.i[1:] == i and path.j[1:] == j):
+        walked = zip(islice(path.i, 1, None), islice(path.j, 1, None))
+        for k, position, given in zip(count(1), walked, zip(i, j)):
+            if position != given:
+                raise PreconditionError(f"position {given} does not follow from step {k}")
+    return path
+
+
+class GenerationTrace:
+    """Per-step state of a generator run: the path it walked plus registers.
+
+    ``path`` is the IntegerFunction the run walked.  ``codes`` (one Freeman
+    chain code per step, see STEP_CODES) and ``i``, ``j`` (the position after
+    each step) are read-only views of it.  ``registers`` has one entry per
+    name in ALL_REGISTERS: an array('q') column of the value after each
+    step, or a single int for a register that holds one value throughout.
+    TraceRecord and RegisterBank views are built only when ``records``,
+    iteration or indexing asks for them.
     """
 
-    __slots__ = ("codes", "i", "j", "registers")
+    __slots__ = ("path", "registers")
 
     def __init__(self, records=()):
         records = tuple(records)
@@ -392,39 +419,51 @@ class GenerationTrace:
             if record.k != k:
                 raise PreconditionError(
                     f"trace record {k} carries step index {record.k}")
-        try:
-            i, j = array("q", [r.i for r in records]), array("q", [r.j for r in records])
-            # array('q') also holds -2**63, one below the bound.
-            if min(i, default=0) < -REGISTER_CAPACITY or min(j, default=0) < -REGISTER_CAPACITY:
-                raise OverflowError
-        except OverflowError:
-            raise PreconditionError(
-                f"a trace holds positions within +/- {REGISTER_CAPACITY}") from None
-        self._fill(bytearray(STEP_CODES.index(r.step) for r in records), i, j,
+        # Anything not in STEP_CODES gets code 4, which from_codes rejects.
+        codes = bytes(_CODE_OF_STEP.get(r.step, 4) for r in records)
+        self._fill(_path_through(codes, [r.i for r in records], [r.j for r in records]),
                    [array("q", [r.bank.value(name) for r in records]) for name in ALL_REGISTERS])
 
     @classmethod
     def from_columns(cls, codes, i, j, registers) -> "GenerationTrace":
-        """Wrap columns as described in the class docstring, unchecked."""
+        """The trace whose ``codes``, ``i``, ``j`` and ``registers`` are these
+        (see the class docstring); register values are not checked."""
+        return cls._wrap(_path_through(codes, i, j), registers)
+
+    @classmethod
+    def _wrap(cls, path: IntegerFunction, registers) -> "GenerationTrace":
         trace = cls.__new__(cls)
-        trace._fill(codes, i, j, registers)
+        trace._fill(path, registers)
         return trace
 
-    def _fill(self, codes, i, j, registers) -> None:
+    def _fill(self, path, registers) -> None:
         # A register column whose values never change is kept as one int.
-        self.codes, self.i, self.j = codes, i, j
+        self.path = path
         self.registers = tuple(
             entry[0] if not isinstance(entry, int) and entry
-            and entry.count(entry[0]) == len(entry) else entry
+            and entry[:1] * len(entry) == entry else entry
             for entry in registers)
 
+    @property
+    def codes(self) -> bytes:
+        return self.path.codes
+
+    @property
+    def i(self) -> memoryview:
+        return memoryview(self.path.i).toreadonly()[1:]
+
+    @property
+    def j(self) -> memoryview:
+        return memoryview(self.path.j).toreadonly()[1:]
+
     def __len__(self) -> int:
-        return len(self.codes)
+        return len(self.path.codes)
 
     def _record(self, t: int) -> TraceRecord:
         values = {name: entry if isinstance(entry, int) else entry[t]
                   for name, entry in zip(ALL_REGISTERS, self.registers)}
-        return TraceRecord(t + 1, STEP_CODES[self.codes[t]], self.i[t], self.j[t],
+        path = self.path
+        return TraceRecord(t + 1, STEP_CODES[path.codes[t]], path.i[t + 1], path.j[t + 1],
                            RegisterBank(**values))
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -446,13 +485,9 @@ class GenerationTrace:
         entry = self.registers[_SLOT[name]]
         return array("q", [entry]) * len(self) if isinstance(entry, int) else entry
 
-    def axis_mask(self, axis: Axis) -> bytes:
-        """One byte per step: 1 where the step moved ``axis``, else 0."""
-        return self.codes.translate(_AXIS_MASKS[axis])
-
     def regulator_series(self, axis: Axis) -> list[int]:
         """Values the axis' regulator took, one per step of that axis."""
-        return list(compress(self.column(axis.regulator), self.axis_mask(axis)))
+        return list(compress(self.column(axis.regulator), self.path.axis_mask(axis)))
 
     def register_series(self, name: str) -> list[int]:
         return list(self.column(name))
@@ -461,12 +496,13 @@ class GenerationTrace:
         if not isinstance(other, GenerationTrace):
             return NotImplemented
         # Constant columns are always stored as ints, so equal registers are
-        # stored alike (an empty trace has no register values to compare).
-        return (self.codes == other.codes and self.i == other.i and self.j == other.j
-                and (not self.codes or self.registers == other.registers))
+        # stored alike.  An empty trace has no positions or register values
+        # to compare, whatever its path's start.
+        return (not (self.path.codes or other.path.codes)
+                or self.path == other.path and self.registers == other.registers)
 
     def __hash__(self) -> int:
-        return hash((bytes(self.codes), self.i.tobytes(), self.j.tobytes()))
+        return hash(self.path) if len(self) else 0
 
     def __repr__(self) -> str:
         return f"GenerationTrace(steps={len(self)})"
@@ -604,8 +640,7 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     columns = {slot: flat[n::width] for n, slot in enumerate(recorded)}
     del flat, pending
     f = IntegerFunction.from_codes(config.start, codes)
-    trace = GenerationTrace.from_columns(
-        f.codes, f.i[1:], f.j[1:], [columns.get(slot, value) for slot, value in enumerate(regs)])
+    trace = GenerationTrace._wrap(f, [columns.get(slot, value) for slot, value in enumerate(regs)])
     changed = designation_violations(implied_designation(bank), bank, trace)
     if changed:
         raise InternalConsistencyError(

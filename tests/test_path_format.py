@@ -150,13 +150,15 @@ class TestPositionBound:
             IntegerFunction(start, steps)
 
     def test_trace_records(self):
-        for i, j in ((CAP, -CAP), (-CAP, CAP)):
-            trace = GenerationTrace([TraceRecord(1, I_PLUS, i, j, RegisterBank())])
+        for step, i, j in ((I_PLUS, CAP, -CAP), (I_MINUS, -CAP, CAP)):
+            trace = GenerationTrace([TraceRecord(1, step, i, j, RegisterBank())])
             assert (trace.i[0], trace.j[0]) == (i, j)
-        # -2**63 fits array('q') but not the bound.
-        for i, j in ((-CAP - 1, 0), (0, -CAP - 1), (CAP + 1, 0), (0, CAP + 1)):
+        # -2**63 fits array('q') but not the bound.  An i+ step to -CAP
+        # starts the path at -2**63.
+        for step, i, j in ((I_MINUS, -CAP - 1, 0), (I_MINUS, 0, -CAP - 1),
+                           (I_MINUS, CAP + 1, 0), (I_MINUS, 0, CAP + 1), (I_PLUS, -CAP, CAP)):
             with pytest.raises(PreconditionError, match="positions"):
-                GenerationTrace([TraceRecord(1, I_MINUS, i, j, RegisterBank())])
+                GenerationTrace([TraceRecord(1, step, i, j, RegisterBank())])
 
     def test_from_step_sequence(self):
         with pytest.raises(PreconditionError, match="positions"):
