@@ -1,20 +1,6 @@
 """Command-line front end: generate, derive, pi, digitize, render, mech.
 
-File formats
-------------
-Config files are line-based KEY=VALUE text ('#' starts a comment).  Keys:
-I0, J0 (start pair, default 0), MODE (MONOTONE or SIGN_HARMONIZED, default
-MONOTONE), STOP (COUNT or WHILE_POSITIVE:<REG>), CAP (step count or safety
-cap, required), and any of the 16 register names (default 0).  Unknown keys
-are errors.
-
-Trace files are CSV with header
-k,step,i,j,RX,RY,X,Y,XX,XY,YX,YY,XXX,XXY,XYX,XYY,YXX,YXY,YYX,YYY
-and one row per executed step (step is one of i+, i-, j+, j-); the register
-columns hold the bank after that step.  Each row's i, j must be one step of
-its kind from the row before (the path starts one step back from the first
-row); a row that breaks this is a parse error.  The same format serializes
-bare integer functions (register columns all zero).
+The config, trace and samples file formats are described in intfunc.io.
 
 Exit codes: 0 ok, 2 bad usage, 3 parse error (a trace position that does
 not follow from its step included), 4 register overflow, 5 precondition
@@ -25,31 +11,15 @@ violation (including stop-cap exhaustion and a trace whose path leaves
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
-from array import array
-from fractions import Fraction
-from itertools import islice, repeat
 from pathlib import Path
-from typing import IO
 
 from .core import (
-    ALL_REGISTERS,
     Axis,
     GenerationMode,
-    GenerationTrace,
-    GeneratorConfig,
-    IntegerFunction,
     IntegerFunctionError,
-    IntegerPair,
     ParseError,
-    PreconditionError,
-    REGISTER_CAPACITY,
-    RegisterBank,
     RegisterOverflowError,
-    STEP_CODES,
-    StepCount,
-    WhilePositive,
     generate,
 )
 from .calculus import IntegerScale, _class_fields, difference_field
@@ -60,8 +30,24 @@ from .curves import (
     free_fall_config,
     harmonic_config,
     pi_bounds,
-    RealSampleSeries,
     uniform_motion_config,
+)
+# config_from_items, parse_config_items, read_trace and write_trace are
+# imported too, for callers that still take them from this module.
+from .io import (
+    _parse_int,
+    config_from_items,
+    format_config,
+    function_from_trace,
+    parse_config_items,
+    parse_rational,
+    read_config,
+    read_samples_file,
+    read_trace,
+    read_trace_file,
+    trace_for_function,
+    write_trace,
+    write_trace_file,
 )
 from .render import Viewport, render_ascii, render_pbm, render_svg
 
@@ -70,278 +56,6 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_OVERFLOW = 4
 EXIT_PRECONDITION = 5
-
-TRACE_COLUMNS = ("k", "step", "i", "j") + ALL_REGISTERS
-
-_CONFIG_KEYS = ("I0", "J0", "MODE", "STOP", "CAP") + ALL_REGISTERS
-
-
-# ---------------------------------------------------------------------------
-# Config files
-
-def _parse_int(text: str, key: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(f"value of {key} must be an integer, got {text!r}") from None
-
-
-def parse_config_items(lines) -> dict[str, str]:
-    """KEY=VALUE lines into a mapping; comments and blank lines skipped."""
-    items: dict[str, str] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"line {lineno}: expected KEY=VALUE, got {raw.strip()!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"line {lineno}: unknown key {key!r}")
-        if key in items:
-            raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        items[key] = value
-    return items
-
-
-def config_from_items(items: dict[str, str]) -> GeneratorConfig:
-    registers = {name: _parse_int(items[name], name)
-                 for name in ALL_REGISTERS if name in items}
-    start = IntegerPair(_parse_int(items.get("I0", "0"), "I0"),
-                        _parse_int(items.get("J0", "0"), "J0"))
-    mode_text = items.get("MODE", "MONOTONE")
-    try:
-        mode = GenerationMode(mode_text)
-    except ValueError:
-        raise ParseError(f"MODE must be MONOTONE or SIGN_HARMONIZED, got {mode_text!r}") from None
-    if "STOP" not in items:
-        raise ParseError("missing STOP key")
-    if "CAP" not in items:
-        raise ParseError("missing CAP key")
-    cap = _parse_int(items["CAP"], "CAP")
-    stop_text = items["STOP"]
-    if stop_text == "COUNT":
-        stop = StepCount(cap)
-    elif stop_text.startswith("WHILE_POSITIVE:"):
-        register = stop_text.split(":", 1)[1]
-        if register not in ALL_REGISTERS:
-            raise ParseError(f"STOP watches unknown register {register!r}")
-        stop = WhilePositive(register, cap)
-    else:
-        raise ParseError(
-            f"STOP must be COUNT or WHILE_POSITIVE:<REG>, got {stop_text!r}")
-    return GeneratorConfig(start=start, bank=RegisterBank.from_mapping(registers),
-                           stop=stop, mode=mode)
-
-
-def read_config(path: str, overrides=()) -> GeneratorConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        items = parse_config_items(handle)
-    for assignment in overrides:
-        if "=" not in assignment:
-            raise ParseError(f"--set expects KEY=VALUE, got {assignment!r}")
-        key, value = (part.strip() for part in assignment.split("=", 1))
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"--set: unknown key {key!r}")
-        items[key] = value
-    return config_from_items(items)
-
-
-def format_config(config: GeneratorConfig) -> str:
-    """Deterministic KEY=VALUE rendering; zero registers are omitted."""
-    lines = [f"I0={config.start.i}", f"J0={config.start.j}", f"MODE={config.mode.value}"]
-    if isinstance(config.stop, StepCount):
-        lines.append("STOP=COUNT")
-        lines.append(f"CAP={config.stop.count}")
-    else:
-        lines.append(f"STOP=WHILE_POSITIVE:{config.stop.register}")
-        lines.append(f"CAP={config.stop.cap}")
-    for name in ALL_REGISTERS:
-        value = config.bank.value(name)
-        if value != 0:
-            lines.append(f"{name}={value}")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Trace files
-
-_TOKENS = tuple(step.token for step in STEP_CODES)
-_CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
-_CHUNK_ROWS = 4096
-
-
-def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
-    """Write the CSV rows, a chunk at a time, joined from per-column strings.
-
-    No field can hold a comma, quote or line break, so the output is what
-    csv.writer would write for the same rows, byte for byte.
-    """
-    n = len(trace)
-    columns = [map(str, range(1, n + 1)), map(_TOKENS.__getitem__, trace.codes),
-               map(str, trace.i), map(str, trace.j)]
-    columns += [repeat(str(entry), n) if isinstance(entry, int) else map(str, entry)
-                for entry in trace.registers]
-    stream.write(",".join(TRACE_COLUMNS) + "\n")
-    rows = map(",".join, zip(*columns))
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        stream.write("\n".join(chunk) + "\n")
-
-
-def write_trace_file(trace: GenerationTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        write_trace(trace, handle)
-
-
-def _parse_column(cells: tuple[str, ...]) -> array:
-    """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
-    A column whose cells all hold the same text is parsed once."""
-    if cells.count(cells[0]) == len(cells):
-        values = [int(cells[0])]
-    else:
-        values = list(map(int, cells))
-    if min(values) < -REGISTER_CAPACITY or max(values) > REGISTER_CAPACITY:
-        raise ValueError
-    if len(values) < len(cells):
-        return array("q", values) * len(cells)
-    return array("q", values)
-
-
-def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[bytes, list[array]]:
-    """Step codes and the i, j and register columns of non-blank rows whose
-    first step index should be ``k`` and whose first step leaves position
-    ``last`` (None for the first row of the file)."""
-    if not rows:
-        return b"", []
-    if any(len(row) != len(TRACE_COLUMNS) for row in rows):
-        raise ValueError
-    cells = list(zip(*rows))
-    if list(map(int, cells[0])) != list(range(k, k + len(rows))):
-        raise ValueError
-    codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
-    columns = [_parse_column(column) for column in cells[2:]]
-    # Only the path is checked here: from_columns raises if a position does
-    # not follow from its step, and the first step must leave ``last``.
-    chunk = GenerationTrace.from_columns(codes, columns[0], columns[1], ())
-    if last is not None and chunk.path.start != last:
-        raise ValueError
-    return codes, columns
-
-
-def _check_row(row: list[str], k: int, last) -> IntegerPair:
-    """The row's position, once the row is checked; ``last`` as in _parse_rows."""
-    if len(row) != len(TRACE_COLUMNS):
-        raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(row)}")
-    if _parse_int(row[0], "k") != k:
-        raise ParseError(f"step index {row[0]} out of order")
-    if row[1] not in _CODE_OF_TOKEN:
-        raise ParseError(f"invalid step token {row[1]!r} (expected i+, i-, j+ or j-)")
-    for name, cell in zip(TRACE_COLUMNS[2:], row[2:]):
-        value = _parse_int(cell, name)
-        if abs(value) <= REGISTER_CAPACITY:
-            continue
-        if name in ("i", "j"):
-            raise ParseError(f"position {name} = {value} is out of range")
-        raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
-    position = IntegerPair(int(row[2]), int(row[3]))
-    if last is not None:
-        step = STEP_CODES[_CODE_OF_TOKEN[row[1]]]
-        moved = (last.i + step.sign, last.j) if step.axis is Axis.I else (last.i, last.j + step.sign)
-        if position != moved:
-            raise ParseError(f"position ({position.i}, {position.j}) is not one {row[1]} "
-                             f"step from ({last.i}, {last.j})")
-    return position
-
-
-def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
-    """Check ``rows`` one at a time, numbered from ``lineno`` and expected to
-    start at step index ``k`` from position ``last``; raise for the first
-    malformed one."""
-    for lineno, row in enumerate(rows, start=lineno):
-        if not row:
-            continue
-        try:
-            last = _check_row(row, k, last)
-        except (ParseError, RegisterOverflowError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        k += 1
-
-
-def read_trace(stream: IO[str]) -> GenerationTrace:
-    """Parse a trace CSV into columns, a chunk of rows at a time.
-
-    Each chunk is checked column by column; only a chunk that fails is
-    rescanned row by row, so the error names the first bad line.
-    """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty trace file (missing header)") from None
-    if tuple(header) != TRACE_COLUMNS:
-        raise ParseError("trace header does not match the expected 20 columns")
-    codes = bytearray()
-    columns = [array("q") for _ in TRACE_COLUMNS[2:]]
-    lineno = 2
-    while chunk := list(islice(reader, _CHUNK_ROWS)):
-        last = IntegerPair(columns[0][-1], columns[1][-1]) if codes else None
-        try:
-            new_codes, parsed = _parse_rows([row for row in chunk if row], len(codes) + 1, last)
-        except (ValueError, KeyError, PreconditionError):
-            # With no bad row found, the PreconditionError stands: a path
-            # that starts outside +/- REGISTER_CAPACITY.
-            _raise_first_defect(chunk, lineno, len(codes) + 1, last)
-            raise
-        codes += new_codes
-        for column, values in zip(columns, parsed):
-            column += values
-        lineno += len(chunk)
-    return GenerationTrace.from_columns(codes, *columns[:2], columns[2:])
-
-
-def read_trace_file(path: str) -> GenerationTrace:
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        return read_trace(handle)
-
-
-def trace_for_function(f: IntegerFunction) -> GenerationTrace:
-    """Serialize a bare integer function as a trace with an all-zero bank."""
-    return GenerationTrace._wrap(f, (0,) * len(ALL_REGISTERS))
-
-
-def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
-    """The integer function a trace walked."""
-    if not len(trace):
-        raise PreconditionError("trace has no steps; cannot recover an integer function")
-    return trace.path
-
-
-# ---------------------------------------------------------------------------
-# Samples files
-
-def read_samples_file(path: str) -> RealSampleSeries:
-    """CSV-ish lines "x,y" with exact rational tokens like 3/10, 0.25 or 2."""
-    pairs = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected x,y")
-            try:
-                pairs.append((Fraction(parts[0].strip()), Fraction(parts[1].strip())))
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"line {lineno}: invalid rational in {line!r}") from None
-    return RealSampleSeries(tuple(pairs))
-
-
-def parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"invalid rational {text!r} (use P/Q, a decimal, or an integer)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a traced function")
     p.add_argument("--in", dest="infile", required=True, help="input trace CSV")
     p.add_argument("--format", choices=("ascii", "pbm", "svg"), required=True)
-    p.add_argument("--viewport", help="imin:imax:jmin:jmax (default: bounding box)")
+    p.add_argument("--viewport", help="imin:imax:jmin:jmax (default: bounding box); "
+                   "write --viewport=-3:10:-2:8 when imin is negative")
     p.add_argument("--cell-px", type=int, default=16, help="SVG cell size in pixels")
     p.add_argument("--label", help="scale label text for SVG output")
     p.add_argument("--out", help="output file (default: stdout)")

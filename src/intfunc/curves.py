@@ -36,10 +36,6 @@ from .calculus import IntegerScale
 PI_SEED_LIMIT = 10**17
 
 
-def _config(start, bank, stop, mode=GenerationMode.MONOTONE) -> GeneratorConfig:
-    return GeneratorConfig(start=start, bank=bank, stop=stop, mode=mode)
-
-
 def _require_nonzero(**params) -> None:
     zeros = sorted(name for name, value in params.items() if value == 0)
     if zeros:
@@ -50,7 +46,7 @@ def _require_nonzero(**params) -> None:
 def line_config(x: int, y: int, steps: int, start=(0, 0)) -> GeneratorConfig:
     """{X, Y} straight line: X is the j rate, Y the i rate."""
     _require_nonzero(X=x, Y=y)
-    return _config(start, RegisterBank(X=x, Y=y), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y), StepCount(steps))
 
 
 def uniform_motion_config(i_total: int, j_total: int) -> GeneratorConfig:
@@ -67,7 +63,7 @@ def uniform_motion_config(i_total: int, j_total: int) -> GeneratorConfig:
 def parabola_config(xx: int, y: int, steps: int, x: int = 0, start=(0, 0)) -> GeneratorConfig:
     """{XX, Y} parabola; xx acts as a constant acceleration on the rate x."""
     _require_nonzero(XX=xx, Y=y)
-    return _config(start, RegisterBank(X=x, Y=y, XX=xx), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y, XX=xx), StepCount(steps))
 
 
 def free_fall_config(acceleration: int, time_rate: int, steps: int,
@@ -78,28 +74,28 @@ def free_fall_config(acceleration: int, time_rate: int, steps: int,
 def exponential_config(xy: int, y: int, steps: int, x: int = 0, start=(0, 0)) -> GeneratorConfig:
     """{XY, Y} exponential/logarithm: each j step feeds XY into the i rate."""
     _require_nonzero(XY=xy, Y=y)
-    return _config(start, RegisterBank(X=x, Y=y, XY=xy), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y, XY=xy), StepCount(steps))
 
 
 def conic_config(xx: int, yy: int, steps: int, x: int = 0, y: int = 0,
                  start=(0, 0)) -> GeneratorConfig:
     """{XX, YY} ellipse or hyperbola, by the signs of the two accelerations."""
     _require_nonzero(XX=xx, YY=yy)
-    return _config(start, RegisterBank(X=x, Y=y, XX=xx, YY=yy), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y, XX=xx, YY=yy), StepCount(steps))
 
 
 def sine_config(xxy: int, y: int, steps: int, x: int = 0, xx: int = 0,
                 start=(0, 0)) -> GeneratorConfig:
     """{XXY, Y} sine-like curve: j steps bend the acceleration XX by xxy."""
     _require_nonzero(XXY=xxy, Y=y)
-    return _config(start, RegisterBank(X=x, Y=y, XX=xx, XXY=xxy), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y, XX=xx, XXY=xxy), StepCount(steps))
 
 
 def semicubic_config(xx: int, yyy: int, steps: int, x: int = 0, yy: int = 0,
                      y: int = 0, start=(0, 0)) -> GeneratorConfig:
     """{XX, YYY} semi-cubic parabola."""
     _require_nonzero(XX=xx, YYY=yyy)
-    return _config(start, RegisterBank(X=x, Y=y, XX=xx, YY=yy, YYY=yyy), StepCount(steps))
+    return GeneratorConfig(start, RegisterBank(X=x, Y=y, XX=xx, YY=yy, YYY=yyy), StepCount(steps))
 
 
 def harmonic_config(resolution: int, cap: int | None = None) -> GeneratorConfig:
@@ -116,19 +112,19 @@ def harmonic_config(resolution: int, cap: int | None = None) -> GeneratorConfig:
         # i + j grows like 2.6 * sqrt(resolution); leave generous headroom.
         cap = 4 * math.isqrt(resolution) + 16
     bank = RegisterBank(X=resolution, Y=resolution, XX=-1, XXY=-1)
-    return _config((0, 0), bank, WhilePositive("X", cap))
+    return GeneratorConfig((0, 0), bank, WhilePositive("X", cap))
 
 
 def egg_figure_config(steps: int = 2000) -> GeneratorConfig:
     """{XX, YYY} closed egg curve (sign-harmonized composite run)."""
     bank = RegisterBank(X=500000, Y=10, XX=-10000, YY=10000, YYY=-125)
-    return _config((25, 60), bank, StepCount(steps), GenerationMode.SIGN_HARMONIZED)
+    return GeneratorConfig((25, 60), bank, StepCount(steps), GenerationMode.SIGN_HARMONIZED)
 
 
 def sinusoid_figure_config(steps: int = 2000) -> GeneratorConfig:
     """{XXY, Y} full sinusoid arc (sign-harmonized composite run)."""
     bank = RegisterBank(RX=500, X=0, Y=600, XX=-200, XXY=-3)
-    return _config((0, 140), bank, StepCount(steps), GenerationMode.SIGN_HARMONIZED)
+    return GeneratorConfig((0, 140), bank, StepCount(steps), GenerationMode.SIGN_HARMONIZED)
 
 
 PRESETS = {

@@ -1,0 +1,328 @@
+"""Config, trace and samples files: the text formats the CLI reads and writes.
+
+Config files are line-based KEY=VALUE text ('#' starts a comment).  Keys:
+I0, J0 (start pair, default 0), MODE (MONOTONE or SIGN_HARMONIZED, default
+MONOTONE), STOP (COUNT or WHILE_POSITIVE:<REG>), CAP (step count or safety
+cap, required), and any of the 16 register names (default 0).  Unknown keys
+are errors.
+
+Trace files are CSV with header
+k,step,i,j,RX,RY,X,Y,XX,XY,YX,YY,XXX,XXY,XYX,XYY,YXX,YXY,YYX,YYY
+and one row per executed step (step is one of i+, i-, j+, j-); the register
+columns hold the bank after that step.  Each row's i, j must be one step of
+its kind from the row before (the path starts one step back from the first
+row); a row that breaks this is a parse error.  The same format serializes
+bare integer functions (register columns all zero).
+
+Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
+or 2 ('#' starts a comment).
+
+Malformed input, a byte that is not UTF-8 included, raises ParseError; a
+trace register beyond +/- REGISTER_CAPACITY raises RegisterOverflowError.
+"""
+
+from __future__ import annotations
+
+import csv
+from array import array
+from contextlib import contextmanager
+from fractions import Fraction
+from itertools import islice, repeat
+from typing import IO
+
+from .core import (
+    ALL_REGISTERS,
+    Axis,
+    GenerationMode,
+    GenerationTrace,
+    GeneratorConfig,
+    IntegerFunction,
+    IntegerFunctionError,
+    IntegerPair,
+    ParseError,
+    PreconditionError,
+    REGISTER_CAPACITY,
+    RegisterBank,
+    RegisterOverflowError,
+    STEP_CODES,
+    StepCount,
+    WhilePositive,
+)
+from .curves import RealSampleSeries
+
+TRACE_COLUMNS = ("k", "step", "i", "j") + ALL_REGISTERS
+
+_CONFIG_KEYS = ("I0", "J0", "MODE", "STOP", "CAP") + ALL_REGISTERS
+
+
+@contextmanager
+def _open_text(path: str, newline=None):
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+
+
+def _parse_ints(texts, key: str) -> list[int]:
+    """int() of each text; the error quotes the first text (exact for one)."""
+    try:
+        return list(map(int, texts))
+    except ValueError:
+        raise ParseError(f"value of {key} must be an integer, got {texts[0]!r}") from None
+
+
+def _parse_int(text: str, key: str) -> int:
+    return _parse_ints((text,), key)[0]
+
+
+# ---------------------------------------------------------------------------
+# Config files
+
+def _config_item(text: str, where: str) -> tuple[str, str]:
+    """One KEY=VALUE item, from a config line or --set; ``where`` opens its errors."""
+    key, sep, value = text.partition("=")
+    if not sep:
+        raise ParseError(f"{where}: expected KEY=VALUE, got {text!r}")
+    key = key.strip()
+    if key not in _CONFIG_KEYS:
+        raise ParseError(f"{where}: unknown key {key!r}")
+    return key, value.strip()
+
+
+def parse_config_items(lines) -> dict[str, str]:
+    """KEY=VALUE lines into a mapping; comments and blank lines skipped."""
+    items: dict[str, str] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, value = _config_item(line, f"line {lineno}")
+        if key in items:
+            raise ParseError(f"line {lineno}: duplicate key {key!r}")
+        items[key] = value
+    return items
+
+
+def config_from_items(items: dict[str, str]) -> GeneratorConfig:
+    registers = {name: _parse_int(items[name], name)
+                 for name in ALL_REGISTERS if name in items}
+    start = IntegerPair(_parse_int(items.get("I0", "0"), "I0"),
+                        _parse_int(items.get("J0", "0"), "J0"))
+    mode_text = items.get("MODE", "MONOTONE")
+    try:
+        mode = GenerationMode(mode_text)
+    except ValueError:
+        raise ParseError(f"MODE must be MONOTONE or SIGN_HARMONIZED, got {mode_text!r}") from None
+    if "STOP" not in items:
+        raise ParseError("missing STOP key")
+    if "CAP" not in items:
+        raise ParseError("missing CAP key")
+    cap = _parse_int(items["CAP"], "CAP")
+    stop_text = items["STOP"]
+    if stop_text == "COUNT":
+        stop = StepCount(cap)
+    elif stop_text.startswith("WHILE_POSITIVE:"):
+        register = stop_text.split(":", 1)[1]
+        if register not in ALL_REGISTERS:
+            raise ParseError(f"STOP watches unknown register {register!r}")
+        stop = WhilePositive(register, cap)
+    else:
+        raise ParseError(
+            f"STOP must be COUNT or WHILE_POSITIVE:<REG>, got {stop_text!r}")
+    return GeneratorConfig(start=start, bank=RegisterBank.from_mapping(registers),
+                           stop=stop, mode=mode)
+
+
+def read_config(path: str, overrides=()) -> GeneratorConfig:
+    """The config file at ``path`` with KEY=VALUE ``overrides`` (--set) applied."""
+    with _open_text(path) as handle:
+        items = parse_config_items(handle)
+    items.update(_config_item(assignment, "--set") for assignment in overrides)
+    return config_from_items(items)
+
+
+def format_config(config: GeneratorConfig) -> str:
+    """Deterministic KEY=VALUE rendering; zero registers are omitted."""
+    lines = [f"I0={config.start.i}", f"J0={config.start.j}", f"MODE={config.mode.value}"]
+    if isinstance(config.stop, StepCount):
+        stop, cap = "COUNT", config.stop.count
+    else:
+        stop, cap = f"WHILE_POSITIVE:{config.stop.register}", config.stop.cap
+    lines += [f"STOP={stop}", f"CAP={cap}"]
+    for name in ALL_REGISTERS:
+        value = config.bank.value(name)
+        if value != 0:
+            lines.append(f"{name}={value}")
+    return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Trace files
+
+_TOKENS = tuple(step.token for step in STEP_CODES)
+_CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
+_CHUNK_ROWS = 4096
+
+
+def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
+    """Write the CSV rows, a chunk at a time, joined from per-column strings.
+
+    No field can hold a comma, quote or line break, so the output is what
+    csv.writer would write for the same rows, byte for byte.
+    """
+    n = len(trace)
+    columns = [map(str, range(1, n + 1)), map(_TOKENS.__getitem__, trace.codes),
+               map(str, trace.i), map(str, trace.j)]
+    columns += [repeat(str(entry), n) if isinstance(entry, int) else map(str, entry)
+                for entry in trace.registers]
+    stream.write(",".join(TRACE_COLUMNS) + "\n")
+    rows = map(",".join, zip(*columns))
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        stream.write("\n".join(chunk) + "\n")
+
+
+def write_trace_file(trace: GenerationTrace, path: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_trace(trace, handle)
+
+
+def _parse_column(cells: tuple[str, ...], name: str) -> array:
+    """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
+    A column whose cells all hold the same text is parsed once."""
+    repeated = cells.count(cells[0]) == len(cells)
+    values = _parse_ints(cells[:1] if repeated else cells, name)
+    value = max(min(values), max(values), key=abs)
+    if abs(value) > REGISTER_CAPACITY:
+        if name in ("i", "j"):
+            raise ParseError(f"position {name} = {value} is out of range")
+        raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
+    return array("q", values) * len(cells) if repeated else array("q", values)
+
+
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[bytes, list[array]]:
+    """Step codes and the i, j and register columns of non-blank rows whose
+    first step index should be ``k`` and whose first step leaves position
+    ``last`` (None for the first row of the file).  Each rule is checked
+    over the whole chunk, so an error is sure to describe the first bad row
+    only for a one-row chunk."""
+    if not rows:
+        return b"", []
+    if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
+        raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(rows[0])}")
+    cells = list(zip(*rows))
+    # k is a step index, not a register: it has no range, only an order.
+    if _parse_ints(cells[0], "k") != list(range(k, k + len(rows))):
+        raise ParseError(f"step index {cells[0][0]} out of order")
+    if not _CODE_OF_TOKEN.keys() >= set(cells[1]):
+        raise ParseError(f"invalid step token {cells[1][0]!r} (expected i+, i-, j+ or j-)")
+    codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
+    columns = [_parse_column(column, name) for name, column in zip(TRACE_COLUMNS[2:], cells[2:])]
+    i, j = columns[0][0], columns[1][0]
+    if last is not None:
+        step = STEP_CODES[codes[0]]
+        if (i, j) != ((last[0] + step.sign, last[1]) if step.axis is Axis.I
+                      else (last[0], last[1] + step.sign)):
+            raise ParseError(f"position ({i}, {j}) is not one {step.token} "
+                             f"step from ({last[0]}, {last[1]})")
+    # The rest of the path: from_columns raises PreconditionError if a later
+    # position does not follow from its step, or if the first row's start
+    # (one step back) leaves +/- REGISTER_CAPACITY.
+    GenerationTrace.from_columns(codes, columns[0], columns[1], ())
+    return codes, columns
+
+
+def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
+    """Check ``rows`` one at a time, numbered from ``lineno`` and expected to
+    start at step index ``k`` from position ``last``; raise for the first
+    malformed one."""
+    for lineno, row in enumerate(rows, start=lineno):
+        if not row:
+            continue
+        try:
+            _, (i, j, *_) = _parse_rows([row], k, last)
+        except (ParseError, RegisterOverflowError) as exc:
+            raise type(exc)(f"line {lineno}: {exc}") from None
+        last = (i[0], j[0])
+        k += 1
+
+
+def read_trace(stream: IO[str]) -> GenerationTrace:
+    """Parse a trace CSV into columns, a chunk of rows at a time.
+
+    Each chunk is checked column by column; only a chunk that fails is
+    rescanned row by row, so the error names the first bad line.  A line the
+    CSV reader refuses (a cell over its field size limit) is named too.
+    """
+    reader = csv.reader(stream)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise ParseError("empty trace file (missing header)")
+        if tuple(header) != TRACE_COLUMNS:
+            raise ParseError("trace header does not match the expected 20 columns")
+        codes = bytearray()
+        columns = [array("q") for _ in TRACE_COLUMNS[2:]]
+        lineno = 2
+        while chunk := list(islice(reader, _CHUNK_ROWS)):
+            k, last = len(codes) + 1, (columns[0][-1], columns[1][-1]) if codes else None
+            try:
+                new_codes, parsed = _parse_rows([row for row in chunk if row], k, last)
+            except IntegerFunctionError:
+                # The rescan raises for the first bad row; the chunk's own
+                # error is only a fallback.
+                _raise_first_defect(chunk, lineno, k, last)
+                raise
+            codes += new_codes
+            for column, values in zip(columns, parsed):
+                column += values
+            lineno += len(chunk)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    return GenerationTrace.from_columns(codes, *columns[:2], columns[2:])
+
+
+def read_trace_file(path: str) -> GenerationTrace:
+    with _open_text(path, newline="") as handle:
+        return read_trace(handle)
+
+
+def trace_for_function(f: IntegerFunction) -> GenerationTrace:
+    """Serialize a bare integer function as a trace with an all-zero bank."""
+    return GenerationTrace._wrap(f, (0,) * len(ALL_REGISTERS))
+
+
+def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
+    """The integer function a trace walked."""
+    if not len(trace):
+        raise PreconditionError("trace has no steps; cannot recover an integer function")
+    return trace.path
+
+
+# ---------------------------------------------------------------------------
+# Samples files
+
+def parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"invalid rational {text!r} (use P/Q, a decimal, or an integer)") from None
+
+
+def read_samples_file(path: str) -> RealSampleSeries:
+    """CSV-ish lines "x,y" with exact rational tokens like 3/10, 0.25 or 2."""
+    pairs = []
+    with _open_text(path) as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ParseError(f"line {lineno}: expected x,y")
+            try:
+                pairs.append(tuple(parse_rational(part.strip()) for part in parts))
+            except ParseError as exc:
+                raise ParseError(f"line {lineno}: {exc}") from None
+    return RealSampleSeries(tuple(pairs))

@@ -28,7 +28,6 @@ from intfunc import (
     render_pbm,
 )
 from intfunc.calculus import IntegerScale
-from intfunc.cli import read_trace, write_trace
 from intfunc.curves import (
     RealSampleSeries,
     composite_generate,
@@ -41,6 +40,7 @@ from intfunc.curves import (
     preset_config,
     sinusoid_figure_config,
 )
+from intfunc.io import read_trace, write_trace
 
 from conftest import SAMPLE_STEP_TEXT
 from helpers import HAND_TRACE_SEED_100, assert_lattice_path

@@ -21,25 +21,25 @@ from intfunc import (
     full_derivative,
     generate,
 )
-from intfunc.cli import (
+from intfunc.cli import main
+from intfunc.curves import (
+    composite_generate,
+    egg_figure_config,
+    harmonic_config,
+    line_config,
+)
+from intfunc.io import (
     TRACE_COLUMNS,
     ParseError,
     config_from_items,
     format_config,
     function_from_trace,
-    main,
     parse_config_items,
     read_trace,
     read_trace_file,
     trace_for_function,
     write_trace,
     write_trace_file,
-)
-from intfunc.curves import (
-    composite_generate,
-    egg_figure_config,
-    harmonic_config,
-    line_config,
 )
 
 def run_cli(*argv, capsys=None):
@@ -376,6 +376,19 @@ class TestDigitizeAndRender:
                              capsys=capsys)
         assert code == 0
         assert out_path.read_bytes() == b"P1\n2 2\n01\n11\n"
+
+    def test_viewport_with_negative_bounds(self, tmp_path, capsys):
+        # argparse reads "-1:1:-1:1" as an option, so a negative first bound
+        # goes after "=", as the --help text says.
+        trace_path = tmp_path / "elbow.csv"
+        write_trace_file(trace_for_function(from_step_sequence((0, 0), "i j")),
+                         str(trace_path))
+        code, out, _ = run_cli("render", "--in", str(trace_path), "--format", "ascii",
+                               "--viewport=-1:1:-1:1", capsys=capsys)
+        assert code == 0
+        assert out == "..#\n.##\n...\n"
+        code, out, _ = run_cli("render", "--help", capsys=capsys)
+        assert code == 0 and "--viewport=-3:10:-2:8" in out
 
     def test_render_svg_with_label(self, tmp_path, capsys):
         trace_path = tmp_path / "elbow.csv"

@@ -34,8 +34,9 @@ from intfunc import (
     harmonic_config,
 )
 from intfunc.calculus import IntegerScale
-from intfunc.cli import function_from_trace, main, trace_for_function, write_trace_file
+from intfunc.cli import main
 from intfunc.curves import RealSampleSeries, digitize
+from intfunc.io import function_from_trace, trace_for_function, write_trace_file
 
 CAP = REGISTER_CAPACITY
 FAST = settings(max_examples=300, deadline=None)

@@ -30,17 +30,17 @@ from intfunc import (
     generate,
     harmonic_config,
 )
-from intfunc.cli import (
+from intfunc.cli import main
+from intfunc.curves import composite_generate, egg_figure_config, line_config
+from intfunc.io import (
     TRACE_COLUMNS,
     ParseError,
     function_from_trace,
-    main,
     read_trace,
     trace_for_function,
     write_trace,
     write_trace_file,
 )
-from intfunc.curves import composite_generate, egg_figure_config, line_config
 
 CAP = REGISTER_CAPACITY
 I_COLUMN, J_COLUMN = TRACE_COLUMNS.index("i"), TRACE_COLUMNS.index("j")
