@@ -151,6 +151,21 @@ class IntegerFunction:
         f._fill(start, bytes(codes))
         return f
 
+    @classmethod
+    def _joined(cls, paths) -> "IntegerFunction":
+        """``paths`` walked one after another, with no new walk: each must
+        start where the one before it ends, which is not checked.  No paths
+        make the empty path at the origin."""
+        if len(paths) < 2:
+            return paths[0] if paths else cls.from_codes((0, 0), b"")
+        f = cls.__new__(cls)
+        f.start, f.codes = paths[0].start, b"".join(path.codes for path in paths)
+        f.i, f.j = paths[0].i[:1], paths[0].j[:1]
+        for path in paths:
+            f.i += path.i[1:]
+            f.j += path.j[1:]
+        return f
+
     def _fill(self, start, codes: bytes) -> None:
         if bad := codes.translate(None, b"\0\1\2\3"):
             raise PreconditionError(

@@ -12,13 +12,19 @@ and one row per executed step (step is one of i+, i-, j+, j-); the register
 columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
-bare integer functions (register columns all zero).
+bare integer functions (register columns all zero).  write_trace fills one
+row template per trace.  read_trace takes 4 096 lines at a time: a plain
+chunk (no quote, carriage return or NUL, exactly 19 commas on every line,
+no line over the CSV field size limit) is read by splitting strings, and the
+first other chunk and the rest of the file after it by csv.reader; both
+accept the same input and raise the same errors.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).
 
-Malformed input, a byte that is not UTF-8 included, raises ParseError; a
-trace register beyond +/- REGISTER_CAPACITY raises RegisterOverflowError.
+Malformed input raises ParseError; so does a byte that is not UTF-8 in a
+file, naming the file and the first line that holds one.  A trace register
+beyond +/- REGISTER_CAPACITY raises RegisterOverflowError.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import csv
 from array import array
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from typing import IO
 
 from .core import (
@@ -57,12 +63,26 @@ _CONFIG_KEYS = ("I0", "J0", "MODE", "STOP", "CAP") + ALL_REGISTERS
 
 @contextmanager
 def _open_text(path: str, newline=None):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a ParseError."""
+    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a ParseError
+    naming its line.
+
+    The text layer decodes blocks ahead of the line being read, so only a
+    second read, of bytes, can tell which line holds the byte.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as handle:
             yield handle
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text ({exc.reason})") from None
+    except UnicodeDecodeError as error:
+        with open(path, "rb") as handle:
+            # bytes.splitlines breaks lines where text mode does: \n, \r, \r\n.
+            for lineno, line in enumerate(handle.read().splitlines(keepends=True), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError(
+                        f"{path} line {lineno}: not UTF-8 text ({exc.reason})") from None
+        # Every line decodes only if the file changed since the first read.
+        raise ParseError(f"{path} is not UTF-8 text ({error.reason})") from None
 
 
 def _parse_ints(texts, key: str) -> list[int]:
@@ -163,24 +183,28 @@ def format_config(config: GeneratorConfig) -> str:
 
 _TOKENS = tuple(step.token for step in STEP_CODES)
 _CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
+_WIDTH = len(TRACE_COLUMNS)
+_HEADER = ",".join(TRACE_COLUMNS) + "\n"
 _CHUNK_ROWS = 4096
 
 
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
-    """Write the CSV rows, a chunk at a time, joined from per-column strings.
+    """Write the CSV rows, a chunk at a time, from one row template.
 
-    No field can hold a comma, quote or line break, so the output is what
-    csv.writer would write for the same rows, byte for byte.
+    The template has a ``%s`` or ``%d`` for k, step, i, j and each register
+    column that changes, and the text of each constant register.  No field
+    can hold a comma, quote or line break, so the output is what csv.writer
+    would write for the same rows, byte for byte.
     """
-    n = len(trace)
-    columns = [map(str, range(1, n + 1)), map(_TOKENS.__getitem__, trace.codes),
-               map(str, trace.i), map(str, trace.j)]
-    columns += [repeat(str(entry), n) if isinstance(entry, int) else map(str, entry)
-                for entry in trace.registers]
-    stream.write(",".join(TRACE_COLUMNS) + "\n")
-    rows = map(",".join, zip(*columns))
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        stream.write("\n".join(chunk) + "\n")
+    fields = ["%d", "%s", "%d", "%d"] + [str(entry) if isinstance(entry, int) else "%d"
+                                         for entry in trace.registers]
+    columns = [entry for entry in trace.registers if not isinstance(entry, int)]
+    rows = map((",".join(fields) + "\n").__mod__, zip(
+        range(1, len(trace) + 1), map(_TOKENS.__getitem__, trace.codes),
+        trace.i, trace.j, *columns))
+    stream.write(_HEADER)
+    while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+        stream.write(chunk)
 
 
 def write_trace_file(trace: GenerationTrace, path: str) -> None:
@@ -188,7 +212,7 @@ def write_trace_file(trace: GenerationTrace, path: str) -> None:
         write_trace(trace, handle)
 
 
-def _parse_column(cells: tuple[str, ...], name: str) -> array:
+def _parse_column(cells: list[str] | tuple[str, ...], name: str) -> array:
     """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
     A column whose cells all hold the same text is parsed once."""
     repeated = cells.count(cells[0]) == len(cells)
@@ -201,16 +225,71 @@ def _parse_column(cells: tuple[str, ...], name: str) -> array:
     return array("q", values) * len(cells) if repeated else array("q", values)
 
 
-def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[bytes, list[array]]:
-    """Step codes and the i, j and register columns of non-blank rows whose
-    first step index should be ``k`` and whose first step leaves position
-    ``last`` (None for the first row of the file).  Each rule is checked
-    over the whole chunk, so an error is sure to describe the first bad row
-    only for a one-row chunk."""
-    if not rows:
-        return b"", []
-    if set(map(len, rows)) != {len(TRACE_COLUMNS)}:
-        raise ParseError(f"expected {len(TRACE_COLUMNS)} columns, got {len(rows[0])}")
+class _Chunks:
+    """The checked chunks of a trace read so far: their paths, the register
+    columns, and the number of the next line."""
+
+    def __init__(self):
+        self.paths: list[IntegerFunction] = []
+        self.registers = [array("q") for _ in ALL_REGISTERS]
+        self.steps = 0
+        self.lineno = 2
+
+    def where(self) -> tuple[int, tuple[int, int] | None]:
+        """The step index of the next row, and the position it steps from
+        (None before the first row)."""
+        return self.steps + 1, self.paths[-1].end if self.paths else None
+
+    def add(self, path: IntegerFunction, registers: list[array]) -> None:
+        self.paths.append(path)
+        for column, values in zip(self.registers, registers):
+            column += values
+        self.steps += path.length
+
+    def trace(self) -> GenerationTrace:
+        return GenerationTrace._wrap(IntegerFunction._joined(self.paths), self.registers)
+
+
+def _split_rows(lines: list[str], k: int, last) -> tuple[IntegerFunction, list[array]] | None:
+    """The path and register columns of a chunk of lines whose first step
+    index should be ``k`` and whose path should start at ``last`` (anywhere
+    when None), read by splitting strings; None when the chunk is not plain
+    or breaks a row rule.
+
+    A chunk is plain when it holds no quote, carriage return or NUL and each
+    line has exactly 19 commas and fits the CSV field size limit: csv.reader
+    would read it as these same cells, so only the rules are left to check.
+    """
+    text = "".join(lines)
+    if ('"' in text or "\r" in text or "\0" in text
+            or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {_WIDTH - 1}):
+        return None
+    n = len(lines)
+    cells = text.replace("\n", ",").split(",")
+    del cells[n * _WIDTH:]  # the empty cell after a final newline
+    if cells[0::_WIDTH] != list(map(str, range(k, k + n))):
+        return None
+    try:
+        codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1::_WIDTH]))
+        i, j, *registers = [_parse_column(cells[c::_WIDTH], name)
+                            for c, name in enumerate(TRACE_COLUMNS[2:], start=2)]
+        path = GenerationTrace.from_columns(codes, i, j, ()).path
+    except (KeyError, IntegerFunctionError):
+        return None
+    if last is not None and path.start != last:
+        return None
+    return path, registers
+
+
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list[array]]:
+    """The path and register columns of non-blank rows whose first step
+    index should be ``k`` and whose first step leaves position ``last``
+    (None for the first row of the file).  Each rule is checked over the
+    whole chunk, so an error is sure to describe the first bad row only for
+    a one-row chunk."""
+    if set(map(len, rows)) != {_WIDTH}:
+        raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
     cells = list(zip(*rows))
     # k is a step index, not a register: it has no range, only an order.
     if _parse_ints(cells[0], "k") != list(range(k, k + len(rows))):
@@ -218,19 +297,18 @@ def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[bytes, list[array]
     if not _CODE_OF_TOKEN.keys() >= set(cells[1]):
         raise ParseError(f"invalid step token {cells[1][0]!r} (expected i+, i-, j+ or j-)")
     codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
-    columns = [_parse_column(column, name) for name, column in zip(TRACE_COLUMNS[2:], cells[2:])]
-    i, j = columns[0][0], columns[1][0]
+    i, j, *registers = [_parse_column(column, name)
+                        for name, column in zip(TRACE_COLUMNS[2:], cells[2:])]
     if last is not None:
         step = STEP_CODES[codes[0]]
-        if (i, j) != ((last[0] + step.sign, last[1]) if step.axis is Axis.I
-                      else (last[0], last[1] + step.sign)):
-            raise ParseError(f"position ({i}, {j}) is not one {step.token} "
+        if (i[0], j[0]) != ((last[0] + step.sign, last[1]) if step.axis is Axis.I
+                            else (last[0], last[1] + step.sign)):
+            raise ParseError(f"position ({i[0]}, {j[0]}) is not one {step.token} "
                              f"step from ({last[0]}, {last[1]})")
     # The rest of the path: from_columns raises PreconditionError if a later
     # position does not follow from its step, or if the first row's start
     # (one step back) leaves +/- REGISTER_CAPACITY.
-    GenerationTrace.from_columns(codes, columns[0], columns[1], ())
-    return codes, columns
+    return GenerationTrace.from_columns(codes, i, j, ()).path, registers
 
 
 def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
@@ -241,46 +319,87 @@ def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
         if not row:
             continue
         try:
-            _, (i, j, *_) = _parse_rows([row], k, last)
+            last = _parse_rows([row], k, last)[0].end
         except (ParseError, RegisterOverflowError) as exc:
             raise type(exc)(f"line {lineno}: {exc}") from None
-        last = (i[0], j[0])
         k += 1
 
 
-def read_trace(stream: IO[str]) -> GenerationTrace:
-    """Parse a trace CSV into columns, a chunk of rows at a time.
+def _read_header(lines) -> None:
+    """Read and check the header line through csv.reader."""
+    reader = csv.reader(lines)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise ParseError("empty trace file (missing header)")
+    if tuple(header) != TRACE_COLUMNS:
+        raise ParseError("trace header does not match the expected 20 columns")
+
+
+def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
+    """The rest of a trace, from line ``chunks.lineno`` on, read by
+    csv.reader: the reference reader, which takes any input.
 
     Each chunk is checked column by column; only a chunk that fails is
     rescanned row by row, so the error names the first bad line.  A line the
-    CSV reader refuses (a cell over its field size limit) is named too.
+    CSV reader refuses (a cell over its field size limit) is named too, once
+    the rows before it have passed.
     """
-    reader = csv.reader(stream)
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise ParseError("empty trace file (missing header)")
-        if tuple(header) != TRACE_COLUMNS:
-            raise ParseError("trace header does not match the expected 20 columns")
-        codes = bytearray()
-        columns = [array("q") for _ in TRACE_COLUMNS[2:]]
-        lineno = 2
-        while chunk := list(islice(reader, _CHUNK_ROWS)):
-            k, last = len(codes) + 1, (columns[0][-1], columns[1][-1]) if codes else None
+    reader = csv.reader(lines)
+    first = chunks.lineno
+    refused = []
+
+    def rows():
+        try:
+            yield from reader
+        except csv.Error as exc:
+            refused.append(ParseError(f"line {first - 1 + reader.line_num}: {exc}"))
+
+    rows = rows()
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        k, last = chunks.where()
+        if nonblank := [row for row in chunk if row]:
             try:
-                new_codes, parsed = _parse_rows([row for row in chunk if row], k, last)
+                chunks.add(*_parse_rows(nonblank, k, last))
             except IntegerFunctionError:
                 # The rescan raises for the first bad row; the chunk's own
                 # error is only a fallback.
-                _raise_first_defect(chunk, lineno, k, last)
+                _raise_first_defect(chunk, chunks.lineno, k, last)
                 raise
-            codes += new_codes
-            for column, values in zip(columns, parsed):
-                column += values
-            lineno += len(chunk)
-    except csv.Error as exc:
-        raise ParseError(f"line {reader.line_num}: {exc}") from None
-    return GenerationTrace.from_columns(codes, *columns[:2], columns[2:])
+        chunks.lineno += len(chunk)
+    if refused:
+        raise refused[0]
+    return chunks.trace()
+
+
+def _read_trace_csv(stream: IO[str]) -> GenerationTrace:
+    """read_trace through csv.reader alone, for comparison in tests."""
+    lines = iter(stream)
+    _read_header(lines)
+    return _read_csv_rows(lines, _Chunks())
+
+
+def read_trace(stream: IO[str]) -> GenerationTrace:
+    """Parse a trace CSV into columns, a chunk of lines at a time.
+
+    A plain chunk (see _split_rows) is split into cells as strings and its
+    columns checked at once; the first chunk that is not plain or breaks a
+    rule, and the rest of the stream after it, go through csv.reader (see
+    _read_csv_rows), which accepts the same input and raises the same
+    errors.  The chunks' checked paths are joined without a second walk.
+    """
+    lines = iter(stream)
+    _read_header(lines)
+    chunks = _Chunks()
+    while chunk := list(islice(lines, _CHUNK_ROWS)):
+        split = _split_rows(chunk, *chunks.where())
+        if split is None:
+            return _read_csv_rows(chain(chunk, lines), chunks)
+        chunks.add(*split)
+        chunks.lineno += len(chunk)
+    return chunks.trace()
 
 
 def read_trace_file(path: str) -> GenerationTrace:

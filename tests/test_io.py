@@ -6,6 +6,8 @@ parser behind config lines and --set, and the rule that a trace error names
 the first bad line wherever the chunks of rows fall.
 """
 
+import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -13,14 +15,44 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intfunc
-from intfunc import REGISTER_CAPACITY, ParseError, RegisterOverflowError, generate
+from intfunc import (
+    ALL_REGISTERS,
+    REGISTER_CAPACITY,
+    GenerationMode,
+    GenerationTrace,
+    IntegerFunctionError,
+    ParseError,
+    RegisterOverflowError,
+    composite_generate,
+    from_step_sequence,
+    generate,
+)
 from intfunc.cli import main
-from intfunc.curves import line_config
-from intfunc.io import TRACE_COLUMNS, read_trace, write_trace
+from intfunc.curves import (
+    PRESETS,
+    conic_config,
+    egg_figure_config,
+    exponential_config,
+    free_fall_config,
+    harmonic_config,
+    line_config,
+    parabola_config,
+    semicubic_config,
+    sine_config,
+    sinusoid_figure_config,
+    uniform_motion_config,
+)
+from intfunc.io import (
+    TRACE_COLUMNS,
+    _read_trace_csv,
+    read_trace,
+    trace_for_function,
+    write_trace,
+)
 
 HEADER = ",".join(TRACE_COLUMNS)
 
@@ -47,26 +79,29 @@ def test_import_leaves_argparse_out():
 
 
 class TestNotUtf8:
+    # The error names the file and the first line holding a byte that is
+    # not UTF-8.
     def test_trace_header(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(HEADER.encode() + b"\xff\n" + _row(1, "i+", 1, 0).encode() + b"\n")
         err = _one_line_error(capsys, 3, ["render", "--in", str(path), "--format", "ascii"])
-        assert err.startswith("parse error:") and "not UTF-8" in err
+        assert err == f"parse error: {path} line 1: not UTF-8 text (invalid start byte)\n"
 
     def test_config(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
-        path.write_bytes(b"X=1\xff\n")
+        path.write_bytes(b"X=1\r\nY=\xe2\x82\n")
         err = _one_line_error(capsys, 3, ["generate", "--config", str(path),
                                           "--out", str(tmp_path / "out.csv")])
-        assert "not UTF-8" in err
+        assert err == (f"parse error: {path} line 2: not UTF-8 text "
+                       "(invalid continuation byte)\n")
         assert not (tmp_path / "out.csv").exists()
 
     def test_samples(self, tmp_path, capsys):
         path = tmp_path / "bad.samples"
-        path.write_bytes(b"1/2,\xff\n")
+        path.write_bytes(b"0,0\n# one\r1/2,\xff\n")
         err = _one_line_error(capsys, 3, ["digitize", "--unit", "1", "--samples", str(path),
                                           "--out", str(tmp_path / "out.csv")])
-        assert "not UTF-8" in err
+        assert err == f"parse error: {path} line 3: not UTF-8 text (invalid start byte)\n"
         assert not (tmp_path / "out.csv").exists()
 
 
@@ -164,3 +199,180 @@ def test_error_is_that_of_the_first_bad_line(long_trace_lines, defects):
         errors.append((type(caught.value), str(caught.value)))
     assert errors[0] == errors[1]
     assert errors[0][1].startswith(f"line {first}: ")
+
+
+def test_refused_line_waits_for_an_earlier_bad_row():
+    # Line 101 has a bad token and line 2001 a cell over the CSV field size
+    # limit, in the same chunk of rows: the earlier line is the one named.
+    lines = [HEADER] + [_row(k, "i+", k, 0) for k in range(1, 2001)]
+    lines[100] = _row(100, "up", 100, 0)
+    lines[2000] = _row(2000, "i+", "2" * 200_000, 0)
+    text = "\n".join(lines) + "\n"
+    for reader in (read_trace, _read_trace_csv):
+        with pytest.raises(ParseError, match=r"^line 101: invalid step token 'up'"):
+            reader(io.StringIO(text))
+
+
+# One trace per preset, with negative constant registers among them, and a
+# bare path with its all-zero bank.
+_PRESET_CONFIGS = {
+    "line": line_config(7, 11, 40),
+    "uniform": uniform_motion_config(5, 3),
+    "parabola": parabola_config(-2, 9, 60, x=1),
+    "freefall": free_fall_config(-1, 30, 50, 20),
+    "exponential": exponential_config(-1, 4, 30, x=2),
+    "conic": conic_config(-2, 3, 40, x=9, y=1),
+    "sine": sine_config(-1, 7, 40, x=7, xx=-1),
+    "harmonic": harmonic_config(10**4),
+    "semicubic": semicubic_config(2, -3, 30, x=1, yy=1, y=4),
+    "egg_figure": egg_figure_config(300),
+    "sinusoid_figure": sinusoid_figure_config(300),
+}
+
+
+def _run(config):
+    if config.mode is GenerationMode.MONOTONE:
+        return generate(config)[1]
+    return composite_generate(config)[1]
+
+
+@pytest.fixture(scope="module")
+def traces():
+    assert set(_PRESET_CONFIGS) == set(PRESETS)
+    bare = trace_for_function(from_step_sequence((-3, 2), "i j i- j- j- i i"))
+    return [_run(config) for config in _PRESET_CONFIGS.values()] + [bare, GenerationTrace()]
+
+
+def _text(trace):
+    buffer = io.StringIO()
+    write_trace(trace, buffer)
+    return buffer.getvalue()
+
+
+def test_write_trace_is_what_csv_writer_writes(traces, monkeypatch):
+    assert any(isinstance(entry, int) and entry < 0
+               for trace in traces for entry in trace.registers)
+    for trace in traces:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(zip(range(1, len(trace) + 1), (s.token for s in trace.path.steps),
+                             trace.i, trace.j, *map(trace.column, ALL_REGISTERS)))
+        assert _text(trace) == buffer.getvalue()
+    # What write_trace writes never needs the csv.reader path.
+    monkeypatch.setattr(intfunc.io, "_read_csv_rows", None)
+    for trace in traces:
+        assert read_trace(io.StringIO(_text(trace))) == trace
+
+
+# sha256 of the file `pi --x0 1000000 --trace` writes (2 569 rows), which
+# a change to the trace writer must keep.
+PI_1E6_TRACE_SHA256 = "56afc6da5af34db5f664b31f444b1d8e1763c29c6c51642582994e7941c5343d"
+
+
+def test_pi_trace_file_is_unchanged(tmp_path, capsys):
+    path = tmp_path / "pi.csv"
+    assert main(["pi", "--x0", str(10**6), "--trace", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PI_1E6_TRACE_SHA256
+
+
+def _edit_cells(change):
+    def mutate(lines, at, column):
+        body = lines[at].rstrip("\r\n")
+        cells = body.split(",")
+        if len(cells) > 1:  # not a blank line
+            change(cells, min(column, len(cells) - 1))
+            lines[at] = ",".join(cells) + lines[at][len(body):]
+    return mutate
+
+
+def _set(cells, column, text):
+    cells[column] = text
+
+
+def _end_line(lines, at, ending):
+    lines[at] = lines[at].rstrip("\r\n") + ending
+
+
+def _step_along_i(cells, column):
+    if len(cells) > 2 and cells[2].lstrip("-").isdigit():
+        cells[2] = str(int(cells[2]) + 1)
+
+
+def _move(lines, at, column):
+    # Row ``at`` and every row after it one step further along i: the path
+    # breaks at that row only, even where it opens a chunk.
+    for n in range(at, len(lines)):
+        _edit_cells(_step_along_i)(lines, n, column)
+
+
+def _shift(lines, at, column):
+    # The last cell of a row opens the next one: 19 and 21 cells that add up
+    # to two rows' worth of commas.
+    if at + 1 < len(lines):
+        body = lines[at].rstrip("\r\n")
+        head, _, last = body.rpartition(",")
+        lines[at] = head + lines[at][len(body):]
+        lines[at + 1] = f"{last},{lines[at + 1]}"
+
+
+# Changes to a trace file that csv.reader may read differently from split
+# strings, or that break a row rule: one line and one column each.
+_MUTATIONS = {
+    "quote": _edit_cells(lambda cells, c: _set(cells, c, f'"{cells[c]}"')),
+    "crlf": lambda lines, at, c: _end_line(lines, at, "\r\n"),
+    "cr": _edit_cells(lambda cells, c: _set(cells, c, cells[c] + "\r")),
+    "blank": lambda lines, at, c: lines.insert(at, "\n"),
+    "nul": _edit_cells(lambda cells, c: _set(cells, c, cells[c] + "\0")),
+    "zero": _edit_cells(lambda cells, c: _set(cells, c, "0" + cells[c])),
+    "plus": _edit_cells(lambda cells, c: _set(cells, c, "+" + cells[c])),
+    "space": _edit_cells(lambda cells, c: _set(cells, c, " " + cells[c])),
+    "token": _edit_cells(lambda cells, c: _set(cells, 1, "up")),
+    "moved": _move,
+    "narrow": _edit_cells(lambda cells, c: cells.pop()),
+    "wide": _edit_cells(lambda cells, c: cells.append("0")),
+    "shift": _shift,
+    # int() takes the spaces, csv.reader refuses the cell.
+    "oversized": _edit_cells(
+        lambda cells, c: _set(cells, c, " " * csv.field_size_limit() + cells[c])),
+    "unterminated": lambda lines, at, c: _end_line(lines, -1, ""),
+}
+
+
+@pytest.fixture(scope="module")
+def trace_files(traces, long_trace_lines):
+    return [_text(trace).splitlines(keepends=True) for trace in traces[:-1]] + [
+        [line + "\n" for line in long_trace_lines]]
+
+
+def _outcome(reader, text, newline):
+    try:
+        return reader(io.StringIO(text, newline=newline))
+    except IntegerFunctionError as exc:
+        return type(exc), str(exc)
+
+
+# Rows 1 and 4096 open and close the first chunk of lines, and 4097 opens
+# the second; the long file has 6 000 rows.
+_EDGES = (1, 2, 4095, 4096, 4097, 4098, 6000)
+
+
+# ``pick`` is a preset's file, the bare path's (11) or the long file's (-1).
+@settings(max_examples=80, deadline=None)
+@given(pick=st.one_of(st.just(-1), st.integers(0, len(_PRESET_CONFIGS))),
+       mutations=st.lists(st.tuples(st.one_of(st.sampled_from(_EDGES), st.integers(1, 10**4)),
+                                    st.sampled_from(sorted(_MUTATIONS)),
+                                    st.sampled_from(range(len(TRACE_COLUMNS)))),
+                          min_size=1, max_size=3),
+       newline=st.sampled_from(["\n", ""]))
+@example(pick=-1, mutations=[(4097, "moved", 0)], newline="\n")
+@example(pick=-1, mutations=[(4096, "shift", 0)], newline="\n")
+@example(pick=-1, mutations=[(100, "token", 0), (2000, "oversized", 7)], newline="\n")
+@example(pick=0, mutations=[(3, "cr", 5)], newline="\n")
+@example(pick=0, mutations=[(3, "crlf", 0), (9, "nul", 4)], newline="")
+def test_split_reader_matches_the_csv_reader(trace_files, pick, mutations, newline):
+    lines = list(trace_files[pick])
+    for row, kind, column in mutations:
+        _MUTATIONS[kind](lines, (row - 1) % (len(lines) - 1) + 1, column)
+    text = "".join(lines)
+    assert _outcome(read_trace, text, newline) == _outcome(_read_trace_csv, text, newline)
