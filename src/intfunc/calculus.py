@@ -11,7 +11,6 @@ two step kinds are interleaved.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, islice
 from typing import Iterator, NamedTuple
@@ -22,6 +21,7 @@ from .core import (
     IntegerFunction,
     IntegerPair,
     PreconditionError,
+    _Frozen,
 )
 
 
@@ -149,11 +149,13 @@ def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
     return (_field(axis, diff_class, first, cross) for diff_class in range(1, len(cross)))
 
 
-@dataclass(frozen=True)
-class ScaledDifference:
+class ScaledDifference(_Frozen):
     """The two-integer difference {d, d - 1} that survives scale refinement."""
 
-    upper: int
+    __slots__ = ("upper",)
+
+    def __init__(self, upper: int):
+        self._set(upper)
 
     @property
     def lower(self) -> int:
@@ -199,18 +201,18 @@ def full_derivative(f: IntegerFunction, axis: Axis) -> dict[int, DifferenceField
     return {field.diff_class: field for field in _class_fields(f, axis)}
 
 
-@dataclass(frozen=True)
-class IntegerScale:
+class IntegerScale(_Frozen):
     """Real-world value of one integer step, as an exact rational."""
 
-    unit: Fraction
+    __slots__ = ("unit",)
 
-    def __post_init__(self):
-        if isinstance(self.unit, float):
+    def __init__(self, unit: Fraction):
+        if isinstance(unit, float):
             raise PreconditionError("scale unit must be exact; pass a Fraction, not a float")
-        object.__setattr__(self, "unit", Fraction(self.unit))
-        if self.unit <= 0:
+        unit = Fraction(unit)
+        if unit <= 0:
             raise PreconditionError("scale unit must be positive")
+        self._set(unit)
 
     def refined(self, m: int) -> "IntegerScale":
         if m < 1:

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import enum
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, islice, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple, Union
 
 #: Register values are kept inside +/- REGISTER_CAPACITY.  Arithmetic is exact
@@ -236,9 +235,52 @@ def _checked(value: int, context: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class RegisterBank:
-    """State of the 16 generator registers.
+class _Frozen:
+    """Base of the immutable value classes, which behave as frozen dataclasses.
+
+    The fields are the subclass's ``__slots__``, in order: equality (same
+    class only), hash, repr, copy and pickle go through them.  Assigning or
+    deleting an attribute raises AttributeError; a subclass's ``__init__``
+    sets its fields through ``object.__setattr__``, as ``_set`` does.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls.__match_args__ = fields = cls.__slots__
+        get = attrgetter(*fields)
+        # The field values, as a tuple also for a single field.
+        cls._values = property(get if len(fields) > 1 else lambda self: (get(self),))
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = map("{}={!r}".format, self.__slots__, self._values)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values
+
+
+class RegisterBank(_Frozen):
+    """State of the 16 generator registers, each an int within +/-
+    REGISTER_CAPACITY (default 0).
 
     The rank of a work register is the length of its identifier.  On a step
     with letter L (X for i steps, Y for j steps) every work register whose
@@ -246,30 +288,17 @@ class RegisterBank:
     the empty prefix maps to the step axis' regulator.
     """
 
-    RX: int = 0
-    RY: int = 0
-    X: int = 0
-    Y: int = 0
-    XX: int = 0
-    XY: int = 0
-    YX: int = 0
-    YY: int = 0
-    XXX: int = 0
-    XXY: int = 0
-    XYX: int = 0
-    XYY: int = 0
-    YXX: int = 0
-    YXY: int = 0
-    YYX: int = 0
-    YYY: int = 0
+    __slots__ = ALL_REGISTERS
 
-    def __post_init__(self):
-        for name in ALL_REGISTERS:
-            value = getattr(self, name)
+    def __init__(self, RX=0, RY=0, X=0, Y=0, XX=0, XY=0, YX=0, YY=0,
+                 XXX=0, XXY=0, XYX=0, XYY=0, YXX=0, YXY=0, YYX=0, YYY=0):
+        values = (RX, RY, X, Y, XX, XY, YX, YY, XXX, XXY, XYX, XYY, YXX, YXY, YYX, YYY)
+        for name, value in zip(ALL_REGISTERS, values):
             if not isinstance(value, int):
                 raise PreconditionError(
                     f"register {name} must be an integer, got {type(value).__name__}")
             _checked(value, f"initial value of {name}")
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_mapping(cls, mapping) -> "RegisterBank":
@@ -330,19 +359,18 @@ def apply_step(bank: RegisterBank, axis: Axis) -> RegisterBank:
     return RegisterBank(**values)
 
 
-@dataclass(frozen=True)
-class StepCount:
+class StepCount(_Frozen):
     """Stop after exactly ``count`` steps."""
 
-    count: int
+    __slots__ = ("count",)
 
-    def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 1:
+    def __init__(self, count: int):
+        if not isinstance(count, int) or count < 1:
             raise PreconditionError("step count must be a positive integer")
+        self._set(count)
 
 
-@dataclass(frozen=True)
-class WhilePositive:
+class WhilePositive(_Frozen):
     """Stop after the step that leaves ``register`` non-positive.
 
     The predicate is checked after every step, so the terminating step is
@@ -350,14 +378,14 @@ class WhilePositive:
     goes non-positive; hitting it raises CapExhaustedError.
     """
 
-    register: str
-    cap: int
+    __slots__ = ("register", "cap")
 
-    def __post_init__(self):
-        if self.register not in ALL_REGISTERS:
-            raise PreconditionError(f"unknown register name: {self.register}")
-        if not isinstance(self.cap, int) or self.cap < 1:
+    def __init__(self, register: str, cap: int):
+        if register not in ALL_REGISTERS:
+            raise PreconditionError(f"unknown register name: {register}")
+        if not isinstance(cap, int) or cap < 1:
             raise PreconditionError("cap must be a positive integer")
+        self._set(register, cap)
 
 
 StopRule = Union[StepCount, WhilePositive]
@@ -368,17 +396,17 @@ class GenerationMode(enum.Enum):
     SIGN_HARMONIZED = "SIGN_HARMONIZED"
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    start: IntegerPair
-    bank: RegisterBank
-    stop: StopRule
-    mode: GenerationMode = GenerationMode.MONOTONE
+class GeneratorConfig(_Frozen):
+    """A generator run: start pair, initial bank, stop rule and mode."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "start", IntegerPair(*self.start))
-        if not isinstance(self.stop, (StepCount, WhilePositive)):
+    __slots__ = ("start", "bank", "stop", "mode")
+
+    def __init__(self, start: IntegerPair, bank: RegisterBank, stop: StopRule,
+                 mode: GenerationMode = GenerationMode.MONOTONE):
+        start = IntegerPair(*start)
+        if not isinstance(stop, (StepCount, WhilePositive)):
             raise PreconditionError("stop must be a StepCount or WhilePositive rule")
+        self._set(start, bank, stop, mode)
 
 
 class TraceRecord(NamedTuple):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -26,6 +25,7 @@ from .core import (
     RegisterOverflowError,
     StepCount,
     WhilePositive,
+    _Frozen,
     _run,
 )
 from .calculus import IntegerScale
@@ -152,20 +152,16 @@ def preset_config(preset: str, **params) -> GeneratorConfig:
     return builder(**params)
 
 
-@dataclass(frozen=True)
-class PiResult:
+class PiResult(_Frozen):
     """Outcome of a quarter-wave run: the corner pair and its pi/2 bracket."""
 
-    i_quarter: int
-    j_quarter: int
-    lower: Fraction
-    upper: Fraction
-    step_count: int
-    elapsed: float
+    __slots__ = ("i_quarter", "j_quarter", "lower", "upper", "step_count", "elapsed")
 
-    def __post_init__(self):
-        if not (0 < self.lower < self.upper):
+    def __init__(self, i_quarter: int, j_quarter: int, lower: Fraction, upper: Fraction,
+                 step_count: int, elapsed: float):
+        if not (0 < lower < upper):
             raise PreconditionError("bounds must be positive with lower < upper")
+        self._set(i_quarter, j_quarter, lower, upper, step_count, elapsed)
 
 
 def pi_bounds(x0: int) -> PiResult:
@@ -244,8 +240,7 @@ def _decimal_string(mantissa: int, power: int) -> str:
     return text.rstrip("0").rstrip(".")
 
 
-@dataclass(frozen=True)
-class RealSampleSeries:
+class RealSampleSeries(_Frozen):
     """Dense samples (x, y) of a curve segment, as exact rationals.
 
     Floats are rejected so that rounding noise cannot leak into the integer
@@ -253,11 +248,11 @@ class RealSampleSeries:
     really is the intended sample.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
         converted = []
-        for x, y in self.points:
+        for x, y in points:
             if type(x) is not Fraction or type(y) is not Fraction:
                 if isinstance(x, float) or isinstance(y, float):
                     raise PreconditionError(
@@ -270,7 +265,7 @@ class RealSampleSeries:
         if not all(map(operator.gt, map(operator.mul, nums[1:], dens),
                        map(operator.mul, nums, dens[1:]))):
             raise PreconditionError("sample x values must be strictly increasing")
-        object.__setattr__(self, "points", tuple(converted))
+        self._set(tuple(converted))
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "RealSampleSeries":

@@ -311,11 +311,11 @@ def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, l
     return GenerationTrace.from_columns(codes, i, j, ()).path, registers
 
 
-def _raise_first_defect(rows, lineno: int, k: int, last) -> None:
-    """Check ``rows`` one at a time, numbered from ``lineno`` and expected to
-    start at step index ``k`` from position ``last``; raise for the first
-    malformed one."""
-    for lineno, row in enumerate(rows, start=lineno):
+def _raise_first_defect(numbered_rows, k: int, last) -> None:
+    """Check ``(lineno, row)`` pairs one at a time, expected to start at step
+    index ``k`` from position ``last``; raise for the first malformed row,
+    naming the line it starts on."""
+    for lineno, row in numbered_rows:
         if not row:
             continue
         try:
@@ -343,32 +343,38 @@ def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
     csv.reader: the reference reader, which takes any input.
 
     Each chunk is checked column by column; only a chunk that fails is
-    rescanned row by row, so the error names the first bad line.  A line the
-    CSV reader refuses (a cell over its field size limit) is named too, once
-    the rows before it have passed.
+    rescanned row by row, so the error names the first bad row by the line it
+    starts on (a quoted cell can span lines).  A line the CSV reader refuses
+    (a cell over its field size limit) is named too, once the rows before it
+    have passed.
     """
     reader = csv.reader(lines)
     first = chunks.lineno
     refused = []
 
-    def rows():
+    def numbered_rows():
+        # reader.line_num counts the lines read so far, up to the end of the
+        # row just read; the next row starts on the line after that.
+        lineno = first
         try:
-            yield from reader
+            for row in reader:
+                yield lineno, row
+                lineno = first + reader.line_num
         except csv.Error as exc:
             refused.append(ParseError(f"line {first - 1 + reader.line_num}: {exc}"))
 
-    rows = rows()
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
+    numbered = numbered_rows()
+    while chunk := list(islice(numbered, _CHUNK_ROWS)):
         k, last = chunks.where()
-        if nonblank := [row for row in chunk if row]:
+        if nonblank := [row for _, row in chunk if row]:
             try:
                 chunks.add(*_parse_rows(nonblank, k, last))
             except IntegerFunctionError:
                 # The rescan raises for the first bad row; the chunk's own
                 # error is only a fallback.
-                _raise_first_defect(chunk, chunks.lineno, k, last)
+                _raise_first_defect(chunk, k, last)
                 raise
-        chunks.lineno += len(chunk)
+        chunks.lineno = first + reader.line_num
     if refused:
         raise refused[0]
     return chunks.trace()

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
-from .core import IntegerFunction, PreconditionError
+from .core import IntegerFunction, PreconditionError, _Frozen
 
 #: Largest viewport area, in cells, that ASCII and PBM output will fill.
 #: Their size grows with the area; SVG grows with the occupied cells and has
@@ -13,24 +12,21 @@ from .core import IntegerFunction, PreconditionError
 MAX_GRID_CELLS = 10**8
 
 # What XML 1.0 forbids: C0 controls but tab, LF and CR; lone surrogates; U+FFFE, U+FFFF.
-_XML_INVALID = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+# A pattern string: re compiles it on the first label check and caches it.
+_XML_INVALID = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-@dataclass(frozen=True)
-class Viewport:
+class Viewport(_Frozen):
     """Inclusive cell bounds; cells outside are clipped, not errors."""
 
-    i_min: int
-    i_max: int
-    j_min: int
-    j_max: int
-    cell_px: int = 16
+    __slots__ = ("i_min", "i_max", "j_min", "j_max", "cell_px")
 
-    def __post_init__(self):
-        if self.i_min > self.i_max or self.j_min > self.j_max:
+    def __init__(self, i_min: int, i_max: int, j_min: int, j_max: int, cell_px: int = 16):
+        if i_min > i_max or j_min > j_max:
             raise PreconditionError("viewport bounds must satisfy min <= max")
-        if self.cell_px < 1:
+        if cell_px < 1:
             raise PreconditionError("cell_px must be a positive integer")
+        self._set(i_min, i_max, j_min, j_max, cell_px)
 
     @classmethod
     def around(cls, f: IntegerFunction, cell_px: int = 16) -> "Viewport":
@@ -111,7 +107,7 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
     > escaped in the label.  A label holding a character that XML 1.0 does
     not allow raises PreconditionError.
     """
-    if scale_label and (bad := _XML_INVALID.search(scale_label)):
+    if scale_label and (bad := re.search(_XML_INVALID, scale_label)):
         raise PreconditionError(f"scale label holds {bad.group()!r}, which XML 1.0 does not allow")
     px = viewport.cell_px
     width = viewport.columns * px

@@ -1,10 +1,15 @@
 import csv
 import io
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import intfunc
 from intfunc import (
     ALL_REGISTERS,
     Axis,
@@ -576,3 +581,24 @@ class TestGridLimit:
                                "--viewport", "0:100000:0:999", capsys=capsys)
         assert code == 0
         assert out.count("<rect") == 3
+
+
+# What importing the package must not load: dataclasses and the modules it
+# brings (inspect, ast, dis, tokenize) cost start-up time on every command.
+START_UP_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def _modules_after(statement, tmp_path):
+    src = str(Path(intfunc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", f"{statement}import sys; print(*sys.modules)"],
+                            env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    return set(result.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["intfunc.cli", "intfunc"])
+def test_import_leaves_dataclasses_out(module, tmp_path):
+    # A fresh interpreter: pytest itself has loaded dataclasses in this one.
+    added = _modules_after(f"import {module}; ", tmp_path) - _modules_after("", tmp_path)
+    assert module in added
+    assert not added & START_UP_EXCLUDED

@@ -213,6 +213,16 @@ def test_refused_line_waits_for_an_earlier_bad_row():
             reader(io.StringIO(text))
 
 
+def test_error_names_the_line_a_row_starts_on():
+    # Row 1's quoted RX cell spans lines 2 and 3, so row 2 starts on line 4.
+    lines = [HEADER, '1,i+,1,0,"1\n"' + ",0" * 15, _row(2, "up", 2, 0)]
+    text = "\n".join(lines) + "\n"
+    assert text.count("\n") == 4
+    for reader in (read_trace, _read_trace_csv):
+        with pytest.raises(ParseError, match=r"^line 4: invalid step token 'up'"):
+            reader(io.StringIO(text))
+
+
 # One trace per preset, with negative constant registers among them, and a
 # bare path with its all-zero bank.
 _PRESET_CONFIGS = {

@@ -1,0 +1,251 @@
+"""The nine frozen value classes: repr text, equality, hashing, immutability,
+copying, construction and validation messages."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from intfunc import (
+    GenerationMode,
+    GeneratorConfig,
+    IntegerPair,
+    IntegerScale,
+    PiResult,
+    PreconditionError,
+    RealSampleSeries,
+    RegisterBank,
+    RegisterOverflowError,
+    ScaledDifference,
+    StepCount,
+    Viewport,
+    WhilePositive,
+)
+from intfunc.curves import egg_figure_config, harmonic_config
+
+REGISTERS = ("RX", "RY", "X", "Y", "XX", "XY", "YX", "YY",
+             "XXX", "XXY", "XYX", "XYY", "YXX", "YXY", "YYX", "YYY")
+
+# One instance of each class, built twice (equal), and one that differs.
+CASES = {
+    "RegisterBank": (lambda: RegisterBank(RX=1, YYY=-2), RegisterBank(RX=1, YYY=-3)),
+    "StepCount": (lambda: StepCount(3), StepCount(4)),
+    "WhilePositive": (lambda: WhilePositive("X", 10), WhilePositive("Y", 10)),
+    "GeneratorConfig": (lambda: harmonic_config(10**4), harmonic_config(10**5)),
+    "PiResult": (lambda: PiResult(1, 2, Fraction(1, 2), Fraction(3, 2), 3, 0.5),
+                 PiResult(1, 2, Fraction(1, 2), Fraction(3, 2), 3, 0.25)),
+    "RealSampleSeries": (lambda: RealSampleSeries(((0, 1), (Fraction(1, 2), 2))),
+                         RealSampleSeries(((0, 1), (Fraction(1, 3), 2)))),
+    "IntegerScale": (lambda: IntegerScale(Fraction(1, 3)), IntegerScale(Fraction(1, 4))),
+    "ScaledDifference": (lambda: ScaledDifference(4), ScaledDifference(5)),
+    "Viewport": (lambda: Viewport(0, 1, 2, 3), Viewport(0, 1, 2, 3, cell_px=8)),
+}
+
+BANK_REPR = ("RegisterBank(RX=0, RY=0, X={X}, Y={Y}, XX={XX}, XY=0, YX=0, YY={YY}, "
+             "XXX=0, XXY={XXY}, XYX=0, XYY=0, YXX=0, YXY=0, YYX=0, YYY={YYY})")
+
+REPRS = {
+    "RegisterBank": ("RegisterBank(RX=1, RY=0, X=0, Y=0, XX=0, XY=0, YX=0, YY=0, XXX=0, "
+                     "XXY=0, XYX=0, XYY=0, YXX=0, YXY=0, YYX=0, YYY=-2)"),
+    "StepCount": "StepCount(count=3)",
+    "WhilePositive": "WhilePositive(register='X', cap=10)",
+    "GeneratorConfig": (
+        "GeneratorConfig(start=IntegerPair(i=0, j=0), bank="
+        + BANK_REPR.format(X=10000, Y=10000, XX=-1, YY=0, XXY=-1, YYY=0)
+        + ", stop=WhilePositive(register='X', cap=416), "
+        "mode=<GenerationMode.MONOTONE: 'MONOTONE'>)"),
+    "PiResult": ("PiResult(i_quarter=1, j_quarter=2, lower=Fraction(1, 2), "
+                 "upper=Fraction(3, 2), step_count=3, elapsed=0.5)"),
+    "RealSampleSeries": ("RealSampleSeries(points=((Fraction(0, 1), Fraction(1, 1)), "
+                         "(Fraction(1, 2), Fraction(2, 1))))"),
+    "IntegerScale": "IntegerScale(unit=Fraction(1, 3))",
+    "ScaledDifference": "ScaledDifference(upper=4)",
+    "Viewport": "Viewport(i_min=0, i_max=1, j_min=2, j_max=3, cell_px=16)",
+}
+
+FIELDS = {
+    "RegisterBank": REGISTERS,
+    "StepCount": ("count",),
+    "WhilePositive": ("register", "cap"),
+    "GeneratorConfig": ("start", "bank", "stop", "mode"),
+    "PiResult": ("i_quarter", "j_quarter", "lower", "upper", "step_count", "elapsed"),
+    "RealSampleSeries": ("points",),
+    "IntegerScale": ("unit",),
+    "ScaledDifference": ("upper",),
+    "Viewport": ("i_min", "i_max", "j_min", "j_max", "cell_px"),
+}
+
+NAMES = sorted(CASES)
+
+
+def _fields(obj):
+    return tuple(getattr(obj, name) for name in FIELDS[type(obj).__name__])
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr(name):
+    assert repr(CASES[name][0]()) == REPRS[name]
+
+
+def test_repr_sign_harmonized_config():
+    assert repr(egg_figure_config()) == (
+        "GeneratorConfig(start=IntegerPair(i=25, j=60), bank="
+        + BANK_REPR.format(X=500000, Y=10, XX=-10000, YY=10000, XXY=0, YYY=-125)
+        + ", stop=StepCount(count=2000), "
+        "mode=<GenerationMode.SIGN_HARMONIZED: 'SIGN_HARMONIZED'>)")
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equality_and_hash(name):
+    make, other = CASES[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b) == hash(_fields(a))
+    assert a != other and not a == other
+    assert a != _fields(a)
+    assert a.__eq__(_fields(a)) is NotImplemented
+
+
+def test_classes_with_equal_fields_differ():
+    assert StepCount(3) != ScaledDifference(3)
+    assert ScaledDifference(3) != StepCount(3)
+    assert IntegerScale(Fraction(1, 2)) != RealSampleSeries(())
+    assert len({StepCount(3), ScaledDifference(3)}) == 2
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_frozen(name):
+    obj = CASES[name][0]()
+    before = repr(obj)
+    for field in FIELDS[name]:
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(obj, field, 0)
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.not_a_field = 0
+    assert repr(obj) == before
+
+
+@pytest.mark.parametrize("name", NAMES)
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                   lambda obj: pickle.loads(pickle.dumps(obj))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_copy_round_trip(name, clone):
+    obj = CASES[name][0]()
+    twin = clone(obj)
+    assert type(twin) is type(obj)
+    assert twin == obj and hash(twin) == hash(obj)
+    assert repr(twin) == repr(obj)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_match_args(name):
+    assert CASES[name][1].__match_args__ == FIELDS[name]
+
+
+class TestConstruction:
+    def test_register_bank(self):
+        values = tuple(range(16))
+        bank = RegisterBank(*values)
+        assert bank == RegisterBank(**dict(zip(REGISTERS, values)))
+        assert bank.as_dict() == dict(zip(REGISTERS, values))
+        assert RegisterBank() == RegisterBank(*[0] * 16)
+        assert RegisterBank.from_mapping({"XY": 5}) == RegisterBank(XY=5)
+        with pytest.raises(TypeError):
+            RegisterBank(*range(17))
+        with pytest.raises(TypeError):
+            RegisterBank(Z=1)
+
+    def test_stop_rules(self):
+        assert StepCount(3) == StepCount(count=3)
+        assert WhilePositive("X", 9) == WhilePositive(register="X", cap=9)
+        assert WhilePositive("X", cap=9).cap == 9
+        with pytest.raises(TypeError):
+            StepCount()
+        with pytest.raises(TypeError):
+            WhilePositive("X")
+
+    def test_generator_config(self):
+        bank, stop = RegisterBank(X=1), StepCount(2)
+        config = GeneratorConfig((1, 2), bank, stop)
+        assert config == GeneratorConfig(start=IntegerPair(1, 2), bank=bank, stop=stop,
+                                         mode=GenerationMode.MONOTONE)
+        assert type(config.start) is IntegerPair and config.start == (1, 2)
+        assert config.mode is GenerationMode.MONOTONE
+        harmonized = GeneratorConfig([1, 2], bank, stop, GenerationMode.SIGN_HARMONIZED)
+        assert harmonized.mode is GenerationMode.SIGN_HARMONIZED
+        assert type(harmonized.start) is IntegerPair
+
+    def test_pi_result(self):
+        args = (1, 2, Fraction(1, 2), Fraction(3, 2), 3, 0.5)
+        assert PiResult(*args) == PiResult(**dict(zip(FIELDS["PiResult"], args)))
+
+    def test_real_sample_series(self):
+        series = RealSampleSeries([(0, 1), (Fraction(1, 2), 2)])
+        assert series == RealSampleSeries(points=((Fraction(0), Fraction(1)),
+                                                  (Fraction(1, 2), Fraction(2))))
+        assert type(series.points) is tuple
+        assert all(type(v) is Fraction for point in series.points for v in point)
+        assert len(series) == 2 and len(RealSampleSeries(())) == 0
+
+    def test_integer_scale(self):
+        scale = IntegerScale(2)
+        assert type(scale.unit) is Fraction and scale == IntegerScale(unit=Fraction(2))
+        assert IntegerScale("1/3").unit == Fraction(1, 3)
+
+    def test_scaled_difference(self):
+        assert ScaledDifference(upper=4) == ScaledDifference(4)
+
+    def test_viewport(self):
+        assert Viewport(0, 1, 2, 3) == Viewport(i_min=0, i_max=1, j_min=2, j_max=3,
+                                                cell_px=16)
+        assert Viewport(0, 1, 2, 3, 8).cell_px == 8
+
+
+CAP = 2**63 - 1
+
+VALIDATION = [
+    (lambda: RegisterBank(X="1"), PreconditionError, "register X must be an integer, got str"),
+    (lambda: RegisterBank(RY=1.0), PreconditionError, "register RY must be an integer, got float"),
+    (lambda: RegisterBank(YY=CAP + 1, X="1"), PreconditionError,
+     "register X must be an integer, got str"),
+    (lambda: RegisterBank(YYY=-CAP - 1), RegisterOverflowError,
+     f"register overflow in initial value of YYY: {-CAP - 1}"),
+    (lambda: RegisterBank.from_mapping({"Q": 1, "A": 2}), PreconditionError,
+     "unknown register name(s): A, Q"),
+    (lambda: StepCount(0), PreconditionError, "step count must be a positive integer"),
+    (lambda: StepCount(2.0), PreconditionError, "step count must be a positive integer"),
+    (lambda: WhilePositive("Q", 5), PreconditionError, "unknown register name: Q"),
+    (lambda: WhilePositive("X", 0), PreconditionError, "cap must be a positive integer"),
+    (lambda: WhilePositive("Q", 0), PreconditionError, "unknown register name: Q"),
+    (lambda: GeneratorConfig((0, 0), RegisterBank(), 5), PreconditionError,
+     "stop must be a StepCount or WhilePositive rule"),
+    (lambda: PiResult(1, 2, Fraction(3, 2), Fraction(1, 2), 3, 0.5), PreconditionError,
+     "bounds must be positive with lower < upper"),
+    (lambda: PiResult(1, 2, Fraction(0), Fraction(1, 2), 3, 0.5), PreconditionError,
+     "bounds must be positive with lower < upper"),
+    (lambda: RealSampleSeries(((0, 0.5),)), PreconditionError,
+     "samples must be exact rationals; convert floats explicitly"),
+    (lambda: RealSampleSeries(((1, 0), (1, 1))), PreconditionError,
+     "sample x values must be strictly increasing"),
+    (lambda: IntegerScale(0.5), PreconditionError,
+     "scale unit must be exact; pass a Fraction, not a float"),
+    (lambda: IntegerScale(0), PreconditionError, "scale unit must be positive"),
+    (lambda: IntegerScale(Fraction(-1, 2)), PreconditionError, "scale unit must be positive"),
+    (lambda: Viewport(1, 0, 0, 0), PreconditionError, "viewport bounds must satisfy min <= max"),
+    (lambda: Viewport(0, 0, 1, 0), PreconditionError, "viewport bounds must satisfy min <= max"),
+    (lambda: Viewport(0, 0, 0, 0, cell_px=0), PreconditionError,
+     "cell_px must be a positive integer"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", VALIDATION,
+                         ids=[str(n) for n in range(len(VALIDATION))])
+def test_validation_message(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error
+    assert str(info.value) == message
