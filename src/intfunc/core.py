@@ -5,14 +5,22 @@ integer pairs in which consecutive pairs differ by exactly 1 in exactly one
 coordinate.  The generator drives such paths from a bank of 16 registers: two
 regulators (RX, RY) whose comparison picks the next step axis, and 14 ranked
 work registers that feed each other in a fixed cascade.
+
+choose_step and apply_step run one step on a RegisterBank; they are the
+readable reference.  Runs go through one step loop, generated as Python
+source per machine shape (the bank's zero pattern, the mode, the watched
+register, traced or not) with the live registers as locals, compiled once
+and cached: generate, curves.composite_generate and curves.pi_bounds all
+run it (see _compile_kernel).
 """
 
 from __future__ import annotations
 
 import enum
 from array import array
+from functools import lru_cache
 from itertools import accumulate, compress, count, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, not_
 from typing import Iterator, NamedTuple, Union
 
 #: Register values are kept inside +/- REGISTER_CAPACITY.  Arithmetic is exact
@@ -551,19 +559,23 @@ class GenerationTrace:
         return f"GenerationTrace(steps={len(self)})"
 
 
-def _constant_registers(bank: RegisterBank) -> set[str]:
-    """Work registers no cascade addition can change for this bank.
+def _constant_registers(zeros) -> set[str]:
+    """Work registers no cascade addition can change, given the set ``zeros``
+    of work registers that start at zero.
 
     A register is structurally constant when every higher-rank register that
     could feed it starts at zero and is itself constant; rank-3 registers are
     always constant.
     """
     def constant(name):
-        if len(name) == 3:
-            return True
-        return all(bank.value(f) == 0 and constant(f) for f in (name + "X", name + "Y"))
+        return len(name) == 3 or all(f in zeros and constant(f) for f in (name + "X", name + "Y"))
 
     return {name for name in WORK_REGISTERS if constant(name)}
+
+
+def _zero_registers(bank: RegisterBank) -> frozenset[str]:
+    """The bank's zero pattern: the work registers that start at zero."""
+    return frozenset(compress(WORK_REGISTERS, map(not_, bank._values[2:])))
 
 
 def implied_designation(bank: RegisterBank) -> frozenset[str]:
@@ -572,7 +584,8 @@ def implied_designation(bank: RegisterBank) -> frozenset[str]:
     The non-zero structurally constant registers form the IF's type
     designation (written {X, Y}, {XXY, Y}, ...).
     """
-    return frozenset(n for n in _constant_registers(bank) if bank.value(n) != 0)
+    zeros = _zero_registers(bank)
+    return frozenset(_constant_registers(zeros) - zeros)
 
 
 def designation_violations(designation, initial_bank: RegisterBank,
@@ -590,101 +603,174 @@ def designation_violations(designation, initial_bank: RegisterBank,
     return changed
 
 
-def _compile_side(bank: RegisterBank, axis: Axis, harmonized: bool, fixed: set[str]):
-    """One axis' step for the kernel: (pairs, rate, regulator, code).
+class _Kernel(_Frozen):
+    """A compiled step loop with the analysis of its shape.
 
-    ``pairs`` are the cascade's (source, target) register slots in firing
-    order, less those whose source is zero and structurally constant (in
-    ``fixed``): they would only ever add zero.  In sign-harmonized mode the
-    rank-1 pair is taken out of the full cascade as ``rate``, whose magnitude
-    the regulator gains and whose sign moves the coordinate; a dropped zero
-    rate leaves ``rate`` None, which moves the coordinate by +1 as in
-    monotone mode.  ``code`` is the step code of the + step.
+    ``sides`` holds, for the i and then the j axis, the live cascade pairs
+    ((source, target) names in firing order) and the sign-harmonized rate
+    register (None in monotone mode, or for a rate that is always zero);
+    ``recorded`` the slots a traced step snapshots; ``designation`` the
+    implied type designation.
     """
-    cascade = _CASCADES[axis.letter]
-    rate = None
-    if harmonized:
-        cascade, (rate_name, _) = cascade[:-1], cascade[-1]
-        if not (rate_name in fixed and bank.value(rate_name) == 0):
-            rate = _SLOT[rate_name]
-    pairs = tuple((_SLOT[source], _SLOT[target]) for source, target in cascade
-                  if not (source in fixed and bank.value(source) == 0))
-    return pairs, rate, _SLOT[axis.regulator], _CODE_OF_STEP[StepKind(axis, 1)]
 
+    __slots__ = ("run", "sides", "recorded", "designation")
 
-_BATCH_VALUES = 1 << 14
+    def __init__(self, run, sides, recorded, designation):
+        self._set(run, sides, recorded, designation)
 
 
 def _overflow(context: str, value: int) -> RegisterOverflowError:
     return RegisterOverflowError(f"register overflow in {context}: {value}")
 
 
+def _indent(lines, levels=1):
+    return ["    " * levels + line for line in lines]
+
+
+@lru_cache(maxsize=256)
+def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
+                    traced: bool) -> _Kernel:
+    """The step loop of one machine shape, generated as Python source.
+
+    The shape is the bank's zero pattern ``zeros`` (see _zero_registers),
+    the mode, the slot of the watched register (None under a step count)
+    and whether the run is traced; every bank of that shape shares the loop.
+
+    A work register that is structurally constant and starts at zero only
+    ever adds zero, so the cascade pairs it feeds are dropped.  In
+    sign-harmonized mode each axis' rank-1 pair is taken out of the cascade
+    as its rate: the regulator gains the rate's magnitude and the rate's sign
+    picks the step's direction; a dropped rate moves by +1 as in monotone
+    mode.
+
+    The source is written from register names and step codes alone, so no
+    value from a bank reaches ``exec``.  The registers are locals, unpacked
+    from the list ``regs`` and written back to it at the end.  A kernel runs
+    at most ``steps`` steps and stops after a step that leaves the watched
+    register non-positive.  That test is made only on the sides that can
+    change the register, so it is exact once the register is positive.
+
+    A traced kernel, ``run(regs, steps, code, snaps)``, checks RX - RY and
+    every addition against REGISTER_CAPACITY, raising apply_step's error
+    text.  Each step passes its code to ``code`` and extends the list
+    ``snaps`` with the ``recorded`` registers.  An untraced kernel,
+    ``run(regs, steps)``, keeps one combined regulator r = RX - RY, so it
+    can watch only a work register, and checks nothing, so its caller must
+    show that no register can overflow.  It writes back only the work
+    registers and returns the numbers of i and j steps taken.
+    """
+    constant = _constant_registers(zeros)
+    dead = constant & zeros
+    sides = []
+    for letter in "XY":
+        cascade, rate = _CASCADES[letter], None
+        if harmonized:
+            cascade, (rate, _) = cascade[:-1], cascade[-1]
+            rate = None if rate in dead else rate
+        sides.append((tuple(pair for pair in cascade if pair[0] not in dead), rate))
+    targets = {target for pairs, _ in sides for _, target in pairs}
+    recorded = (0, 1) + tuple(sorted(_SLOT[name] for name in targets - set(REGULATORS)))
+    cap = REGISTER_CAPACITY
+
+    def add(target, term, context):
+        if not traced:
+            if target in REGULATORS:
+                return [f"r {'+' if target == 'RX' else '-'}= {term}"]
+            return [f"{target} += {term}"]
+        return [f"{target} += {term}",
+                f"if not -{cap} <= {target} <= {cap}: raise _overflow({context!r}, {target})"]
+
+    def side(axis, pairs, rate):
+        plus, regulator = _CODE_OF_STEP[StepKind(axis, 1)], axis.regulator
+
+        def move(code):
+            return [f"code({code})"] if traced else [f"{axis.value} += 1"]
+
+        lines, changed = [], {target for _, target in pairs}
+        for source, target in pairs:
+            lines += add(target, source, f"{target} += {source}")
+        if rate is None:
+            lines += move(plus)
+        else:
+            changed.add(regulator)
+            context = f"{regulator} += |{rate}|"
+            lines += [f"if {rate} < 0:",
+                      *_indent(add(regulator, f"-{rate}", context) + move(plus + 2)),
+                      "else:",
+                      *_indent(add(regulator, rate, context) + move(plus))]
+        if traced:
+            lines.append(f"snaps += {', '.join(ALL_REGISTERS[s] for s in recorded)}")
+        if watched is not None and ALL_REGISTERS[watched] in changed:
+            lines += [f"if {ALL_REGISTERS[watched]} <= 0:", "    break"]
+        return lines
+
+    if traced:
+        head = ["def run(regs, steps, code, snaps):",
+                f"    {', '.join(ALL_REGISTERS)} = regs"]
+        step = ["d = RX - RY",
+                f"if not -{cap} <= d <= {cap}: raise _overflow('RX - RY', d)",
+                "if d > 0:"]
+        tail = [f"    regs[:] = {', '.join(ALL_REGISTERS)}"]
+    else:
+        head = ["def run(regs, steps):",
+                f"    {', '.join(ALL_REGISTERS)} = regs",
+                "    r = RX - RY",
+                "    i = j = 0"]
+        step = ["if r > 0:"]
+        tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}", "    return i, j"]
+    step += [*_indent(side(Axis.J, *sides[1])), "else:", *_indent(side(Axis.I, *sides[0]))]
+    # Two steps per pass halve the loop's own cost; an odd last step runs
+    # alone unless the stop test ended the loop.
+    source = "\n".join([*head, "    for _ in repeat(None, steps >> 1):", *_indent(step + step, 2),
+                        "    else:", "        for _ in repeat(None, steps & 1):",
+                        *_indent(step, 3), *tail])
+    namespace = {"_overflow": _overflow, "repeat": repeat}
+    exec(source, namespace)
+    return _Kernel(namespace["run"], tuple(sides), recorded, frozenset(constant - zeros))
+
+
+_BATCH_STEPS = 1 << 12
+
+
 def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     """The register machine: run ``config`` in its mode until its stop rule.
 
-    State is a flat list of the 16 register values.  Each step compares
-    RX - RY, runs the chosen axis' compiled cascade with every addition
-    checked against REGISTER_CAPACITY, and records the step code, the two
-    regulators and every register some live pair targets.  Positions follow
-    from the step codes once the run is over.
+    The traced kernel of the config's shape (see _compile_kernel; compiled
+    once per shape and cached) runs in batches of at most _BATCH_STEPS
+    steps, each batch's snapshots packed into one array('q'), so a long run
+    holds about 8 bytes per recorded value.  Positions follow from the step
+    codes once the run is over.  Then the registers of the implied type
+    designation are audited for constancy, and a predicate stop that used
+    up its cap raises CapExhaustedError.
     """
-    bank = config.bank
-    harmonized = config.mode is GenerationMode.SIGN_HARMONIZED
-    fixed = _constant_registers(bank)
-    i_side = _compile_side(bank, Axis.I, harmonized, fixed)
-    j_side = _compile_side(bank, Axis.J, harmonized, fixed)
-    # The regulators are always recorded, so a snapshot is never a bare int.
-    recorded = [0, 1] + sorted({target for side in (i_side, j_side)
-                                for _, target in side[0]} - {0, 1})
-    snapshot = itemgetter(*recorded)
-    if isinstance(config.stop, StepCount):
-        limit, watched = config.stop.count, None
-    else:
-        limit, watched = config.stop.cap, _SLOT[config.stop.register]
-    regs = [bank.value(name) for name in ALL_REGISTERS]
-    cap = REGISTER_CAPACITY
-    codes = bytearray()
-    # Snapshots gather as ints in ``pending`` and move to the packed ``flat``
-    # array in batches, so a long run holds about 8 bytes per recorded value.
-    flat = array("q")
-    pending = []
-    for _ in range(limit):
-        difference = regs[0] - regs[1]
-        if not -cap <= difference <= cap:
-            raise _overflow("RX - RY", difference)
-        pairs, rate, regulator, code = j_side if difference > 0 else i_side
-        for source, target in pairs:
-            value = regs[target] + regs[source]
-            if not -cap <= value <= cap:
-                raise _overflow(f"{ALL_REGISTERS[target]} += {ALL_REGISTERS[source]}", value)
-            regs[target] = value
-        if rate is not None:
-            value = regs[rate]
-            if value < 0:
-                value = -value
-                code += 2
-            value += regs[regulator]
-            if not -cap <= value <= cap:
-                raise _overflow(f"{ALL_REGISTERS[regulator]} += |{ALL_REGISTERS[rate]}|", value)
-            regs[regulator] = value
-        codes.append(code)
-        pending += snapshot(regs)
-        if len(pending) >= _BATCH_VALUES:
-            flat.fromlist(pending)
-            pending.clear()
+    bank, stop = config.bank, config.stop
+    watched = _SLOT[stop.register] if isinstance(stop, WhilePositive) else None
+    kernel = _compile_kernel(_zero_registers(bank),
+                             config.mode is GenerationMode.SIGN_HARMONIZED, watched, True)
+    limit = stop.count if watched is None else stop.cap
+    regs = list(bank._values)
+    codes, flat = bytearray(), array("q")
+    # The kernel makes the stop test only on steps that can change the
+    # watched register, which is exact while it is positive; a register that
+    # starts non-positive gets the first step run alone.
+    batch = 1 if watched is not None and regs[watched] <= 0 else _BATCH_STEPS
+    while len(codes) < limit:
+        snaps = []
+        kernel.run(regs, min(batch, limit - len(codes)), codes.append, snaps)
+        flat.fromlist(snaps)
         if watched is not None and regs[watched] <= 0:
             break
+        batch = _BATCH_STEPS
     else:
         if watched is not None:
             raise CapExhaustedError(
-                f"{config.stop.register} still positive after {limit} steps (cap exhausted)")
-    flat.fromlist(pending)
-    width = len(recorded)
-    columns = {slot: flat[n::width] for n, slot in enumerate(recorded)}
-    del flat, pending
+                f"{stop.register} still positive after {limit} steps (cap exhausted)")
+    width = len(kernel.recorded)
+    columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
+    del flat
     f = IntegerFunction.from_codes(config.start, codes)
     trace = GenerationTrace._wrap(f, [columns.get(slot, value) for slot, value in enumerate(regs)])
-    changed = designation_violations(implied_designation(bank), bank, trace)
+    changed = designation_violations(kernel.designation, bank, trace)
     if changed:
         raise InternalConsistencyError(
             f"type-designation registers changed during generation: {changed}")

@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .core import (
+    CapExhaustedError,
     GenerationMode,
     GenerationTrace,
     GeneratorConfig,
@@ -26,13 +27,15 @@ from .core import (
     StepCount,
     WhilePositive,
     _Frozen,
+    _SLOT,
+    _compile_kernel,
     _run,
+    _zero_registers,
 )
 from .calculus import IntegerScale
 
-#: The single-regulator quarter-wave run stays below 2**63 for seeds up to
-#: about 1e17 (|R| <= 2*seed plus a square-root-sized term); larger seeds
-#: would need wider registers, so they are rejected up front.
+#: The largest seed pi_bounds runs; its docstring shows why no register of
+#: that run can overflow.  Larger seeds are rejected up front.
 PI_SEED_LIMIT = 10**17
 
 
@@ -167,34 +170,34 @@ class PiResult(_Frozen):
 def pi_bounds(x0: int) -> PiResult:
     """Bracket pi/2 by running the quarter wave at seed ``x0``.
 
-    The {XXY, Y} machine runs with X = Y = x0, XX = XXY = -1 and a single
-    combined regulator (the difference RX - RY, which is all the step choice
-    ever looks at) until the X register stops being positive.  The element
-    [i, j] reached on that step spans the quarter period, and the unit
-    squares at the two ends give the exact rational bounds
-    (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
+    The untraced kernel runs harmonic_config(x0): the {XXY, Y} machine with
+    X = Y = x0 and XX = XXY = -1, under its step cap, until the X register
+    stops being positive.  It keeps one combined regulator r = RX - RY,
+    which is all the step choice ever looks at.  The element [i, j] reached
+    on that step spans the quarter period, and the unit squares at the two
+    ends give the exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
+    ``elapsed`` times the run alone, not the kernel's compile.
+
+    The kernel checks no addition, because none can leave +/- 2**63 for
+    x0 <= PI_SEED_LIMIT.  XX = -1 - j, and j is at most the cap, about
+    4 sqrt(x0).  X falls from x0 by |XX| per i step and the run stops at its
+    first non-positive value, so XX < X <= x0.  r gains X only while r <= 0
+    and loses Y = x0 only while r > 0, so -x0 + XX < r <= x0.  Every value
+    is thus at most x0 plus a square-root-sized term, far below 2**63.
     """
     if not isinstance(x0, int) or x0 < 2:
         raise PreconditionError("x0 must be an integer >= 2")
     if x0 > PI_SEED_LIMIT:
         raise RegisterOverflowError(
             f"x0 = {x0} would push registers past 2**63; limit is {PI_SEED_LIMIT}")
+    config = harmonic_config(x0)
+    kernel = _compile_kernel(_zero_registers(config.bank), False, _SLOT["X"], False)
+    regs = list(config.bank._values)
     started = time.perf_counter()
-    x = y = x0
-    xx = -1
-    xxy = -1
-    r = 0
-    i = j = 0
-    while x > 0:
-        if r > 0:
-            xx += xxy
-            r -= y
-            j += 1
-        else:
-            x += xx
-            r += x
-            i += 1
+    i, j = kernel.run(regs, config.stop.cap)
     elapsed = time.perf_counter() - started
+    if regs[_SLOT["X"]] > 0:
+        raise CapExhaustedError(f"X still positive after {i + j} steps (cap exhausted)")
     return PiResult(
         i_quarter=i,
         j_quarter=j,

@@ -37,6 +37,26 @@ HAND_TRACE_SEED_100 = (
 )
 
 
+def quarter_wave(x0):
+    """(i, j, steps) of the quarter wave at seed x0, the reference for
+    pi_bounds: the {XXY, Y} machine's two live additions per axis written out
+    by hand, with one combined regulator r = RX - RY, until X is not positive.
+    """
+    x = y = x0
+    xx = xxy = -1
+    r = i = j = 0
+    while x > 0:
+        if r > 0:
+            xx += xxy
+            r -= y
+            j += 1
+        else:
+            x += xx
+            r += x
+            i += 1
+    return i, j, i + j
+
+
 def assert_lattice_path(f):
     """Neighbor invariant, checked directly on the element list."""
     assert len(f.elements) == f.length + 1

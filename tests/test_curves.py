@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from intfunc import (
     generate,
     implied_designation,
 )
+from intfunc import curves
 from intfunc.calculus import IntegerScale
 from intfunc.curves import (
     PI_SEED_LIMIT,
@@ -32,7 +34,7 @@ from intfunc.curves import (
     uniform_motion_config,
 )
 
-from helpers import HAND_TRACE_SEED_100, assert_lattice_path
+from helpers import HAND_TRACE_SEED_100, assert_lattice_path, quarter_wave
 
 
 class TestPresets:
@@ -133,6 +135,27 @@ class TestPiBounds:
         assert (result.i_quarter, result.j_quarter) == (304924, 194120)
         assert format_bound(result.lower, round_up=False) == "1.570788"
         assert format_bound(result.upper, round_up=True) == "1.570807"
+
+    def test_matches_the_hand_written_quarter_wave(self):
+        rng = random.Random(1965)
+        seeds = [*range(2, 3001), 10**4, 10**7, 10**12, 37_683_000_000,
+                 *(rng.randint(2, 10**9) for _ in range(200))]
+        for x0 in seeds:
+            result = pi_bounds(x0)
+            assert (result.i_quarter, result.j_quarter, result.step_count) \
+                == quarter_wave(x0), x0
+            # The kernel runs under harmonic_config's cap and never reaches it.
+            assert result.step_count < harmonic_config(x0).stop.cap, x0
+
+    def test_elapsed_leaves_out_the_kernel_compile(self, monkeypatch):
+        compile_kernel = curves._compile_kernel
+
+        def slow_compile(*shape):
+            time.sleep(0.05)
+            return compile_kernel(*shape)
+
+        monkeypatch.setattr(curves, "_compile_kernel", slow_compile)
+        assert pi_bounds(2).elapsed < 0.05
 
     def test_bad_seeds(self):
         with pytest.raises(PreconditionError):

@@ -2,14 +2,14 @@
 
 Monotone runs are checked against choose_step + apply_step, sign-harmonized
 runs against a step written out below; pruned cascades, overflow and cap
-errors must not change which step a run fails on.
+errors must not change which step a run fails on, or its error text.
 """
 
 import re
 from array import array
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intfunc import (
@@ -34,8 +34,8 @@ from intfunc import (
     pi_bounds,
 )
 from intfunc import core
-from intfunc.core import _run
-from intfunc.curves import harmonic_config
+from intfunc.core import REGULATORS, _checked, _run
+from intfunc.curves import harmonic_config, line_config
 
 CAP = REGISTER_CAPACITY
 
@@ -48,26 +48,20 @@ def _cascade(letter):
             if len(name) == rank and name.endswith(letter)]
 
 
-def _add_checked(values, target, amount):
-    values[target] += amount
-    if abs(values[target]) > CAP:
-        raise RegisterOverflowError(f"{target}: {values[target]}")
-
-
 def _harmonized_step(bank, axis):
     """One sign-harmonized step: the regulator gains |rate| and the
     coordinate moves by the rate's sign (+1 for a zero rate)."""
     values = bank.as_dict()
     *pairs, (rate_name, regulator) = _cascade(axis.letter)
     for source, target in pairs:
-        _add_checked(values, target, values[source])
+        values[target] = _checked(values[target] + values[source], f"{target} += {source}")
     rate = values[rate_name]
-    _add_checked(values, regulator, abs(rate))
+    values[regulator] = _checked(values[regulator] + abs(rate), f"{regulator} += |{rate_name}|")
     return RegisterBank(**values), 1 if rate >= 0 else -1
 
 
 def _reference(config):
-    """(records, error class or None) of a step-by-step run."""
+    """(records, the error or None) of a step-by-step run."""
     bank, (i, j) = config.bank, config.start
     harmonized = config.mode is GenerationMode.SIGN_HARMONIZED
     if isinstance(config.stop, StepCount):
@@ -87,9 +81,12 @@ def _reference(config):
             records.append(TraceRecord(k, StepKind(axis, sign), i, j, bank))
             if watched is not None and bank.value(watched) <= 0:
                 return records, None
-    except RegisterOverflowError:
-        return records, RegisterOverflowError
-    return records, CapExhaustedError if watched else None
+    except RegisterOverflowError as error:
+        return records, error
+    if watched is None:
+        return records, None
+    return records, CapExhaustedError(
+        f"{watched} still positive after {limit} steps (cap exhausted)")
 
 
 def _assert_same_run(trace, records):
@@ -131,7 +128,7 @@ def test_kernel_matches_single_step_reference(config):
         assert f.steps == tuple(r.step for r in records)
         assert f.elements[1:] == tuple((r.i, r.j) for r in records)
         return
-    with pytest.raises(error):
+    with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
         _run(config)
     # The error comes on the step after the last reference record: the same
     # machine stopped one step earlier runs clean and agrees.
@@ -139,6 +136,39 @@ def test_kernel_matches_single_step_reference(config):
         prefix = GeneratorConfig(start=config.start, bank=config.bank,
                                  stop=StepCount(len(records)), mode=config.mode)
         _assert_same_run(_run(prefix)[1], records)
+
+
+@pytest.mark.parametrize("bank, steps", [
+    # X starts at 0 and the first step is a j step, which cannot change it.
+    (RegisterBank(RX=1, XX=1, Y=1), 1),
+    # X starts negative, the first step (i) makes it positive, step 6 ends it.
+    (RegisterBank(X=-1, XX=3, XXY=-2, Y=1), 6),
+])
+def test_watched_register_that_starts_non_positive(bank, steps):
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive("X", 8))
+    records, error = _reference(config)
+    assert len(records) == steps and error is None
+    _assert_same_run(_run(config)[1], records)
+
+
+_MONOTONE, _HARMONIZED = GenerationMode
+
+
+@pytest.mark.parametrize("mode, bank, register, steps, axis", [
+    # A sign-harmonized regulator never falls, so those two are monotone only.
+    (_MONOTONE, RegisterBank(RX=1, RY=5, X=-2, Y=1), "RX", 1, Axis.I),
+    (_MONOTONE, RegisterBank(RX=5, RY=3, Y=-2), "RY", 2, Axis.J),
+    (_MONOTONE, RegisterBank(X=3, XX=-2, Y=4), "X", 3, Axis.I),
+    (_HARMONIZED, RegisterBank(X=3, XX=-2, Y=4), "X", 3, Axis.I),
+    (_MONOTONE, RegisterBank(X=5, Y=5, XX=2, XXY=-1), "XX", 3, Axis.J),
+    (_HARMONIZED, RegisterBank(X=5, Y=5, XX=2, XXY=-1), "XX", 3, Axis.J),
+])
+def test_stop_rule_fires_on_either_side(mode, bank, register, steps, axis):
+    # The stop test sits only on the side that changes the watched register.
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive(register, 9), mode=mode)
+    records, error = _reference(config)
+    assert (len(records), records[-1].step.axis, error) == (steps, axis, None)
+    _assert_same_run(_run(config)[1], records)
 
 
 @pytest.mark.parametrize("mode", list(GenerationMode))
@@ -170,22 +200,111 @@ def test_fed_negative_rate_moves_minus_when_harmonized():
 def test_overflow_at_the_reference_step(mode, bank, context):
     config = GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(3), mode=mode)
     records, error = _reference(config)
-    assert error is RegisterOverflowError and len(records) == 1
+    assert type(error) is RegisterOverflowError and len(records) == 1
     with pytest.raises(RegisterOverflowError, match=re.escape(context)):
         _run(config)
+
+
+def _overflow_cases():
+    """(mode, bank, step, message): a bank that overflows at one addition.
+
+    Each cascade pair gets its target at capacity and its source at 1; the
+    rank-1 pair of each axis, whose target is a regulator, instead starts
+    the regulators at capacity and the rate at 2 (-2 when sign-harmonized,
+    where it is the |rate| addition).  Ties pick i steps, RX > RY j steps.
+    """
+    cases = []
+    for mode in GenerationMode:
+        harmonized = mode is GenerationMode.SIGN_HARMONIZED
+        cases.append((mode, RegisterBank(RX=CAP, RY=-CAP), 1, f"RX - RY: {2 * CAP}"))
+        for letter in "XY":
+            for source, target in _cascade(letter):
+                if target in REGULATORS:
+                    values = {"RX": CAP, "RY": CAP - (letter == "Y"),
+                              source: -2 if harmonized else 2}
+                    context = f"{target} += |{source}|" if harmonized else f"{target} += {source}"
+                    value = CAP + 2 - (letter == "Y")
+                else:
+                    values = {"RX": int(letter == "Y"), target: CAP, source: 1}
+                    context, value = f"{target} += {source}", CAP + 1
+                cases.append((mode, RegisterBank(**values), 1, f"{context}: {value}"))
+        # Second steps: the first one brings the target up to capacity.
+        cases.append((mode, RegisterBank(RX=1, XX=CAP - 1, XXY=1), 2, f"XX += XXY: {CAP + 1}"))
+        rate = f"|Y|: {CAP + 1}" if harmonized else f"Y: {CAP + 1}"
+        cases.append((mode, RegisterBank(RX=CAP, RY=CAP - 3, Y=-2 if harmonized else 2), 2,
+                      f"RY += {rate}"))
+    return [pytest.param(mode, bank, step, "register overflow in " + message,
+                         id=f"{mode.name}-step{step}-{message.split(':')[0]}")
+            for mode, bank, step, message in cases]
+
+
+@pytest.mark.parametrize("mode, bank, step, message", _overflow_cases())
+def test_overflow_text_per_addition(mode, bank, step, message):
+    # Every checked addition of the kernel, each pinned to the reference's
+    # text and step: the run of step - 1 steps is clean, the next one raises.
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(3), mode=mode)
+    records, error = _reference(config)
+    assert (len(records) + 1, type(error), str(error)) == (step, RegisterOverflowError, message)
+    if step > 1:
+        _run(GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(step - 1), mode=mode))
+    with pytest.raises(RegisterOverflowError) as info:
+        _run(GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(step), mode=mode))
+    assert str(info.value) == message
+
+
+def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5)):
+    """The kernel a traced run of this bank, mode and stop rule uses."""
+    watched = ALL_REGISTERS.index(stop.register) if isinstance(stop, WhilePositive) else None
+    return core._compile_kernel(core._zero_registers(bank),
+                                mode is GenerationMode.SIGN_HARMONIZED, watched, True)
+
+
+def test_kernels_are_compiled_once_per_shape():
+    core._compile_kernel.cache_clear()
+    first = dict(X=3, Y=5, XX=-1)
+    generate(GeneratorConfig(start=(0, 0), bank=RegisterBank(**first), stop=StepCount(5)))
+    assert core._compile_kernel.cache_info().misses == 1
+    # Other non-zero values, regulators and step counts: the same kernel.
+    generate(GeneratorConfig(start=(4, 4), bank=RegisterBank(X=-7, Y=90, XX=2, RX=9),
+                             stop=StepCount(8)))
+    assert core._compile_kernel.cache_info().misses == 1
+    kernel = _kernel_of(RegisterBank(**first))
+    assert _kernel_of(RegisterBank(X=1, Y=1, XX=1, RY=-3), stop=StepCount(40)) is kernel
+    # A new zero pattern, mode or stop register compiles another.
+    assert _kernel_of(RegisterBank(X=3, Y=5)) is not kernel
+    assert _kernel_of(RegisterBank(X=3, Y=5, XX=-1, XXY=1)) is not kernel
+    assert _kernel_of(RegisterBank(**first), mode=GenerationMode.SIGN_HARMONIZED) is not kernel
+    assert _kernel_of(RegisterBank(**first), stop=WhilePositive("X", 5)) is not kernel
+    assert _kernel_of(RegisterBank(**first), stop=WhilePositive("XX", 5)) \
+        is not _kernel_of(RegisterBank(**first), stop=WhilePositive("X", 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.integers(1, 10**6), y=st.integers(1, 10**6), n=st.integers(1, 2000),
+       start=st.tuples(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6)))
+@example(x=1, y=1, n=7, start=(0, 0))
+@example(x=3, y=5, n=2000, start=(-40, 17))
+def test_line_machine_walks_bresenham(x, y, n, start):
+    # {X, Y}: after t steps x*i - y*j lies in (-y, x], which gives the line
+    # point i_t = (y*t + x) // (x + y), j_t = t - i_t (Bresenham 1965).
+    f, trace = generate(line_config(x, y, n, start=start))
+    a, b = start
+    steps_i = [(y * t + x) // (x + y) for t in range(n + 1)]
+    assert list(f.i) == [a + i for i in steps_i]
+    assert list(f.j) == [b + t - i for t, i in enumerate(steps_i)]
+    assert list(trace.column("RX")) == [x * i for i in steps_i[1:]]
 
 
 class TestHarmonicMachine:
     @pytest.mark.parametrize("mode", list(GenerationMode))
     def test_cascade_prunes_to_two_additions(self, mode):
-        bank = harmonic_config(100).bank
-        fixed = core._constant_registers(bank)
+        # The cached analysis of the harmonic shape, sides in i, j order.
+        kernel = _kernel_of(harmonic_config(100).bank, mode=mode)
         harmonized = mode is GenerationMode.SIGN_HARMONIZED
-        for axis, names in ((Axis.I, ["XX", "X"]), (Axis.J, ["XXY", "Y"])):
-            pairs, rate, _, _ = core._compile_side(bank, axis, harmonized, fixed)
-            sources = [ALL_REGISTERS[source] for source, _ in pairs]
+        for (pairs, rate), names in zip(kernel.sides, (["XX", "X"], ["XXY", "Y"])):
+            sources = [source for source, _ in pairs]
             if harmonized:
-                sources.append(ALL_REGISTERS[rate])
+                sources.append(rate)
             assert sources == names
 
     def test_constant_registers_are_stored_once(self):
