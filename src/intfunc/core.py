@@ -9,9 +9,10 @@ work registers that feed each other in a fixed cascade.
 choose_step and apply_step run one step on a RegisterBank; they are the
 readable reference.  Runs go through one step loop, generated as Python
 source per machine shape (the bank's zero pattern, the mode, the watched
-register, traced or not) with the live registers as locals, compiled once
-and cached: generate, curves.composite_generate and curves.pi_bounds all
-run it (see _compile_kernel).
+register, traced or not, range-checked or not) with the live registers as
+locals, compiled when first needed and cached: generate,
+curves.composite_generate and curves.pi_bounds all run it (see
+_compile_kernel).
 """
 
 from __future__ import annotations
@@ -629,12 +630,12 @@ def _indent(lines, levels=1):
 
 @lru_cache(maxsize=256)
 def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
-                    traced: bool) -> _Kernel:
+                    traced: bool, checked: bool) -> _Kernel:
     """The step loop of one machine shape, generated as Python source.
 
     The shape is the bank's zero pattern ``zeros`` (see _zero_registers),
-    the mode, the slot of the watched register (None under a step count)
-    and whether the run is traced; every bank of that shape shares the loop.
+    the mode, the watched register's slot (None under a step count) and
+    whether the run is traced and checked; every bank of a shape shares it.
 
     A work register that is structurally constant and starts at zero only
     ever adds zero, so the cascade pairs it feeds are dropped.  In
@@ -650,14 +651,18 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     register non-positive.  That test is made only on the sides that can
     change the register, so it is exact once the register is positive.
 
-    A traced kernel, ``run(regs, steps, code, snaps)``, checks RX - RY and
-    every addition against REGISTER_CAPACITY, raising apply_step's error
-    text.  Each step passes its code to ``code`` and extends the list
-    ``snaps`` with the ``recorded`` registers.  An untraced kernel,
-    ``run(regs, steps)``, keeps one combined regulator r = RX - RY, so it
-    can watch only a work register, and checks nothing, so its caller must
-    show that no register can overflow.  It writes back only the work
-    registers and returns the numbers of i and j steps taken.
+    A traced kernel, ``run(regs, steps, code, snaps)``, passes each step's
+    code to ``code`` and extends the list ``snaps`` with the ``recorded``
+    registers.  Checked, it checks RX - RY and every addition against
+    REGISTER_CAPACITY, raising apply_step's error text; unchecked, its
+    caller must show that no register can overflow (see _batch_fits).  An
+    untraced kernel, ``run(regs, steps)``, checks nothing and keeps one
+    combined regulator r = RX - RY, so it can watch only a work register.
+    It writes back only the work registers and returns the numbers of i and
+    j steps: their sum is the pass index at the break (else ``steps``), and
+    one side's count is (target - its start) // source for a live pair whose
+    source is constant and whose target no other side feeds (for pi,
+    j = (XX - XX_0) // XXY); a shape with no such pair counts its j steps.
     """
     constant = _constant_registers(zeros)
     dead = constant & zeros
@@ -668,23 +673,26 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
             cascade, (rate, _) = cascade[:-1], cascade[-1]
             rate = None if rate in dead else rate
         sides.append((tuple(pair for pair in cascade if pair[0] not in dead), rate))
-    targets = {target for pairs, _ in sides for _, target in pairs}
-    recorded = (0, 1) + tuple(sorted(_SLOT[name] for name in targets - set(REGULATORS)))
+    fed = [{target for _, target in pairs} for pairs, _ in sides]
+    recorded = tuple(sorted({0, 1} | {_SLOT[name] for name in fed[0] | fed[1]}))
+    derived = [(axis, pair) for axis, (pairs, _) in zip(Axis, sides) for pair in pairs
+               if pair[0] in constant and pair[1] in (fed[0] ^ fed[1]) - set(REGULATORS)]
+    counter = None if traced or derived else Axis.J
     cap = REGISTER_CAPACITY
 
     def add(target, term, context):
-        if not traced:
-            if target in REGULATORS:
-                return [f"r {'+' if target == 'RX' else '-'}= {term}"]
+        if not traced and target in REGULATORS:
+            return [f"r {'+' if target == 'RX' else '-'}= {term}"]
+        if not checked:
             return [f"{target} += {term}"]
         return [f"{target} += {term}",
                 f"if not -{cap} <= {target} <= {cap}: raise _overflow({context!r}, {target})"]
 
-    def side(axis, pairs, rate):
+    def side(axis, pairs, rate, stop):
         plus, regulator = _CODE_OF_STEP[StepKind(axis, 1)], axis.regulator
 
         def move(code):
-            return [f"code({code})"] if traced else [f"{axis.value} += 1"]
+            return [f"code({code})"] if traced else ["j += 1"] if axis is counter else []
 
         lines, changed = [], {target for _, target in pairs}
         for source, target in pairs:
@@ -701,29 +709,40 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
         if traced:
             lines.append(f"snaps += {', '.join(ALL_REGISTERS[s] for s in recorded)}")
         if watched is not None and ALL_REGISTERS[watched] in changed:
-            lines += [f"if {ALL_REGISTERS[watched]} <= 0:", "    break"]
-        return lines
+            lines += [f"if {ALL_REGISTERS[watched]} <= 0:", *_indent(stop)]
+        return lines or ["pass"]
 
+    def step(stop):
+        if checked:
+            test = ["d = RX - RY",
+                    f"if not -{cap} <= d <= {cap}: raise _overflow('RX - RY', d)",
+                    "if d > 0:"]
+        else:
+            test = ["if RX > RY:" if traced else "if r > 0:"]
+        return [*test, *_indent(side(Axis.J, *sides[1], stop)),
+                "else:", *_indent(side(Axis.I, *sides[0], stop))]
+
+    unpack = f"    {', '.join(ALL_REGISTERS)} = regs"
     if traced:
-        head = ["def run(regs, steps, code, snaps):",
-                f"    {', '.join(ALL_REGISTERS)} = regs"]
-        step = ["d = RX - RY",
-                f"if not -{cap} <= d <= {cap}: raise _overflow('RX - RY', d)",
-                "if d > 0:"]
+        head = ["def run(regs, steps, code, snaps):", unpack,
+                "    for _ in repeat(None, steps >> 1):"]
+        body = step(["break"]) * 2
         tail = [f"    regs[:] = {', '.join(ALL_REGISTERS)}"]
     else:
-        head = ["def run(regs, steps):",
-                f"    {', '.join(ALL_REGISTERS)} = regs",
-                "    r = RX - RY",
-                "    i = j = 0"]
-        step = ["if r > 0:"]
-        tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}", "    return i, j"]
-    step += [*_indent(side(Axis.J, *sides[1])), "else:", *_indent(side(Axis.I, *sides[0]))]
+        axis, (feed, target) = derived[0] if derived else (Axis.J, (None, None))
+        head = ["def run(regs, steps):", unpack, "    r = RX - RY",
+                f"    base = {target}" if derived else "    j = 0",
+                "    for n in range(steps >> 1):"]
+        body = step(["total = 2 * n + 1", "break"]) + step(["total = 2 * n + 2", "break"])
+        tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}",
+                *([f"    {axis.value} = ({target} - base) // {feed}"] if derived else []),
+                "    return i, total - i" if axis is Axis.I else "    return total - j, j"]
     # Two steps per pass halve the loop's own cost; an odd last step runs
     # alone unless the stop test ended the loop.
-    source = "\n".join([*head, "    for _ in repeat(None, steps >> 1):", *_indent(step + step, 2),
-                        "    else:", "        for _ in repeat(None, steps & 1):",
-                        *_indent(step, 3), *tail])
+    source = "\n".join([*head, *_indent(body, 2), "    else:",
+                        *([] if traced else ["        total = steps"]),
+                        "        for _ in repeat(None, steps & 1):",
+                        *_indent(step(["break"]), 3), *tail])
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
     return _Kernel(namespace["run"], tuple(sides), recorded, frozenset(constant - zeros))
@@ -731,22 +750,41 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
 
 _BATCH_STEPS = 1 << 12
 
+# Each register below rank 3 with its two feeds, every register after its feeds.
+_FEEDS = tuple((_SLOT[name], _SLOT[name + "X"], _SLOT[name + "Y"])
+               for name in WORK_REGISTERS[5::-1]) + ((0, 2, 2), (1, 3, 3))
+
+
+def _batch_fits(regs: list[int], steps: int) -> bool:
+    """Whether ``steps`` steps from ``regs`` surely keep RX - RY and every
+    register within REGISTER_CAPACITY, in either mode.  A step adds a feed
+    (or a rate's magnitude) at most once to a register, so its bound is its
+    magnitude plus ``steps`` times the largest bound of its feeds; RX - RY
+    moves by one rate a step, so its bound is its magnitude plus ``steps``
+    times the larger rate bound."""
+    bound = list(map(abs, regs))
+    for target, a, b in _FEEDS:
+        bound[target] += steps * max(bound[a], bound[b])
+    gap = abs(regs[0] - regs[1]) + steps * max(bound[2], bound[3])
+    return max(gap, *bound) <= REGISTER_CAPACITY
+
 
 def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     """The register machine: run ``config`` in its mode until its stop rule.
 
-    The traced kernel of the config's shape (see _compile_kernel; compiled
-    once per shape and cached) runs in batches of at most _BATCH_STEPS
-    steps, each batch's snapshots packed into one array('q'), so a long run
-    holds about 8 bytes per recorded value.  Positions follow from the step
-    codes once the run is over.  Then the registers of the implied type
-    designation are audited for constancy, and a predicate stop that used
-    up its cap raises CapExhaustedError.
+    The traced kernels of the config's shape (see _compile_kernel; each is
+    compiled when first needed and cached) run in batches of at most
+    _BATCH_STEPS steps, each batch's snapshots packed into one array('q'),
+    so a long run holds about 8 bytes per recorded value.  A batch runs
+    unchecked when _batch_fits shows it cannot overflow, and checked
+    otherwise, so an overflow raises the same text at the same step.
+    Positions follow from the step codes once the run is over.  Then the
+    registers of the implied type designation are audited for constancy,
+    and a predicate stop that used up its cap raises CapExhaustedError.
     """
     bank, stop = config.bank, config.stop
     watched = _SLOT[stop.register] if isinstance(stop, WhilePositive) else None
-    kernel = _compile_kernel(_zero_registers(bank),
-                             config.mode is GenerationMode.SIGN_HARMONIZED, watched, True)
+    shape = (_zero_registers(bank), config.mode is GenerationMode.SIGN_HARMONIZED, watched, True)
     limit = stop.count if watched is None else stop.cap
     regs = list(bank._values)
     codes, flat = bytearray(), array("q")
@@ -755,8 +793,9 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     # starts non-positive gets the first step run alone.
     batch = 1 if watched is not None and regs[watched] <= 0 else _BATCH_STEPS
     while len(codes) < limit:
-        snaps = []
-        kernel.run(regs, min(batch, limit - len(codes)), codes.append, snaps)
+        snaps, steps = [], min(batch, limit - len(codes))
+        kernel = _compile_kernel(*shape, not _batch_fits(regs, steps))
+        kernel.run(regs, steps, codes.append, snaps)
         flat.fromlist(snaps)
         if watched is not None and regs[watched] <= 0:
             break

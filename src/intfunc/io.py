@@ -380,13 +380,6 @@ def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
     return chunks.trace()
 
 
-def _read_trace_csv(stream: IO[str]) -> GenerationTrace:
-    """read_trace through csv.reader alone, for comparison in tests."""
-    lines = iter(stream)
-    _read_header(lines)
-    return _read_csv_rows(lines, _Chunks())
-
-
 def read_trace(stream: IO[str]) -> GenerationTrace:
     """Parse a trace CSV into columns, a chunk of lines at a time.
 

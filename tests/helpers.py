@@ -1,6 +1,10 @@
 """Shared test utilities, kept independent of the package internals they check."""
 
+from itertools import accumulate, product
+from operator import add, mul
+
 from intfunc import Axis, I_PLUS, J_PLUS, StepKind
+from intfunc.io import _Chunks, _read_csv_rows, _read_header
 
 # Full hand-checkable run of the quarter wave at seed 100, worked out with
 # pencil and paper from the update rules: after each step, the position, the
@@ -100,3 +104,68 @@ def random_monotone_steps(rng, max_len=60):
 def random_steps(rng, max_len=60):
     kinds = [StepKind(axis, sign) for axis in (Axis.I, Axis.J) for sign in (1, -1)]
     return tuple(rng.choice(kinds) for _ in range(rng.randint(0, max_len)))
+
+
+def read_trace_csv(stream):
+    """read_trace through csv.reader alone, the reference for its split path."""
+    lines = iter(stream)
+    _read_header(lines)
+    return _read_csv_rows(lines, _Chunks())
+
+
+def iterated_sums(bank, codes, harmonized=False):
+    """Each register's value after every step of ``codes``, run from the
+    name -> value mapping ``bank``, and the codes the step rule picks from
+    those values, as (columns, picked codes).
+
+    Registers are discrete integrals over the path: a work register V gains
+    V+"X" on every i step and V+"Y" on every j step, RX gains X on every i
+    step and RY gains Y on every j step (their magnitudes when
+    ``harmonized``).  Higher ranks run first within a step, so each source
+    is counted after its own update, and each column is an accumulate of
+    masked columns one rank up.  A step is a j step exactly when RX - RY > 0
+    before it; when ``harmonized`` it moves backwards exactly when its
+    axis' rate (X or Y) is negative after it.  The picked codes equal
+    ``codes`` only if ``codes`` is the run of that bank.
+    """
+    on_j = [code & 1 for code in codes]
+    on_i = [1 - flag for flag in on_j]
+    columns = {}
+    for rank in (3, 2, 1):
+        for name in map("".join, product("XY", repeat=rank)):
+            if rank == 3:
+                gains = [0] * len(codes)
+            else:
+                gains = map(add, map(mul, on_i, columns[name + "X"]),
+                            map(mul, on_j, columns[name + "Y"]))
+            columns[name] = list(accumulate(gains, initial=bank[name]))[1:]
+    rate = abs if harmonized else int
+    for regulator, rate_name, mask in (("RX", "X", on_i), ("RY", "Y", on_j)):
+        gains = map(mul, mask, map(rate, columns[rate_name]))
+        columns[regulator] = list(accumulate(gains, initial=bank[regulator]))[1:]
+    before = zip([bank["RX"], *columns["RX"]], [bank["RY"], *columns["RY"]])
+    picked = [int(rx - ry > 0) for rx, ry in before][:len(codes)]
+    if harmonized:
+        rates = [columns["Y" if axis else "X"][t] for t, axis in enumerate(picked)]
+        picked = [axis + 2 * (value < 0) for axis, value in zip(picked, rates)]
+    return columns, bytes(picked)
+
+
+def machin_pi(digits=80):
+    """(low, high): integers with low < pi * 10**digits < high, from
+    Machin's formula pi/4 = 4 arctan(1/5) - arctan(1/239) in integer
+    arithmetic.  Ten guard digits absorb the floor of every term."""
+    guard = 10**10
+    scale = 10**digits * guard
+
+    def arctan_inverse(x):
+        # arctan(1/x) = sum over k of (-1)**k / ((2k + 1) x**(2k + 1)).
+        total, power, k = 0, scale // x, 0
+        while power:
+            total += (-1) ** k * (power // (2 * k + 1))
+            power //= x * x
+            k += 1
+        return total
+
+    pi = 4 * (4 * arctan_inverse(5) - arctan_inverse(239))
+    return (pi - guard) // guard, (pi + guard) // guard + 1

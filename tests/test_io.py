@@ -48,11 +48,12 @@ from intfunc.curves import (
 )
 from intfunc.io import (
     TRACE_COLUMNS,
-    _read_trace_csv,
     read_trace,
     trace_for_function,
     write_trace,
 )
+
+from helpers import read_trace_csv
 
 HEADER = ",".join(TRACE_COLUMNS)
 
@@ -208,7 +209,7 @@ def test_refused_line_waits_for_an_earlier_bad_row():
     lines[100] = _row(100, "up", 100, 0)
     lines[2000] = _row(2000, "i+", "2" * 200_000, 0)
     text = "\n".join(lines) + "\n"
-    for reader in (read_trace, _read_trace_csv):
+    for reader in (read_trace, read_trace_csv):
         with pytest.raises(ParseError, match=r"^line 101: invalid step token 'up'"):
             reader(io.StringIO(text))
 
@@ -218,7 +219,7 @@ def test_error_names_the_line_a_row_starts_on():
     lines = [HEADER, '1,i+,1,0,"1\n"' + ",0" * 15, _row(2, "up", 2, 0)]
     text = "\n".join(lines) + "\n"
     assert text.count("\n") == 4
-    for reader in (read_trace, _read_trace_csv):
+    for reader in (read_trace, read_trace_csv):
         with pytest.raises(ParseError, match=r"^line 4: invalid step token 'up'"):
             reader(io.StringIO(text))
 
@@ -385,4 +386,4 @@ def test_split_reader_matches_the_csv_reader(trace_files, pick, mutations, newli
     for row, kind, column in mutations:
         _MUTATIONS[kind](lines, (row - 1) % (len(lines) - 1) + 1, column)
     text = "".join(lines)
-    assert _outcome(read_trace, text, newline) == _outcome(_read_trace_csv, text, newline)
+    assert _outcome(read_trace, text, newline) == _outcome(read_trace_csv, text, newline)

@@ -7,6 +7,7 @@ errors must not change which step a run fails on, or its error text.
 
 import re
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -104,10 +105,11 @@ _EDGE = st.sampled_from([CAP, -CAP, CAP - 4, -CAP + 4, CAP // 2, -(CAP // 2)])
 
 
 @st.composite
-def configs(draw):
+def configs(draw, edges=_EDGE, min_edges=0):
     values = {name: draw(_SMALL) for name in ALL_REGISTERS}
-    for name in draw(st.lists(st.sampled_from(ALL_REGISTERS), max_size=2)):
-        values[name] = draw(_EDGE)
+    for name in draw(st.lists(st.sampled_from(ALL_REGISTERS), min_size=min_edges,
+                              max_size=max(min_edges, 2))):
+        values[name] = draw(edges)
     bank = RegisterBank(**values)
     mode = draw(st.sampled_from(list(GenerationMode)))
     if draw(st.booleans()):
@@ -121,6 +123,22 @@ def configs(draw):
 @settings(max_examples=400, deadline=None)
 @given(configs())
 def test_kernel_matches_single_step_reference(config):
+    _assert_matches_reference(config)
+
+
+# Within 2**12 of the cap, so that some batches fit the bound and others not.
+_NEAR_CAP = st.integers(0, 2**12 - 1).flatmap(lambda k: st.sampled_from([CAP - k, k - CAP]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(configs(_NEAR_CAP, min_edges=1), st.sampled_from([1, 2, 3, 8, 64]))
+def test_near_cap_banks_match_the_reference(config, batch):
+    # Short batches switch between the checked and unchecked kernels mid-run.
+    with mock.patch.object(core, "_BATCH_STEPS", batch):
+        _assert_matches_reference(config)
+
+
+def _assert_matches_reference(config):
     records, error = _reference(config)
     if error is None:
         f, trace = _run(config)
@@ -252,11 +270,126 @@ def test_overflow_text_per_addition(mode, bank, step, message):
     assert str(info.value) == message
 
 
-def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5)):
-    """The kernel a traced run of this bank, mode and stop rule uses."""
+_B = core._BATCH_STEPS
+
+
+@pytest.mark.parametrize("step, steps", [
+    (1, 5),                     # the first step of the first batch
+    (_B, _B + 5),               # the last step of a batch
+    (_B + 1, _B + 5),           # the first step of a batch
+    (_B + 1000, _B + 2000),     # mid-batch
+    (_B + 1000, _B + 1000),     # the last step of a run
+])
+@pytest.mark.parametrize("mode", list(GenerationMode))
+def test_overflow_at_batch_edges(mode, step, steps):
+    # Every step is an i step and RX moves one unit towards -CAP - 1
+    # (monotone: RX += X = -1 with RY = 0) or CAP + 1 (sign-harmonized:
+    # RX += |X| below RY = CAP), which it reaches on exactly step ``step``.
+    # Each batch before that fits the bound exactly and runs unchecked.
+    if mode is GenerationMode.MONOTONE:
+        sign, bank, context = -1, RegisterBank(RX=step - CAP - 1, X=-1), "RX += X"
+    else:
+        sign, bank, context = 1, RegisterBank(RX=CAP + 1 - step, RY=CAP, X=-1), "RX += |X|"
+    assert core._batch_fits(list(bank._values), step - 1)
+    assert not core._batch_fits(list(bank._values), step)
+
+    def run(count):
+        return _run(GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(count), mode=mode))
+
+    if step > 1:
+        f, trace = run(step - 1)
+        assert (trace.column("RX")[-1], f.i[-1]) == (sign * CAP, sign * (1 - step))
+    with pytest.raises(RegisterOverflowError) as info:
+        run(steps)
+    assert str(info.value) == f"register overflow in {context}: {sign * (CAP + 1)}"
+
+
+def _untraced_run(config):
+    """(i steps, j steps, work registers) after the untraced kernel runs
+    ``config``, which watches a work register that starts positive, or none."""
+    stop = config.stop
+    watched = ALL_REGISTERS.index(stop.register) if isinstance(stop, WhilePositive) else None
+    kernel = core._compile_kernel(core._zero_registers(config.bank),
+                                  config.mode is GenerationMode.SIGN_HARMONIZED,
+                                  watched, False, False)
+    regs = list(config.bank._values)
+    i, j = kernel.run(regs, stop.count if watched is None else stop.cap)
+    return i, j, regs[2:]
+
+
+def _traced_counts(config):
+    """The same from the traced run; a predicate run that uses up its cap
+    counts as the run of that many steps."""
+    try:
+        _, trace = _run(config)
+    except CapExhaustedError:
+        _, trace = _run(GeneratorConfig(start=config.start, bank=config.bank,
+                                        stop=StepCount(config.stop.cap), mode=config.mode))
+    j = sum(code & 1 for code in trace.codes)
+    return len(trace) - j, j, [trace.column(name)[-1] for name in WORK_REGISTERS]
+
+
+@st.composite
+def untraced_configs(draw):
+    values = {name: draw(_SMALL) for name in ALL_REGISTERS}
+    if draw(st.booleans()):
+        stop = StepCount(draw(st.integers(1, 60)))
+    else:
+        register = draw(st.sampled_from(WORK_REGISTERS))
+        values[register] = draw(st.integers(1, 30))
+        stop = WhilePositive(register, draw(st.integers(1, 60)))
+    return GeneratorConfig(start=(0, 0), bank=RegisterBank(**values), stop=stop,
+                           mode=draw(st.sampled_from(list(GenerationMode))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(untraced_configs())
+def test_untraced_kernel_matches_the_traced_run(config):
+    assert _untraced_run(config) == _traced_counts(config)
+
+
+# Shapes by the pair whose target gives the untraced kernel one side's count:
+# none ({X, Y}, where both feeds are regulators, and {XX, XY, Y}, where X is
+# fed on both sides), the j side ({XXY, Y}: XX = XX_0 + j XXY), the i side
+# ({XX, Y}: X = X_0 + i XX), either side ({XX, YY}).
+_SHAPES = {
+    "line": RegisterBank(X=3, Y=5),
+    "two-sided": RegisterBank(X=30, Y=7, XX=-1, XY=-1),
+    "sine": RegisterBank(X=40, Y=40, XX=-1, XXY=-1),
+    "parabola": RegisterBank(X=1, Y=9, XX=2),
+    "conic": RegisterBank(X=2, Y=1, XX=1, YY=3),
+}
+
+
+@pytest.mark.parametrize("mode", list(GenerationMode))
+@pytest.mark.parametrize("shape", list(_SHAPES))
+@pytest.mark.parametrize("steps", [1, 2, 7, 8])
+def test_untraced_counts_per_shape(shape, steps, mode):
+    config = GeneratorConfig(start=(0, 0), bank=_SHAPES[shape], stop=StepCount(steps), mode=mode)
+    assert _untraced_run(config) == _traced_counts(config)
+
+
+@pytest.mark.parametrize("shape", ["two-sided", "sine"])
+def test_untraced_stop_in_either_half_of_a_pass(shape):
+    # The kernel runs two steps per pass; X falls to zero after an odd or an
+    # even number of steps, in the first or the second step of a pass.
+    parities = set()
+    for x in range(1, 60):
+        bank = RegisterBank(**{**_SHAPES[shape].as_dict(), "X": x})
+        config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive("X", 999))
+        i, j, registers = _untraced_run(config)
+        assert (i, j, registers) == _traced_counts(config)
+        assert registers[0] <= 0
+        parities.add((i + j) % 2)
+    assert parities == {0, 1}
+
+
+def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), checked=False):
+    """The kernel a traced run of this bank, mode and stop rule uses for a
+    batch that runs checked or not."""
     watched = ALL_REGISTERS.index(stop.register) if isinstance(stop, WhilePositive) else None
     return core._compile_kernel(core._zero_registers(bank),
-                                mode is GenerationMode.SIGN_HARMONIZED, watched, True)
+                                mode is GenerationMode.SIGN_HARMONIZED, watched, True, checked)
 
 
 def test_kernels_are_compiled_once_per_shape():
@@ -268,6 +401,11 @@ def test_kernels_are_compiled_once_per_shape():
     generate(GeneratorConfig(start=(4, 4), bank=RegisterBank(X=-7, Y=90, XX=2, RX=9),
                              stop=StepCount(8)))
     assert core._compile_kernel.cache_info().misses == 1
+    # Both runs fit the bound, so no checked variant was compiled; a bank of
+    # the same shape near the cap needs one.
+    generate(GeneratorConfig(start=(0, 0), bank=RegisterBank(X=3, Y=5, XX=-1, RY=CAP),
+                             stop=StepCount(5)))
+    assert core._compile_kernel.cache_info().misses == 2
     kernel = _kernel_of(RegisterBank(**first))
     assert _kernel_of(RegisterBank(X=1, Y=1, XX=1, RY=-3), stop=StepCount(40)) is kernel
     # A new zero pattern, mode or stop register compiles another.
