@@ -10,46 +10,28 @@ violation (including stop-cap exhaustion and a trace whose path leaves
 
 from __future__ import annotations
 
+# core before argparse: compiling core, the largest module, sets a short
+# command's peak memory, and argparse already loaded would add to it.
+from .core import IntegerFunctionError, ParseError, RegisterOverflowError
+
 import argparse
 import sys
 from pathlib import Path
 
-from .core import (
-    Axis,
-    GenerationMode,
-    IntegerFunctionError,
-    ParseError,
-    RegisterOverflowError,
-    generate,
-)
-from .calculus import IntegerScale, _class_fields, difference_field
-from .curves import (
-    composite_generate,
-    digitize,
-    format_bound,
-    free_fall_config,
-    harmonic_config,
-    pi_bounds,
-    uniform_motion_config,
-)
-# config_from_items, parse_config_items, read_trace and write_trace are
-# imported too, for callers that still take them from this module.
-from .io import (
-    _parse_int,
-    config_from_items,
-    format_config,
-    function_from_trace,
-    parse_config_items,
-    parse_rational,
-    read_config,
-    read_samples_file,
-    read_trace,
-    read_trace_file,
-    trace_for_function,
-    write_trace,
-    write_trace_file,
-)
-from .render import Viewport, render_ascii, render_pbm, render_svg
+# Each command imports what it runs, so none compiles a module it does not use.
+# config_from_items, format_config, function_from_trace, parse_config_items,
+# read_trace and write_trace stay importable from here, for callers that still
+# take them from this module; they live in intfunc.io.
+_IO_NAMES = frozenset({"config_from_items", "format_config", "function_from_trace",
+                       "parse_config_items", "read_trace", "write_trace"})
+
+
+def __getattr__(name: str):
+    if name in _IO_NAMES:
+        from . import io
+        return getattr(io, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,10 +44,15 @@ EXIT_PRECONDITION = 5
 # Subcommands
 
 def _cmd_generate(args) -> int:
+    from .core import GenerationMode, generate
+    from .io import read_config, write_trace_file
+
     config = read_config(args.config, args.set or ())
     if config.mode is GenerationMode.MONOTONE:
         f, trace = generate(config)
     else:
+        from .curves import composite_generate
+
         f, trace = composite_generate(config)
     write_trace_file(trace, args.out)
     print(f"wrote {args.out}: {f.length} steps, end [{f.end.i}, {f.end.j}]")
@@ -73,6 +60,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_derive(args) -> int:
+    from .calculus import _class_fields, difference_field
+    from .core import Axis
+    from .io import function_from_trace, read_trace_file
+
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     axis = Axis(args.axis)
@@ -92,8 +83,14 @@ def _cmd_derive(args) -> int:
 
 
 def _cmd_pi(args) -> int:
+    from .curves import format_bound, pi_bounds
+
     result = pi_bounds(args.x0)
     if args.trace:
+        from .core import generate
+        from .curves import harmonic_config
+        from .io import write_trace_file
+
         # Trace first: if the two-regulator run overflows, nothing is printed
         # and no file is left behind.
         _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
@@ -108,6 +105,10 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_digitize(args) -> int:
+    from .calculus import IntegerScale
+    from .curves import digitize
+    from .io import parse_rational, read_samples_file, trace_for_function, write_trace_file
+
     samples = read_samples_file(args.samples)
     scale = IntegerScale(parse_rational(args.unit))
     f = digitize(samples, scale)
@@ -118,6 +119,9 @@ def _cmd_digitize(args) -> int:
 
 
 def _parse_viewport(text: str, cell_px: int) -> Viewport:
+    from .io import _parse_int
+    from .render import Viewport
+
     parts = text.split(":")
     if len(parts) != 4:
         raise ParseError("--viewport expects imin:imax:jmin:jmax")
@@ -129,6 +133,9 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
 
 
 def _cmd_render(args) -> int:
+    from .io import function_from_trace, read_trace_file
+    from .render import Viewport, render_ascii, render_pbm, render_svg
+
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     if args.viewport:
@@ -150,6 +157,9 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_mech(args) -> int:
+    from .curves import free_fall_config, harmonic_config, uniform_motion_config
+    from .io import format_config
+
     if args.kind == "uniform":
         config = uniform_motion_config(args.il, args.jl)
     elif args.kind == "freefall":

@@ -32,7 +32,6 @@ from .core import (
     _run,
     _zero_registers,
 )
-from .calculus import IntegerScale
 
 #: The largest seed pi_bounds runs; its docstring shows why no register of
 #: that run can overflow.  Larger seeds are rejected up front.

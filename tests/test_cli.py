@@ -588,12 +588,22 @@ class TestGridLimit:
 START_UP_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
 
 
-def _modules_after(statement, tmp_path):
+def _python(args, cwd):
+    """A fresh interpreter that imports the package from this checkout."""
     src = str(Path(intfunc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", f"{statement}import sys; print(*sys.modules)"],
-                            env=env, cwd=tmp_path, capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def _modules_after(statement, tmp_path):
+    result = _python(["-c", f"{statement}import sys; print(*sys.modules)"], tmp_path)
+    assert result.returncode == 0, result.stderr
     return set(result.stdout.split())
+
+
+# The package submodules each import loads: names load on first use.
+IMPORT_SUBMODULES = {"intfunc.cli": {"intfunc.cli", "intfunc.core"}, "intfunc": set()}
 
 
 @pytest.mark.parametrize("module", ["intfunc.cli", "intfunc"])
@@ -602,3 +612,63 @@ def test_import_leaves_dataclasses_out(module, tmp_path):
     added = _modules_after(f"import {module}; ", tmp_path) - _modules_after("", tmp_path)
     assert module in added
     assert not added & START_UP_EXCLUDED
+    assert {name for name in added if name.startswith("intfunc.")} == IMPORT_SUBMODULES[module]
+
+
+# What each command may load of the package, as an upper bound: a command
+# compiles only the modules it runs.
+COMMAND_MODULES = [
+    (["mech", "harmonic", "--x0", "100"], {"core", "curves", "io"}),
+    (["generate", "--config", "h.cfg", "--out", "g.csv"], {"core", "io"}),
+    (["generate", "--config", "sh.cfg", "--out", "g.csv"], {"core", "curves", "io"}),
+    (["derive", "--in", "h.csv", "--axis", "i", "--class", "2"], {"core", "io", "calculus"}),
+    (["derive", "--in", "h.csv", "--axis", "i", "--all"], {"core", "io", "calculus"}),
+    (["render", "--in", "h.csv", "--format", "ascii"], {"core", "io", "render"}),
+    (["render", "--in", "h.csv", "--format", "pbm"], {"core", "io", "render"}),
+    (["render", "--in", "h.csv", "--format", "svg", "--viewport", "0:5:0:5"],
+     {"core", "io", "render"}),
+    (["pi", "--x0", "10000"], {"core", "curves"}),
+    (["pi", "--x0", "10000", "--trace", "p.csv"], {"core", "curves", "io"}),
+    (["digitize", "--unit", "1/10", "--samples", "s.txt", "--out", "d.csv"],
+     {"core", "io", "curves", "calculus"}),
+]
+
+# Runs the command as `python -m intfunc.cli` does, then prints its exit code
+# and the intfunc submodules it loaded as the last line of stderr.
+_RUN_COMMAND = """\
+import runpy, sys
+try:
+    runpy.run_module("intfunc.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(m for m in sys.modules if m.startswith("intfunc.")), file=sys.stderr)
+"""
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("commands")
+    assert main(["mech", "harmonic", "--x0", "100", "--out", str(root / "h.cfg")]) == 0
+    assert main(["generate", "--config", str(root / "h.cfg"), "--out", str(root / "h.csv")]) == 0
+    (root / "sh.cfg").write_text(format_config(egg_figure_config()), encoding="utf-8")
+    (root / "s.txt").write_text("0,0\n1/10,0.04\n2/10,8/100\n", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("argv, allowed", COMMAND_MODULES,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
+def test_command_loads_only_what_it_runs(argv, allowed, command_inputs):
+    result = _python(["-c", _RUN_COMMAND, *argv], command_inputs)
+    code, *loaded = result.stderr.splitlines()[-1].split()
+    assert code == "0", result.stderr
+    assert "intfunc.cli" not in loaded  # it ran as __main__
+    assert set(loaded) <= {f"intfunc.{name}" for name in allowed}, loaded
+
+
+def test_run_as_module_writes_no_warning(tmp_path):
+    # runpy warns on stderr when `python -m intfunc.cli` finds intfunc.cli
+    # already imported, as it would be if the package imported it.
+    result = _python(["-m", "intfunc.cli", "pi", "--x0", "10000"], tmp_path)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert result.stdout.startswith("i=157 j=99 lower=1.56 upper=1.59596 steps=256 ")

@@ -71,12 +71,15 @@ def _one_line_error(capsys, code, argv):
 
 
 def test_import_leaves_argparse_out():
+    # Neither argparse nor what only samples files need: fractions, and
+    # curves with calculus.
     src = str(Path(intfunc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    probe = "import sys, intfunc.io; print('argparse' in sys.modules)"
+    left_out = ("argparse", "fractions", "intfunc.curves", "intfunc.calculus")
+    probe = f"import sys, intfunc.io; print(*(m in sys.modules for m in {left_out!r}))"
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False False False\n"
 
 
 class TestNotUtf8:
