@@ -17,6 +17,10 @@ from .core import IntegerFunctionError, ParseError, RegisterOverflowError
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .render import Viewport
 
 # Each command imports what it runs, so none compiles a module it does not use.
 # config_from_items, format_config, function_from_trace, parse_config_items,

@@ -13,7 +13,7 @@ import math
 import operator
 import time
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import (
     CapExhaustedError,
@@ -32,6 +32,9 @@ from .core import (
     _run,
     _zero_registers,
 )
+
+if TYPE_CHECKING:
+    from .calculus import IntegerScale
 
 #: The largest seed pi_bounds runs; its docstring shows why no register of
 #: that run can overflow.  Larger seeds are rejected up front.

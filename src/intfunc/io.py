@@ -13,11 +13,11 @@ columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
 bare integer functions (register columns all zero).  write_trace fills one
-row template per trace.  read_trace takes 4 096 lines at a time: a plain
-chunk (no quote, carriage return or NUL, exactly 19 commas on every line,
-no line over the CSV field size limit) is read by splitting strings, and the
-first other chunk and the rest of the file after it by csv.reader; both
-accept the same input and raise the same errors.
+row template per trace.  read_trace takes 4 096 lines at a time and has
+two tokenizers: a plain chunk (no quote, carriage return or NUL, exactly 19
+commas on every line, no line over the CSV field size limit) is split as
+strings, and csv.reader takes any other.  Both hand their cells to one row
+checker, so they accept the same input and raise the same errors.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).
@@ -33,7 +33,7 @@ import csv
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 from .core import (
     ALL_REGISTERS,
@@ -53,6 +53,11 @@ from .core import (
     StepCount,
     WhilePositive,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .curves import RealSampleSeries
 
 TRACE_COLUMNS = ("k", "step", "i", "j") + ALL_REGISTERS
 
@@ -210,7 +215,7 @@ def write_trace_file(trace: GenerationTrace, path: str) -> None:
         write_trace(trace, handle)
 
 
-def _parse_column(cells: list[str] | tuple[str, ...], name: str) -> array:
+def _parse_column(cells: list[str], name: str) -> array:
     """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
     A column whose cells all hold the same text is parsed once."""
     repeated = cells.count(cells[0]) == len(cells)
@@ -248,55 +253,39 @@ class _Chunks:
         return GenerationTrace._wrap(IntegerFunction._joined(self.paths), self.registers)
 
 
-def _split_rows(lines: list[str], k: int, last) -> tuple[IntegerFunction, list[array]] | None:
-    """The path and register columns of a chunk of lines whose first step
-    index should be ``k`` and whose path should start at ``last`` (anywhere
-    when None), read by splitting strings; None when the chunk is not plain
-    or breaks a row rule.
-
-    A chunk is plain when it holds no quote, carriage return or NUL and each
-    line has exactly 19 commas and fits the CSV field size limit: csv.reader
-    would read it as these same cells, so only the rules are left to check.
-    """
+def _split_cells(lines: list[str]) -> list[str]:
+    """The cells of a plain chunk of lines, row after row, split as strings.
+    Plain is no quote, carriage return or NUL, and on each line exactly 19
+    commas and no more than the CSV field size limit: csv.reader would read
+    such a chunk as the same cells.  Any other chunk is a ParseError."""
     text = "".join(lines)
     if ('"' in text or "\r" in text or "\0" in text
             or max(map(len, lines)) > csv.field_size_limit()
             or set(map(str.count, lines, repeat(","))) != {_WIDTH - 1}):
-        return None
-    n = len(lines)
+        raise ParseError("chunk is not plain")
     cells = text.replace("\n", ",").split(",")
-    del cells[n * _WIDTH:]  # the empty cell after a final newline
-    if cells[0::_WIDTH] != list(map(str, range(k, k + n))):
-        return None
+    del cells[len(lines) * _WIDTH:]  # the empty cell after a final newline
+    return cells
+
+
+def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list[array]]:
+    """The path and register columns of a chunk's cells, 20 per row, checked
+    by the row rules of both tokenizers: steps are numbered from ``k``, and
+    the first leaves ``last`` (None at the file's first row).  A rule is
+    checked over the whole chunk, so only a one-row chunk's error is exact."""
+    # k is a step index, not a register: it has no range, only an order.  Its
+    # text is parsed only when it is not the plain text of the expected index.
+    expected = range(k, k + len(cells) // _WIDTH)
+    if (cells[::_WIDTH] != list(map(str, expected))
+            and _parse_ints(cells[::_WIDTH], "k") != list(expected)):
+        raise ParseError(f"step index {cells[0]} out of order")
     try:
         codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1::_WIDTH]))
-        i, j, *registers = [_parse_column(cells[c::_WIDTH], name)
-                            for c, name in enumerate(TRACE_COLUMNS[2:], start=2)]
-        path = GenerationTrace.from_columns(codes, i, j, ()).path
-    except (KeyError, IntegerFunctionError):
-        return None
-    if last is not None and path.start != last:
-        return None
-    return path, registers
-
-
-def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list[array]]:
-    """The path and register columns of non-blank rows whose first step
-    index should be ``k`` and whose first step leaves position ``last``
-    (None for the first row of the file).  Each rule is checked over the
-    whole chunk, so an error is sure to describe the first bad row only for
-    a one-row chunk."""
-    if set(map(len, rows)) != {_WIDTH}:
-        raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
-    cells = list(zip(*rows))
-    # k is a step index, not a register: it has no range, only an order.
-    if _parse_ints(cells[0], "k") != list(range(k, k + len(rows))):
-        raise ParseError(f"step index {cells[0][0]} out of order")
-    if not _CODE_OF_TOKEN.keys() >= set(cells[1]):
-        raise ParseError(f"invalid step token {cells[1][0]!r} (expected i+, i-, j+ or j-)")
-    codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1]))
-    i, j, *registers = [_parse_column(column, name)
-                        for name, column in zip(TRACE_COLUMNS[2:], cells[2:])]
+    except KeyError:
+        raise ParseError(f"invalid step token {cells[1]!r} (expected i+, i-, j+ or j-)") from None
+    # Each column is sliced as it is parsed, while its cells are in cache.
+    i, j, *registers = [_parse_column(cells[c::_WIDTH], name)
+                        for c, name in enumerate(TRACE_COLUMNS[2:], start=2)]
     if last is not None:
         step = STEP_CODES[codes[0]]
         if (i[0], j[0]) != ((last[0] + step.sign, last[1]) if step.axis is Axis.I
@@ -307,6 +296,13 @@ def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, l
     # position does not follow from its step, or if the first row's start
     # (one step back) leaves +/- REGISTER_CAPACITY.
     return GenerationTrace.from_columns(codes, i, j, ()).path, registers
+
+
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list[array]]:
+    """_parse_cells of non-blank csv.reader rows, once each has 20 cells."""
+    if set(map(len, rows)) != {_WIDTH}:
+        raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
+    return _parse_cells(list(chain.from_iterable(rows)), k, last)
 
 
 def _raise_first_defect(numbered_rows, k: int, last) -> None:
@@ -337,8 +333,8 @@ def _read_header(lines) -> None:
 
 
 def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
-    """The rest of a trace, from line ``chunks.lineno`` on, read by
-    csv.reader: the reference reader, which takes any input.
+    """The rest of a trace, from line ``chunks.lineno`` on, tokenized by
+    csv.reader and checked by _parse_cells: the reference reader.
 
     Each chunk is checked column by column; only a chunk that fails is
     rescanned row by row, so the error names the first bad row by the line it
@@ -381,22 +377,25 @@ def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
 def read_trace(stream: IO[str]) -> GenerationTrace:
     """Parse a trace CSV into columns, a chunk of lines at a time.
 
-    A plain chunk (see _split_rows) is split into cells as strings and its
-    columns checked at once; the first chunk that is not plain or breaks a
-    rule, and the rest of the stream after it, go through csv.reader (see
-    _read_csv_rows), which accepts the same input and raises the same
-    errors.  The chunks' checked paths are joined without a second walk.
+    _split_cells tokenizes a plain chunk and _parse_cells checks it.  The
+    first chunk that is not plain or breaks a rule, and the rest of the
+    stream after it, go to _read_csv_rows, whose error names the first bad
+    line.  The chunks' checked paths are joined without a second walk.
     """
     lines = iter(stream)
     _read_header(lines)
     chunks = _Chunks()
     while chunk := list(islice(lines, _CHUNK_ROWS)):
-        split = _split_rows(chunk, *chunks.where())
-        if split is None:
-            return _read_csv_rows(chain(chunk, lines), chunks)
-        chunks.add(*split)
+        # No name holds a chunk's cells, and the csv path starts only once
+        # the handler has dropped the error, whose traceback holds them.
+        try:
+            chunks.add(*_parse_cells(_split_cells(chunk), *chunks.where()))
+        except IntegerFunctionError:
+            break
         chunks.lineno += len(chunk)
-    return chunks.trace()
+    else:
+        return chunks.trace()
+    return _read_csv_rows(chain(chunk, lines), chunks)
 
 
 def read_trace_file(path: str) -> GenerationTrace:

@@ -107,7 +107,8 @@ def random_steps(rng, max_len=60):
 
 
 def read_trace_csv(stream):
-    """read_trace through csv.reader alone, the reference for its split path."""
+    """read_trace with csv.reader as its only tokenizer: the reference for the
+    split tokenizer, whose cells go to the same row checker."""
     lines = iter(stream)
     _read_header(lines)
     return _read_csv_rows(lines, _Chunks())

@@ -279,6 +279,18 @@ def test_write_trace_is_what_csv_writer_writes(traces, monkeypatch):
         assert read_trace(io.StringIO(_text(trace))) == trace
 
 
+def test_split_reader_parses_a_step_index_it_does_not_spell(traces, monkeypatch):
+    # 05, +6 and " 7" are the step indices 5, 6 and 7 to both tokenizers'
+    # one row checker, so the split reader keeps them too.
+    lines = _text(traces[0]).splitlines(keepends=True)
+    for k, text in ((5, "05"), (6, "+6"), (7, " 7")):
+        lines[k] = text + lines[k][len(str(k)):]
+    text = "".join(lines)
+    expected = read_trace_csv(io.StringIO(text))
+    monkeypatch.setattr(intfunc.io, "_read_csv_rows", None)
+    assert read_trace(io.StringIO(text)) == expected == traces[0]
+
+
 # sha256 of the file `pi --x0 1000000 --trace` writes (2 569 rows), which
 # a change to the trace writer must keep.
 PI_1E6_TRACE_SHA256 = "56afc6da5af34db5f664b31f444b1d8e1763c29c6c51642582994e7941c5343d"

@@ -1,5 +1,8 @@
-"""The package namespace: every public name loads its module on first use."""
+"""The package namespace: every public name loads its module on first use,
+and every name an annotation reads is bound in its module."""
 
+import ast
+import builtins
 import importlib
 import os
 import subprocess
@@ -71,3 +74,60 @@ def test_loading_is_lazy():
         "True intfunc.core intfunc.curves intfunc.render",
         "intfunc.cli intfunc.core intfunc.curves intfunc.render",
     ]
+
+
+def _module_bindings(body):
+    """Names bound by module-level statements, inside if, try and with
+    blocks too (a TYPE_CHECKING block among them), but not inside defs."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(name.id for target in targets for name in ast.walk(target)
+                         if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+        for block in ("body", "orelse", "finalbody"):
+            names |= _module_bindings(getattr(node, block, []))
+        for handler in getattr(node, "handlers", []):
+            names |= _module_bindings(handler.body)
+    return names
+
+
+def _annotation_names(annotation):
+    """The names an annotation reads, those in string annotations too."""
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from _annotation_names(ast.parse(node.value, mode="eval"))
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            arguments = node.args
+            yield from (arg.annotation for arg in [
+                *arguments.posonlyargs, *arguments.args, *arguments.kwonlyargs,
+                arguments.vararg, arguments.kwarg] if arg is not None and arg.annotation)
+            if node.returns:
+                yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+@pytest.mark.parametrize("path", sorted(Path(intfunc.__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_annotation_names_resolve(path):
+    # Every module postpones its annotations, so nothing checks these names at
+    # import.  A type checker reads them in the module's namespace, where a
+    # name imported only inside a function is missing; an import under
+    # TYPE_CHECKING binds it there without loading its module at run time.
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = _module_bindings(tree.body) | set(dir(builtins))
+    unbound = {name for annotation in _annotations(tree)
+               for name in _annotation_names(annotation)} - bound
+    assert not unbound, f"{path.name}: annotation names not bound at module level: {unbound}"
