@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+from itertools import compress, repeat
+from operator import and_, sub
 
 from .core import IntegerFunction, PreconditionError, _Frozen
 
@@ -30,7 +32,10 @@ class Viewport(_Frozen):
 
     @classmethod
     def around(cls, f: IntegerFunction, cell_px: int = 16) -> "Viewport":
-        return cls(min(f.i), max(f.i), min(f.j), max(f.j), cell_px=cell_px)
+        i, j = f.i, f.j
+        if f.is_monotone():  # both columns climb: the end points bound the path
+            return cls(i[0], i[-1], j[0], j[-1], cell_px=cell_px)
+        return cls(min(i), max(i), min(j), max(j), cell_px=cell_px)
 
     @property
     def columns(self) -> int:
@@ -98,9 +103,39 @@ def render_pbm(f: IntegerFunction, viewport: Viewport) -> bytes:
     return header + _ascii_grid(f, viewport).translate(_ASCII_TO_PBM)
 
 
+def _run_edge(column, value: int) -> int:
+    """Index of the first entry at least ``value`` in a column that climbs by
+    0 or 1 per entry, so that every value between its ends is present."""
+    if value <= column[0]:
+        return 0
+    if value > column[-1]:
+        return len(column)
+    return column.index(value)
+
+
+def _rects(i, j, j_low: int, j_high: int, viewport: Viewport) -> list[str]:
+    """The rect elements of the cells (i[k], j[k]), given in (i, j) order and
+    in rows j_low to j_high, as texts to join: one x text per column and one
+    y text per row."""
+    px, i_min, j_max = viewport.cell_px, viewport.i_min, viewport.j_max
+    xs = list(map(str, range((i[0] - i_min) * px, (i[-1] - i_min) * px + 1, px)))
+    ys = list(map(str, range((j_max - j_low) * px, (j_max - j_high) * px - 1, -px)))
+    head, mid, tail = '<rect x="', '" y="', f'" width="{px}" height="{px}" fill="black" />'
+    cells = zip(map(xs.__getitem__, map(sub, i, repeat(i[0]))),
+                map(ys.__getitem__, map(sub, j, repeat(j_low))))
+    return [head, (tail + head).join(map(mid.join, cells)), tail]
+
+
 def render_svg(f: IntegerFunction, viewport: Viewport,
                scale_label: str | None = None) -> str:
     """One square per occupied cell, j growing upward, optional scale label.
+
+    Cells come once each, in (i, j) order.  A + only path (``is_monotone``)
+    already visits them so, and a viewport keeps one run of it, found from
+    the run's edges in the i and j columns; any other path is clipped,
+    deduplicated and sorted.  The x and y texts come from string tables that
+    span the occupied cells, not the viewport, so the cost follows the cells
+    drawn.
 
     The text is what ElementTree would serialize for the same tree: no
     whitespace between elements, " />" closing empty ones, and only &, < and
@@ -113,10 +148,20 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
     width = viewport.columns * px
     height = viewport.rows * px
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
-    rect = f'<rect x="%s" y="%s" width="{px}" height="{px}" fill="black" />'
-    parts = [rect % ((i - i_min) * px, (j_max - j) * px)
-             for i, j in sorted(set(zip(f.i, f.j)))
-             if i_min <= i <= i_max and j_min <= j <= j_max]
+    i, j = f.i, f.j
+    parts = []
+    if f.is_monotone():
+        start = max(_run_edge(i, i_min), _run_edge(j, j_min))
+        stop = min(_run_edge(i, i_max + 1), _run_edge(j, j_max + 1))
+        if start < stop:
+            parts += _rects(i[start:stop], j[start:stop], j[start], j[stop - 1], viewport)
+    else:
+        inside = map(and_, map(range(i_min, i_max + 1).__contains__, i),
+                     map(range(j_min, j_max + 1).__contains__, j))
+        cells = sorted(set(compress(zip(i, j), inside)))
+        if cells:
+            i, j = zip(*cells)
+            parts += _rects(i, j, min(j), max(j), viewport)
     if scale_label is not None:
         text = f'<text x="2" y="{max(12, px - 2)}" font-size="{max(10, px - 4)}" fill="red"'
         if scale_label:
@@ -124,7 +169,8 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
             parts.append(f"{text}>{escaped}</text>")
         else:
             parts.append(text + " />")
-    svg = (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+    svg = ('<?xml version="1.0" encoding="UTF-8"?>\n'
+           f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
            f'viewBox="0 0 {width} {height}"')
-    body = f'{svg}>{"".join(parts)}</svg>' if parts else svg + " />"
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + body + "\n"
+    # One join: each concatenation would copy the whole document again.
+    return "".join([svg, ">", *parts, "</svg>\n"]) if parts else svg + " />\n"

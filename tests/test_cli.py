@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -404,6 +405,24 @@ class TestDigitizeAndRender:
         assert code == 0
         assert out.startswith("<?xml")
         assert "1 to 0.01" in out
+
+    # sha256 of `render --format svg` stdout for the trace `generate` writes
+    # from `mech harmonic --x0 10000` (256 steps): the bounding box, and a
+    # viewport that clips the path's last cells, with a label to escape.
+    @pytest.mark.parametrize("args, digest", [
+        ([], "8fbe8553072a9c9824a26404ab4d956a751ddbeba1c2ac45a9e16f3e9ef0b21c"),
+        (["--viewport=-3:40:-2:30", "--cell-px", "7", "--label", "1 -> 0.01"],
+         "65a0af6a77d936dcf08e6f0e023822c8babaa47d76afbccd8a0c38ac6c835e09"),
+    ])
+    def test_svg_bytes_are_unchanged(self, tmp_path, capsys, args, digest):
+        config_path, trace_path = tmp_path / "h.cfg", tmp_path / "h.csv"
+        assert run_cli("mech", "harmonic", "--x0", "10000", "--out", str(config_path))[0] == 0
+        assert run_cli("generate", "--config", str(config_path), "--out", str(trace_path),
+                       capsys=capsys)[0] == 0
+        code, out, _ = run_cli("render", "--in", str(trace_path), "--format", "svg", *args,
+                               capsys=capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestExitCodes:

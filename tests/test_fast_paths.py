@@ -306,9 +306,9 @@ class TestSampleSeries:
 
 @st.composite
 def views(draw):
-    """A function (composite paths revisit cells) and a viewport that may
-    clip it, miss it, or be its bounding box."""
-    f = draw(st.builds(IntegerFunction, starts, any_steps))
+    """A function (+ only, partly monotone, or composite, which revisits
+    cells) and a viewport that may clip it, miss it, or be its bounding box."""
+    f = draw(functions)
     if draw(st.booleans()):
         return f, Viewport.around(f, cell_px=draw(st.integers(1, 40)))
     i_min, j_min = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
@@ -339,12 +339,51 @@ class TestRender:
                 _svg_reference(f, viewport, scale_label=label)
 
     @FAST
-    @given(st.builds(IntegerFunction, starts, any_steps))
+    @given(functions)
     def test_around(self, f):
         v = Viewport.around(f)
         assert (v.i_min, v.i_max, v.j_min, v.j_max) == (
             min(e.i for e in f.elements), max(e.i for e in f.elements),
             min(e.j for e in f.elements), max(e.j for e in f.elements))
+
+    @pytest.mark.parametrize("bounds", [
+        (2, 9, -5, 9),     # clips the first cells
+        (-9, 3, -9, 2),    # clips the last cells
+        (1, 3, 0, 9),      # clips both ends, by i
+        (2, 9, 0, 2),      # clips the first cells by i, the last by j
+        (0, 2, 1, 9),      # keeps one cell: the first by j, the last by i
+        (5, 9, -9, -1),    # misses the path
+        (0, 1, 2, 4),      # misses the path, inside its bounding box
+        (-9, 9, -9, 9),    # holds the whole path
+    ])
+    @pytest.mark.parametrize("label", [None, "1 -> 0.01"])
+    def test_svg_plus_only_runs(self, bounds, label):
+        # (0, 0) i i j i j j i j: cells from (0, 0) to (4, 4).
+        f = IntegerFunction((0, 0), (I_PLUS, I_PLUS, J_PLUS, I_PLUS, J_PLUS, J_PLUS,
+                                     I_PLUS, J_PLUS))
+        assert f.is_monotone()
+        viewport = Viewport(*bounds, cell_px=5)
+        assert render_svg(f, viewport, label) == _svg_reference(f, viewport, label)
+
+    @pytest.mark.parametrize("bounds", [(3, 3, -7, -7), (3, 4, -8, -7), (4, 5, -7, -6)])
+    def test_svg_one_element_path(self, bounds):
+        f = IntegerFunction((3, -7))
+        viewport = Viewport(*bounds)
+        assert render_svg(f, viewport) == _svg_reference(f, viewport)
+        assert Viewport.around(f) == Viewport(3, 3, -7, -7)
+
+    def test_svg_tables_span_the_cells(self):
+        # A string table per viewport column or row would take petabytes.
+        f = IntegerFunction((-2, 5), (I_PLUS, J_PLUS, I_PLUS))
+        viewport = Viewport(-10**15, 10**15, -10**15, 10**15)
+        tracemalloc.start()
+        try:
+            doc = render_svg(f, viewport)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc == _svg_reference(f, viewport)
+        assert peak < 64 * 1024
 
     def test_empty_svg_self_closes(self):
         f = IntegerFunction((0, 0))
