@@ -44,24 +44,7 @@ _HOMES = {
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "ALL_REGISTERS", "Axis", "CapExhaustedError", "CharacteristicIndex",
-    "DifferenceField", "GenerationMode", "GenerationTrace", "GeneratorConfig",
-    "IntegerFunction", "IntegerFunctionError", "IntegerPair", "IntegerScale",
-    "InternalConsistencyError", "I_MINUS", "I_PLUS", "J_MINUS", "J_PLUS",
-    "MAX_GRID_CELLS", "PRESETS", "ParseError", "PiResult", "PreconditionError",
-    "REGISTER_CAPACITY", "RealSampleSeries", "RegisterBank",
-    "RegisterOverflowError", "STEP_CODES", "ScaledDifference", "StepCount", "StepKind",
-    "StopRule", "TraceRecord", "Viewport", "WORK_REGISTERS", "WhilePositive",
-    "apply_step", "characteristic_indices", "choose_step", "class_derivative",
-    "composite_generate", "designation_violations", "difference_field",
-    "digitize", "egg_figure_config", "format_bound", "free_fall_config",
-    "from_step_sequence", "full_derivative", "generate", "harmonic_config",
-    "implied_designation", "occupancy", "parse_steps", "pi_bounds",
-    "preset_config", "refinement_compatible", "regulator_monotone_check",
-    "render_ascii", "render_pbm", "render_svg", "scale_difference",
-    "sinusoid_figure_config", "uniform_motion_config",
-]
+__all__ = sorted(_HOME)
 
 
 def _submodule(module: str):

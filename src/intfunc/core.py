@@ -8,11 +8,11 @@ work registers that feed each other in a fixed cascade.
 
 choose_step and apply_step run one step on a RegisterBank; they are the
 readable reference.  Runs go through one step loop, generated as Python
-source per machine shape (the bank's zero pattern, the mode, the watched
-register, traced or not, range-checked or not) with the live registers as
-locals, compiled when first needed and cached: generate,
-curves.composite_generate and curves.pi_bounds all run it (see
-_compile_kernel).
+source per kernel key with the live registers as locals, compiled when first
+needed and cached: generate, curves.composite_generate and curves.pi_bounds
+all run it.  The key is a machine shape (the bank's zero pattern, the mode and
+the watched register; see _shape) plus one of three loop kinds: untraced,
+traced or checked (see _compile_kernel).
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ WORK_REGISTERS = (
 REGULATORS = ("RX", "RY")
 ALL_REGISTERS = REGULATORS + WORK_REGISTERS
 _SLOT = {name: n for n, name in enumerate(ALL_REGISTERS)}
+_UNTRACED, _TRACED, _CHECKED = "untraced", "traced", "checked"
+#: The step loop kinds of _compile_kernel, each with whether it is traced and checked.
+_LOOPS = {_UNTRACED: (False, False), _TRACED: (True, False), _CHECKED: (True, True)}
 
 
 class IntegerFunctionError(Exception):
@@ -303,7 +306,7 @@ class RegisterBank(_Frozen):
                  XXX=0, XXY=0, XYX=0, XYY=0, YXX=0, YXY=0, YYX=0, YYY=0):
         values = (RX, RY, X, Y, XX, XY, YX, YY, XXX, XXY, XYX, XYY, YXX, YXY, YYX, YYY)
         for name, value in zip(ALL_REGISTERS, values):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise PreconditionError(
                     f"register {name} must be an integer, got {type(value).__name__}")
             _checked(value, f"initial value of {name}")
@@ -374,7 +377,7 @@ class StepCount(_Frozen):
     __slots__ = ("count",)
 
     def __init__(self, count: int):
-        if not isinstance(count, int) or count < 1:
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise PreconditionError("step count must be a positive integer")
         self._set(count)
 
@@ -392,7 +395,7 @@ class WhilePositive(_Frozen):
     def __init__(self, register: str, cap: int):
         if register not in ALL_REGISTERS:
             raise PreconditionError(f"unknown register name: {register}")
-        if not isinstance(cap, int) or cap < 1:
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
             raise PreconditionError("cap must be a positive integer")
         self._set(register, cap)
 
@@ -579,6 +582,14 @@ def _zero_registers(bank: RegisterBank) -> frozenset[str]:
     return frozenset(compress(WORK_REGISTERS, map(not_, bank._values[2:])))
 
 
+def _shape(config: GeneratorConfig) -> tuple[frozenset[str], bool, int | None]:
+    """The machine shape of ``config``: its bank's zero pattern, whether it is
+    sign-harmonized, and its watched register's slot (None under a step count)."""
+    stop = config.stop
+    return (_zero_registers(config.bank), config.mode is GenerationMode.SIGN_HARMONIZED,
+            _SLOT[stop.register] if isinstance(stop, WhilePositive) else None)
+
+
 def implied_designation(bank: RegisterBank) -> frozenset[str]:
     """Work registers that are non-zero and provably constant for this bank.
 
@@ -630,12 +641,11 @@ def _indent(lines, levels=1):
 
 @lru_cache(maxsize=256)
 def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
-                    traced: bool, checked: bool) -> _Kernel:
-    """The step loop of one machine shape, generated as Python source.
+                    loop: str) -> _Kernel:
+    """The step loop of one kernel key, generated as Python source.
 
-    The shape is the bank's zero pattern ``zeros`` (see _zero_registers),
-    the mode, the watched register's slot (None under a step count) and
-    whether the run is traced and checked; every bank of a shape shares it.
+    The key is a machine shape, as _shape gives it, plus a ``loop`` kind from
+    _LOOPS; every bank of a shape shares its kernels.
 
     A work register that is structurally constant and starts at zero only
     ever adds zero, so the cascade pairs it feeds are dropped.  In
@@ -651,19 +661,22 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     register non-positive.  That test is made only on the sides that can
     change the register, so it is exact once the register is positive.
 
-    A traced kernel, ``run(regs, steps, code, snaps)``, passes each step's
-    code to ``code`` and extends the list ``snaps`` with the ``recorded``
+    A traced or checked kernel, ``run(regs, steps, code, snaps)``, passes each
+    step's code to ``code`` and extends the list ``snaps`` with the ``recorded``
     registers.  Checked, it checks RX - RY and every addition against
-    REGISTER_CAPACITY, raising apply_step's error text; unchecked, its
-    caller must show that no register can overflow (see _batch_fits).  An
-    untraced kernel, ``run(regs, steps)``, checks nothing and keeps one
-    combined regulator r = RX - RY, so it can watch only a work register.
+    REGISTER_CAPACITY, raising apply_step's error text; traced, its caller must
+    show that no register can overflow (see _batch_fits).  An untraced kernel,
+    ``run(regs, steps)``, checks nothing and keeps one combined regulator
+    r = RX - RY, so it can watch only a work register (else PreconditionError).
     It writes back only the work registers and returns the numbers of i and
     j steps: their sum is the pass index at the break (else ``steps``), and
     one side's count is (target - its start) // source for a live pair whose
     source is constant and whose target no other side feeds (for pi,
     j = (XX - XX_0) // XXY); a shape with no such pair counts its j steps.
     """
+    traced, checked = _LOOPS[loop]
+    if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
+        raise PreconditionError(f"the untraced loop cannot watch {ALL_REGISTERS[watched]}")
     constant = _constant_registers(zeros)
     dead = constant & zeros
     sides = []
@@ -772,19 +785,19 @@ def _batch_fits(regs: list[int], steps: int) -> bool:
 def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     """The register machine: run ``config`` in its mode until its stop rule.
 
-    The traced kernels of the config's shape (see _compile_kernel; each is
-    compiled when first needed and cached) run in batches of at most
-    _BATCH_STEPS steps, each batch's snapshots packed into one array('q'),
-    so a long run holds about 8 bytes per recorded value.  A batch runs
-    unchecked when _batch_fits shows it cannot overflow, and checked
-    otherwise, so an overflow raises the same text at the same step.
+    The kernels of the config's shape (see _compile_kernel; each is compiled
+    when first needed and cached) run in batches of at most _BATCH_STEPS
+    steps, each batch's snapshots packed into one array('q'), so a long run
+    holds about 8 bytes per recorded value.  A batch runs traced when
+    _batch_fits shows it cannot overflow, and checked otherwise, so an
+    overflow raises the same text at the same step.
     Positions follow from the step codes once the run is over.  Then the
     registers of the implied type designation are audited for constancy,
     and a predicate stop that used up its cap raises CapExhaustedError.
     """
     bank, stop = config.bank, config.stop
-    watched = _SLOT[stop.register] if isinstance(stop, WhilePositive) else None
-    shape = (_zero_registers(bank), config.mode is GenerationMode.SIGN_HARMONIZED, watched, True)
+    shape = _shape(config)
+    watched = shape[2]
     limit = stop.count if watched is None else stop.cap
     regs = list(bank._values)
     codes, flat = bytearray(), array("q")
@@ -794,7 +807,7 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     batch = 1 if watched is not None and regs[watched] <= 0 else _BATCH_STEPS
     while len(codes) < limit:
         snaps, steps = [], min(batch, limit - len(codes))
-        kernel = _compile_kernel(*shape, not _batch_fits(regs, steps))
+        kernel = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
         kernel.run(regs, steps, codes.append, snaps)
         flat.fromlist(snaps)
         if watched is not None and regs[watched] <= 0:

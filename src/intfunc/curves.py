@@ -26,11 +26,11 @@ from .core import (
     RegisterOverflowError,
     StepCount,
     WhilePositive,
+    _UNTRACED,
     _Frozen,
-    _SLOT,
     _compile_kernel,
     _run,
-    _zero_registers,
+    _shape,
 )
 
 if TYPE_CHECKING:
@@ -172,16 +172,16 @@ class PiResult(_Frozen):
 def pi_bounds(x0: int) -> PiResult:
     """Bracket pi/2 by running the quarter wave at seed ``x0``.
 
-    The untraced kernel runs harmonic_config(x0): the {XXY, Y} machine with
-    X = Y = x0 and XX = XXY = -1, under its step cap, until the X register
-    stops being positive.  It keeps one combined regulator r = RX - RY,
-    which is all the step choice ever looks at, and no step counter: the
-    step total is its pass index at the stop, j = (XX_end - XX_0) // XXY
-    (only j steps add XXY into XX) and i is the rest.  The element [i, j]
-    reached on that step spans the quarter period, and the unit squares at
-    the two ends give the exact rational bounds
-    (i - 1)/(j + 1) < pi/2 < (i + 1)/j.  ``elapsed`` times the run alone,
-    not the kernel's compile.
+    Its kernel key is harmonic_config(x0)'s shape (see core._shape) plus the
+    untraced loop kind.  That loop runs the {XXY, Y} machine with X = Y = x0
+    and XX = XXY = -1 under its step cap, until the watched X register stops
+    being positive.  It keeps one combined regulator r = RX - RY, which is
+    all the step choice ever looks at, and no step counter: the step total
+    is its pass index at the stop, j = (XX_end - XX_0) // XXY (only j steps
+    add XXY into XX) and i is the rest.  The element [i, j] reached on that
+    step spans the quarter period, and the unit squares at the two ends give
+    the exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
+    ``elapsed`` times the run alone, not the kernel's compile.
 
     The kernel checks no addition, because none can leave +/- 2**63 for
     x0 <= PI_SEED_LIMIT.  XX = -1 - j, and j is at most the cap, about
@@ -196,12 +196,13 @@ def pi_bounds(x0: int) -> PiResult:
         raise RegisterOverflowError(
             f"x0 = {x0} would push registers past 2**63; limit is {PI_SEED_LIMIT}")
     config = harmonic_config(x0)
-    kernel = _compile_kernel(_zero_registers(config.bank), False, _SLOT["X"], False, False)
+    zeros, harmonized, watched = _shape(config)
+    kernel = _compile_kernel(zeros, harmonized, watched, _UNTRACED)
     regs = list(config.bank._values)
     started = time.perf_counter()
     i, j = kernel.run(regs, config.stop.cap)
     elapsed = time.perf_counter() - started
-    if regs[_SLOT["X"]] > 0:
+    if regs[watched] > 0:
         raise CapExhaustedError(f"X still positive after {i + j} steps (cap exhausted)")
     return PiResult(
         i_quarter=i,

@@ -169,6 +169,18 @@ class TestStopRules:
             WhilePositive("X", 0)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: RegisterBank(X=True), "register X must be an integer, got bool"),
+    (lambda: StepCount(True), "step count must be a positive integer"),
+    (lambda: WhilePositive("X", True), "cap must be a positive integer"),
+], ids=["register", "count", "cap"])
+def test_bools_are_not_integers(build, message):
+    # A config file would read back X=True or CAP=True as an error.
+    with pytest.raises(PreconditionError) as info:
+        build()
+    assert str(info.value) == message
+
+
 class TestGenerate:
     def test_line_3_5(self):
         f, trace = generate(line_config(3, 5, 8))

@@ -308,12 +308,9 @@ def _untraced_run(config):
     """(i steps, j steps, work registers) after the untraced kernel runs
     ``config``, which watches a work register that starts positive, or none."""
     stop = config.stop
-    watched = ALL_REGISTERS.index(stop.register) if isinstance(stop, WhilePositive) else None
-    kernel = core._compile_kernel(core._zero_registers(config.bank),
-                                  config.mode is GenerationMode.SIGN_HARMONIZED,
-                                  watched, False, False)
+    kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
     regs = list(config.bank._values)
-    i, j = kernel.run(regs, stop.count if watched is None else stop.cap)
+    i, j = kernel.run(regs, stop.cap if isinstance(stop, WhilePositive) else stop.count)
     return i, j, regs[2:]
 
 
@@ -384,12 +381,21 @@ def test_untraced_stop_in_either_half_of_a_pass(shape):
     assert parities == {0, 1}
 
 
-def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), checked=False):
-    """The kernel a traced run of this bank, mode and stop rule uses for a
-    batch that runs checked or not."""
-    watched = ALL_REGISTERS.index(stop.register) if isinstance(stop, WhilePositive) else None
-    return core._compile_kernel(core._zero_registers(bank),
-                                mode is GenerationMode.SIGN_HARMONIZED, watched, True, checked)
+def test_untraced_loop_cannot_watch_a_regulator():
+    # The untraced loop keeps only r = RX - RY.  Watching RY, it would run
+    # this bank to its cap at (11, 89); the traced run stops after step 15.
+    bank = RegisterBank(RY=10, X=1, Y=-3)
+    f, _ = _run(GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive("RY", 100)))
+    assert (f.length, tuple(f.end)) == (15, (11, 4))
+    for register in REGULATORS:
+        with pytest.raises(PreconditionError, match=f"cannot watch {register}$"):
+            _kernel_of(bank, stop=WhilePositive(register, 100), loop=core._UNTRACED)
+
+
+def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), loop=core._TRACED):
+    """The ``loop`` kernel of the shape of this bank, mode and stop rule."""
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=stop, mode=mode)
+    return core._compile_kernel(*core._shape(config), loop)
 
 
 def test_kernels_are_compiled_once_per_shape():
@@ -444,6 +450,23 @@ class TestHarmonicMachine:
             if harmonized:
                 sources.append(rate)
             assert sources == names
+
+    @pytest.mark.parametrize("loop", list(core._LOOPS))
+    def test_each_loop_kind_agrees_with_the_run(self, loop):
+        # One call of each kernel of the harmonic shape runs the quarter
+        # wave, which _run takes in one batch.
+        config = harmonic_config(100)
+        f, trace = _run(config)
+        kernel = _kernel_of(config.bank, stop=config.stop, loop=loop)
+        regs, codes, snaps = list(config.bank._values), bytearray(), []
+        if loop == core._UNTRACED:
+            assert kernel.run(regs, config.stop.cap) == tuple(f.end)
+        else:
+            kernel.run(regs, config.stop.cap, codes.append, snaps)
+            assert codes == f.codes
+            assert snaps == [trace.column(ALL_REGISTERS[slot])[t]
+                             for t in range(len(trace)) for slot in kernel.recorded]
+        assert regs[2:] == [trace.column(name)[-1] for name in WORK_REGISTERS]
 
     def test_constant_registers_are_stored_once(self):
         _, trace = generate(harmonic_config(100))
