@@ -130,7 +130,7 @@ def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> Differe
     Coordinates without a partner are omitted; a class at or beyond the
     coordinate span yields an empty field.
     """
-    if not isinstance(diff_class, int) or diff_class < 1:
+    if isinstance(diff_class, bool) or not isinstance(diff_class, int) or diff_class < 1:
         raise PreconditionError("difference class must be a positive integer")
     return _field(axis, diff_class, *_cross_coordinates(f, axis))
 
@@ -235,7 +235,7 @@ def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,
     m*i <= i' < m*(i+1) and m*j <= j' < m*(j+1).  An empty list means the
     two functions belong together at scale ratio m.
     """
-    if not isinstance(m, int) or m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise PreconditionError("refinement factor m must be a positive integer")
     covered = {(i // m, j // m) for i, j in zip(fine.i, fine.j)}
     return [IntegerPair(*e) for e in zip(coarse.i, coarse.j) if e not in covered]

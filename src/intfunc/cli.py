@@ -1,6 +1,8 @@
 """Command-line front end: generate, derive, pi, digitize, render, mech.
 
 The config, trace and samples file formats are described in intfunc.io.
+Viewport is bound only under TYPE_CHECKING, so typing.get_type_hints of
+_parse_viewport raises NameError unless localns binds it.
 
 Exit codes: 0 ok, 2 bad usage, 3 parse error (a trace position that does
 not follow from its step included), 4 register overflow, 5 precondition

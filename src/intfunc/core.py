@@ -162,21 +162,6 @@ class IntegerFunction:
         f._fill(start, bytes(codes))
         return f
 
-    @classmethod
-    def _joined(cls, paths) -> "IntegerFunction":
-        """``paths`` walked one after another, with no new walk: each must
-        start where the one before it ends, which is not checked.  No paths
-        make the empty path at the origin."""
-        if len(paths) < 2:
-            return paths[0] if paths else cls.from_codes((0, 0), b"")
-        f = cls.__new__(cls)
-        f.start, f.codes = paths[0].start, b"".join(path.codes for path in paths)
-        f.i, f.j = paths[0].i[:1], paths[0].j[:1]
-        for path in paths:
-            f.i += path.i[1:]
-            f.j += path.j[1:]
-        return f
-
     def _fill(self, start, codes: bytes) -> None:
         if bad := codes.translate(None, b"\0\1\2\3"):
             raise PreconditionError(
@@ -476,28 +461,15 @@ class GenerationTrace:
                     f"trace record {k} carries step index {record.k}")
         # Anything not in STEP_CODES gets code 4, which from_codes rejects.
         codes = bytes(_CODE_OF_STEP.get(r.step, 4) for r in records)
-        self._fill(_path_through(codes, [r.i for r in records], [r.j for r in records]),
-                   [array("q", [r.bank.value(name) for r in records]) for name in ALL_REGISTERS])
+        trace = self.from_columns(codes, [r.i for r in records], [r.j for r in records], [
+            array("q", [r.bank.value(name) for r in records]) for name in ALL_REGISTERS])
+        self.path, self.registers = trace.path, trace.registers
 
-    @classmethod
-    def from_columns(cls, codes, i, j, registers) -> "GenerationTrace":
+    @staticmethod
+    def from_columns(codes, i, j, registers) -> "GenerationTrace":
         """The trace whose ``codes``, ``i``, ``j`` and ``registers`` are these
         (see the class docstring); register values are not checked."""
-        return cls._wrap(_path_through(codes, i, j), registers)
-
-    @classmethod
-    def _wrap(cls, path: IntegerFunction, registers) -> "GenerationTrace":
-        trace = cls.__new__(cls)
-        trace._fill(path, registers)
-        return trace
-
-    def _fill(self, path, registers) -> None:
-        # A register column whose values never change is kept as one int.
-        self.path = path
-        self.registers = tuple(
-            entry[0] if not isinstance(entry, int) and entry
-            and entry[:1] * len(entry) == entry else entry
-            for entry in registers)
+        return _Parts().add(_path_through(codes, i, j), registers).trace()
 
     @property
     def codes(self) -> bytes:
@@ -537,8 +509,7 @@ class GenerationTrace:
         """Values of one register after each step."""
         if name not in ALL_REGISTERS:
             raise PreconditionError(f"unknown register name: {name}")
-        entry = self.registers[_SLOT[name]]
-        return array("q", [entry]) * len(self) if isinstance(entry, int) else entry
+        return _column(self.registers[_SLOT[name]], len(self))
 
     def regulator_series(self, axis: Axis) -> list[int]:
         """Values the axis' regulator took, one per step of that axis."""
@@ -561,6 +532,53 @@ class GenerationTrace:
 
     def __repr__(self) -> str:
         return f"GenerationTrace(steps={len(self)})"
+
+
+def _column(entry, steps: int) -> array:
+    """A register entry as an array('q') column of ``steps`` values."""
+    return array("q", [entry]) * steps if isinstance(entry, int) else entry
+
+
+class _Parts:
+    """Builds every GenerationTrace from parts in step order.  A part is a path
+    that starts where the last one ends (not checked) plus one entry per
+    register: an array('q') of its value after each step, or an int it holds
+    throughout.  Parts are taken, not copied; paths join with no new walk.
+    A register stays one int while every part holds it at that value."""
+
+    __slots__ = ("path", "codes", "registers")
+
+    def __init__(self, start=(0, 0)):
+        self.path, self.codes = IntegerFunction.from_codes(start, b""), []
+        self.registers = [array("q") for _ in ALL_REGISTERS]
+
+    def __len__(self) -> int:
+        return len(self.path.i) - 1
+
+    def add(self, path: IntegerFunction, registers) -> "_Parts":
+        steps = len(self)
+        if steps:
+            self.path.i += path.i[1:]
+            self.path.j += path.j[1:]
+            self.codes.append(path.codes)
+        else:
+            self.path, self.codes = path, [path.codes]
+        for n, entry in enumerate(registers):
+            if not isinstance(entry, int) and entry and entry[:1] * len(entry) == entry:
+                entry = entry[0]
+            have = self.registers[n]
+            if not steps:
+                self.registers[n] = entry
+            elif not (isinstance(have, int) and have == entry):
+                column = self.registers[n] = _column(have, steps)
+                column += _column(entry, path.length)
+        return self
+
+    def trace(self) -> GenerationTrace:
+        self.path.codes = b"".join(self.codes)
+        trace = GenerationTrace.__new__(GenerationTrace)
+        trace.path, trace.registers = self.path, tuple(self.registers)
+        return trace
 
 
 def _constant_registers(zeros) -> set[str]:
@@ -606,13 +624,9 @@ def designation_violations(designation, initial_bank: RegisterBank,
     unknown = sorted(set(designation) - set(WORK_REGISTERS))
     if unknown:
         raise PreconditionError(f"designation contains non-work registers: {unknown}")
-    changed = []
-    for name in sorted(set(designation)):
-        entry, want = trace.registers[_SLOT[name]], initial_bank.value(name)
-        if len(trace) and (entry != want if isinstance(entry, int)
-                           else entry.count(want) != len(trace)):
-            changed.append(name)
-    return changed
+    # A register kept as a column is never constant, so it changed.
+    return [name for name in sorted(set(designation))
+            if len(trace) and trace.registers[_SLOT[name]] != initial_bank.value(name)]
 
 
 class _Kernel(_Frozen):
@@ -787,11 +801,10 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
 
     The kernels of the config's shape (see _compile_kernel; each is compiled
     when first needed and cached) run in batches of at most _BATCH_STEPS
-    steps, each batch's snapshots packed into one array('q'), so a long run
-    holds about 8 bytes per recorded value.  A batch runs traced when
-    _batch_fits shows it cannot overflow, and checked otherwise, so an
-    overflow raises the same text at the same step.
-    Positions follow from the step codes once the run is over.  Then the
+    steps.  A batch runs traced when _batch_fits shows it cannot overflow,
+    and checked otherwise, so an overflow raises the same text at the same
+    step.  Each batch's path and register columns go to _Parts as one part,
+    so a long run holds about 8 bytes per recorded value.  Then the
     registers of the implied type designation are audited for constancy,
     and a predicate stop that used up its cap raises CapExhaustedError.
     """
@@ -799,17 +812,19 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     shape = _shape(config)
     watched = shape[2]
     limit = stop.count if watched is None else stop.cap
-    regs = list(bank._values)
-    codes, flat = bytearray(), array("q")
+    regs, parts = list(bank._values), _Parts(config.start)
     # The kernel makes the stop test only on steps that can change the
     # watched register, which is exact while it is positive; a register that
     # starts non-positive gets the first step run alone.
     batch = 1 if watched is not None and regs[watched] <= 0 else _BATCH_STEPS
-    while len(codes) < limit:
-        snaps, steps = [], min(batch, limit - len(codes))
+    while len(parts) < limit:
+        codes, snaps, steps = bytearray(), [], min(batch, limit - len(parts))
         kernel = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
         kernel.run(regs, steps, codes.append, snaps)
-        flat.fromlist(snaps)
+        flat, width = array("q", snaps), len(kernel.recorded)
+        columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
+        parts.add(IntegerFunction.from_codes(parts.path.end, codes),
+                  [columns.get(slot, value) for slot, value in enumerate(regs)])
         if watched is not None and regs[watched] <= 0:
             break
         batch = _BATCH_STEPS
@@ -817,16 +832,12 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
         if watched is not None:
             raise CapExhaustedError(
                 f"{stop.register} still positive after {limit} steps (cap exhausted)")
-    width = len(kernel.recorded)
-    columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
-    del flat
-    f = IntegerFunction.from_codes(config.start, codes)
-    trace = GenerationTrace._wrap(f, [columns.get(slot, value) for slot, value in enumerate(regs)])
+    trace = parts.trace()
     changed = designation_violations(kernel.designation, bank, trace)
     if changed:
         raise InternalConsistencyError(
             f"type-designation registers changed during generation: {changed}")
-    return f, trace
+    return trace.path, trace
 
 
 def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:

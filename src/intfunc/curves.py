@@ -4,7 +4,8 @@ Each preset fills the register bank so that the generator traces one curve
 family; the family is named by its type designation, the set of constant
 non-zero work registers ({X, Y} lines, {XX, Y} parabolas, {XXY, Y} sine-like
 curves, ...).  The quarter-wave run of the {XXY, Y} type brackets pi/2
-between two exact rationals.
+between two exact rationals.  IntegerScale is bound only under TYPE_CHECKING,
+so typing.get_type_hints(digitize) raises NameError unless localns binds it.
 """
 
 from __future__ import annotations

@@ -17,10 +17,14 @@ row template per trace.  read_trace takes 4 096 lines at a time and has
 two tokenizers: a plain chunk (no quote, carriage return or NUL, exactly 19
 commas on every line, no line over the CSV field size limit) is split as
 strings, and csv.reader takes any other.  Both hand their cells to one row
-checker, so they accept the same input and raise the same errors.
+checker, so they accept the same input and raise the same errors.  Like a
+run's batches, each checked chunk joins the trace as one part (core._Parts):
+a register stays one int while every part holds it at one value.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
-or 2 ('#' starts a comment).
+or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
+under TYPE_CHECKING, so typing.get_type_hints of parse_rational, _rational
+or read_samples_file raises NameError unless localns binds them.
 
 Malformed input raises ParseError; so does a byte that is not UTF-8 in a
 file, naming the file and the first line that holds one.  A trace register
@@ -52,6 +56,8 @@ from .core import (
     STEP_CODES,
     StepCount,
     WhilePositive,
+    _Parts,
+    _path_through,
 )
 
 if TYPE_CHECKING:
@@ -217,40 +223,15 @@ def write_trace_file(trace: GenerationTrace, path: str) -> None:
 
 def _parse_column(cells: list[str], name: str) -> array:
     """One numeric column of a chunk, every value within +/- REGISTER_CAPACITY.
-    A column whose cells all hold the same text is parsed once."""
-    repeated = cells.count(cells[0]) == len(cells)
+    A register column whose cells all hold the same text is that one int."""
+    repeated = name not in ("i", "j") and cells.count(cells[0]) == len(cells)
     values = _parse_ints(cells[:1] if repeated else cells, name)
     value = max(min(values), max(values), key=abs)
     if abs(value) > REGISTER_CAPACITY:
         if name in ("i", "j"):
             raise ParseError(f"position {name} = {value} is out of range")
         raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
-    return array("q", values) * len(cells) if repeated else array("q", values)
-
-
-class _Chunks:
-    """The checked chunks of a trace read so far: their paths, the register
-    columns, and the number of the next line."""
-
-    def __init__(self):
-        self.paths: list[IntegerFunction] = []
-        self.registers = [array("q") for _ in ALL_REGISTERS]
-        self.steps = 0
-        self.lineno = 2
-
-    def where(self) -> tuple[int, tuple[int, int] | None]:
-        """The step index of the next row, and the position it steps from
-        (None before the first row)."""
-        return self.steps + 1, self.paths[-1].end if self.paths else None
-
-    def add(self, path: IntegerFunction, registers: list[array]) -> None:
-        self.paths.append(path)
-        for column, values in zip(self.registers, registers):
-            column += values
-        self.steps += path.length
-
-    def trace(self) -> GenerationTrace:
-        return GenerationTrace._wrap(IntegerFunction._joined(self.paths), self.registers)
+    return values[0] if repeated else array("q", values)
 
 
 def _split_cells(lines: list[str]) -> list[str]:
@@ -268,10 +249,10 @@ def _split_cells(lines: list[str]) -> list[str]:
     return cells
 
 
-def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list[array]]:
-    """The path and register columns of a chunk's cells, 20 per row, checked
+def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list]:
+    """The path and register entries of a chunk's cells, 20 per row, checked
     by the row rules of both tokenizers: steps are numbered from ``k``, and
-    the first leaves ``last`` (None at the file's first row).  A rule is
+    the first leaves ``last`` (unchecked at the file's first row).  A rule is
     checked over the whole chunk, so only a one-row chunk's error is exact."""
     # k is a step index, not a register: it has no range, only an order.  Its
     # text is parsed only when it is not the plain text of the expected index.
@@ -286,19 +267,19 @@ def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list[
     # Each column is sliced as it is parsed, while its cells are in cache.
     i, j, *registers = [_parse_column(cells[c::_WIDTH], name)
                         for c, name in enumerate(TRACE_COLUMNS[2:], start=2)]
-    if last is not None:
+    if k > 1:
         step = STEP_CODES[codes[0]]
         if (i[0], j[0]) != ((last[0] + step.sign, last[1]) if step.axis is Axis.I
                             else (last[0], last[1] + step.sign)):
             raise ParseError(f"position ({i[0]}, {j[0]}) is not one {step.token} "
                              f"step from ({last[0]}, {last[1]})")
-    # The rest of the path: from_columns raises PreconditionError if a later
+    # The rest of the path: _path_through raises PreconditionError if a later
     # position does not follow from its step, or if the first row's start
     # (one step back) leaves +/- REGISTER_CAPACITY.
-    return GenerationTrace.from_columns(codes, i, j, ()).path, registers
+    return _path_through(codes, i, j), registers
 
 
-def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list[array]]:
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list]:
     """_parse_cells of non-blank csv.reader rows, once each has 20 cells."""
     if set(map(len, rows)) != {_WIDTH}:
         raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
@@ -332,9 +313,9 @@ def _read_header(lines) -> None:
         raise ParseError("trace header does not match the expected 20 columns")
 
 
-def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
-    """The rest of a trace, from line ``chunks.lineno`` on, tokenized by
-    csv.reader and checked by _parse_cells: the reference reader.
+def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
+    """The rest of a trace after ``parts``, from line ``first`` on, tokenized
+    by csv.reader and checked by _parse_cells: the reference reader.
 
     Each chunk is checked column by column; only a chunk that fails is
     rescanned row by row, so the error names the first bad row by the line it
@@ -343,7 +324,6 @@ def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
     have passed.
     """
     reader = csv.reader(lines)
-    first = chunks.lineno
     refused = []
 
     def numbered_rows():
@@ -359,19 +339,18 @@ def _read_csv_rows(lines, chunks: _Chunks) -> GenerationTrace:
 
     numbered = numbered_rows()
     while chunk := list(islice(numbered, _CHUNK_ROWS)):
-        k, last = chunks.where()
+        k, last = len(parts) + 1, parts.path.end
         if nonblank := [row for _, row in chunk if row]:
             try:
-                chunks.add(*_parse_rows(nonblank, k, last))
+                parts.add(*_parse_rows(nonblank, k, last))
             except IntegerFunctionError:
                 # The rescan raises for the first bad row; the chunk's own
                 # error is only a fallback.
                 _raise_first_defect(chunk, k, last)
                 raise
-        chunks.lineno = first + reader.line_num
     if refused:
         raise refused[0]
-    return chunks.trace()
+    return parts.trace()
 
 
 def read_trace(stream: IO[str]) -> GenerationTrace:
@@ -380,22 +359,22 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     _split_cells tokenizes a plain chunk and _parse_cells checks it.  The
     first chunk that is not plain or breaks a rule, and the rest of the
     stream after it, go to _read_csv_rows, whose error names the first bad
-    line.  The chunks' checked paths are joined without a second walk.
+    line.  Each checked chunk goes to _Parts as one part.
     """
     lines = iter(stream)
     _read_header(lines)
-    chunks = _Chunks()
+    parts, lineno = _Parts(), 2
     while chunk := list(islice(lines, _CHUNK_ROWS)):
         # No name holds a chunk's cells, and the csv path starts only once
         # the handler has dropped the error, whose traceback holds them.
         try:
-            chunks.add(*_parse_cells(_split_cells(chunk), *chunks.where()))
+            parts.add(*_parse_cells(_split_cells(chunk), len(parts) + 1, parts.path.end))
         except IntegerFunctionError:
             break
-        chunks.lineno += len(chunk)
+        lineno += len(chunk)
     else:
-        return chunks.trace()
-    return _read_csv_rows(chain(chunk, lines), chunks)
+        return parts.trace()
+    return _read_csv_rows(chain(chunk, lines), parts, lineno)
 
 
 def read_trace_file(path: str) -> GenerationTrace:
@@ -405,7 +384,7 @@ def read_trace_file(path: str) -> GenerationTrace:
 
 def trace_for_function(f: IntegerFunction) -> GenerationTrace:
     """Serialize a bare integer function as a trace with an all-zero bank."""
-    return GenerationTrace._wrap(f, (0,) * len(ALL_REGISTERS))
+    return _Parts().add(f, (0,) * len(ALL_REGISTERS)).trace()
 
 
 def function_from_trace(trace: GenerationTrace) -> IntegerFunction:

@@ -24,9 +24,11 @@ class Viewport(_Frozen):
     __slots__ = ("i_min", "i_max", "j_min", "j_max", "cell_px")
 
     def __init__(self, i_min: int, i_max: int, j_min: int, j_max: int, cell_px: int = 16):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in (i_min, i_max, j_min, j_max)):
+            raise PreconditionError("viewport bounds must be integers")
         if i_min > i_max or j_min > j_max:
             raise PreconditionError("viewport bounds must satisfy min <= max")
-        if cell_px < 1:
+        if isinstance(cell_px, bool) or not isinstance(cell_px, int) or cell_px < 1:
             raise PreconditionError("cell_px must be a positive integer")
         self._set(i_min, i_max, j_min, j_max, cell_px)
 

@@ -4,7 +4,8 @@ from itertools import accumulate, product
 from operator import add, mul
 
 from intfunc import Axis, I_PLUS, J_PLUS, StepKind
-from intfunc.io import _Chunks, _read_csv_rows, _read_header
+from intfunc.core import _Parts
+from intfunc.io import _read_csv_rows, _read_header
 
 # Full hand-checkable run of the quarter wave at seed 100, worked out with
 # pencil and paper from the update rules: after each step, the position, the
@@ -111,7 +112,7 @@ def read_trace_csv(stream):
     split tokenizer, whose cells go to the same row checker."""
     lines = iter(stream)
     _read_header(lines)
-    return _read_csv_rows(lines, _Chunks())
+    return _read_csv_rows(lines, _Parts())
 
 
 def iterated_sums(bank, codes, harmonized=False):

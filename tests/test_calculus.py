@@ -73,6 +73,11 @@ class TestDifferenceField:
     def test_class_must_be_positive(self, sample_if):
         with pytest.raises(PreconditionError):
             difference_field(sample_if, Axis.I, 0)
+        # bool is an int subclass, but True is not a class.
+        with pytest.raises(PreconditionError, match="difference class"):
+            difference_field(sample_if, Axis.I, True)
+        with pytest.raises(PreconditionError, match="difference class"):
+            class_derivative(sample_if, Axis.J, True)
 
     def test_decreasing_study_axis_rejected(self):
         f = from_step_sequence((0, 0), "i j i-")
@@ -201,6 +206,8 @@ class TestRefinement:
     def test_zero_factor_rejected(self, sample_if):
         with pytest.raises(PreconditionError):
             refinement_compatible(sample_if, sample_if, 0)
+        with pytest.raises(PreconditionError, match="refinement factor m"):
+            refinement_compatible(sample_if, sample_if, True)
 
 
 def _fabricated_trace(rx_values):

@@ -2,8 +2,9 @@
 
 Covers the import boundary (no argparse), input that is not UTF-8 or that
 the CSV reader refuses, the step-index column, the one KEY=VALUE item
-parser behind config lines and --set, and the rule that a trace error names
-the first bad line wherever the chunks of rows fall.
+parser behind config lines and --set, the rule that a trace error names
+the first bad line wherever the chunks of rows fall, the one trace assembler
+at batch and chunk edges, and a read's memory against what it keeps.
 """
 
 import csv
@@ -12,6 +13,8 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -19,11 +22,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import intfunc
+from intfunc import core
 from intfunc import (
     ALL_REGISTERS,
     REGISTER_CAPACITY,
     GenerationMode,
     GenerationTrace,
+    IntegerFunction,
     IntegerFunctionError,
     ParseError,
     RegisterOverflowError,
@@ -41,6 +46,7 @@ from intfunc.curves import (
     harmonic_config,
     line_config,
     parabola_config,
+    pi_bounds,
     semicubic_config,
     sine_config,
     sinusoid_figure_config,
@@ -300,6 +306,73 @@ def test_pi_trace_file_is_unchanged(tmp_path, capsys):
     path = tmp_path / "pi.csv"
     assert main(["pi", "--x0", str(10**6), "--trace", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PI_1E6_TRACE_SHA256
+
+
+# core._Parts builds every trace.  Each run below crosses batch and chunk
+# edges: in the two lines one regulator holds for about 10 000 steps, so it is
+# an int in some parts and a column in a later one, and the other way round.
+_EDGE_CONFIGS = [*_PRESET_CONFIGS.values(), harmonic_config(10**6),
+                 line_config(10000, 1, 10100), line_config(1, 10000, 10100)]
+
+
+@pytest.fixture(scope="module")
+def edge_traces():
+    return [_run(config) for config in _EDGE_CONFIGS]
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+def test_parts_join_at_every_edge(edge_traces, size, monkeypatch):
+    # == compares the paths and the registers, and so whether each register
+    # is kept as an int or as an array.
+    monkeypatch.setattr(core, "_BATCH_STEPS", size)
+    monkeypatch.setattr(intfunc.io, "_CHUNK_ROWS", size)
+    for config, expected in zip(_EDGE_CONFIGS, edge_traces):
+        trace = _run(config)
+        text = _text(trace)
+        for built in (trace, GenerationTrace(trace.records),
+                      read_trace(io.StringIO(text)), read_trace_csv(io.StringIO(text))):
+            assert built == expected
+
+
+def test_parts_keep_an_int_until_a_part_differs():
+    f = from_step_sequence((2, 3), "i j i j i")
+    first = IntegerFunction.from_codes((2, 3), f.codes[:2])
+    second = IntegerFunction.from_codes(first.end, f.codes[2:])
+    # Per register: the first part's entry, the second's, and the joined entry.
+    cases = [(5, 5, 5), (5, array("q", [5] * 3), 5), (array("q", [5, 5]), 5, 5),
+             (5, 6, array("q", [5, 5, 6, 6, 6])),
+             (array("q", [1, 2]), 2, array("q", [1, 2, 2, 2, 2])),
+             (4, array("q", [4, 5, 4]), array("q", [4, 4, 4, 5, 4]))]
+    cases += [(0, 0, 0)] * (len(ALL_REGISTERS) - len(cases))
+    firsts, seconds, joined = zip(*cases)
+    trace = core._Parts().add(first, firsts).add(second, seconds).trace()
+    assert trace.path == f and trace.codes == f.codes
+    assert list(trace.i) == list(f.i[1:]) and list(trace.j) == list(f.j[1:])
+    assert trace.registers == joined
+    assert core._Parts().trace() == GenerationTrace()
+
+
+def _read_overhead(x0):
+    """Rows of the pi trace of ``x0``, and the tracemalloc peak of one
+    read_trace of its lines less what the read keeps."""
+    _, trace = generate(harmonic_config(x0, cap=pi_bounds(x0).step_count))
+    lines = _text(trace).splitlines(keepends=True)
+    tracemalloc.start()
+    try:
+        read = read_trace(lines)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read == trace
+    return len(trace), peak - kept
+
+
+def test_read_memory_does_not_grow_past_what_it_keeps():
+    # A read holds one chunk of cells beside the trace it builds, so what it
+    # needs beyond what it keeps stays near one chunk's worth at any length.
+    (rows, overhead), (more_rows, more_overhead) = map(_read_overhead, (10**8, 10**9))
+    assert (rows, more_rows) == (25706, 81294)
+    assert more_overhead - overhead <= 16 * (more_rows - rows)
 
 
 def _edit_cells(change):

@@ -131,3 +131,23 @@ def test_annotation_names_resolve(path):
     unbound = {name for annotation in _annotations(tree)
                for name in _annotation_names(annotation)} - bound
     assert not unbound, f"{path.name}: annotation names not bound at module level: {unbound}"
+
+
+def test_type_hints_need_the_type_checking_names():
+    # These annotations name classes bound only under TYPE_CHECKING, as the
+    # io, curves and cli docstrings say: get_type_hints resolves them only
+    # when localns binds those names.
+    from fractions import Fraction
+    from typing import get_type_hints
+
+    from intfunc import IntegerFunction, IntegerScale, RealSampleSeries, Viewport, curves
+
+    localns = {"Fraction": Fraction, "IntegerScale": IntegerScale,
+               "RealSampleSeries": RealSampleSeries, "Viewport": Viewport}
+    returns = {intfunc.io.parse_rational: Fraction, intfunc.io._rational: Fraction,
+               intfunc.io.read_samples_file: RealSampleSeries,
+               curves.digitize: IntegerFunction, intfunc.cli._parse_viewport: Viewport}
+    for function, returned in returns.items():
+        with pytest.raises(NameError):
+            get_type_hints(function)
+        assert get_type_hints(function, localns=localns)["return"] is returned

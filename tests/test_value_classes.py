@@ -239,6 +239,16 @@ VALIDATION = [
     (lambda: Viewport(0, 0, 1, 0), PreconditionError, "viewport bounds must satisfy min <= max"),
     (lambda: Viewport(0, 0, 0, 0, cell_px=0), PreconditionError,
      "cell_px must be a positive integer"),
+    # bool is an int subclass, but never a size or a bound.
+    (lambda: Viewport(0, 1, 0, 1, cell_px=True), PreconditionError,
+     "cell_px must be a positive integer"),
+    (lambda: Viewport(0, 1, 0, 1, cell_px="16"), PreconditionError,
+     "cell_px must be a positive integer"),
+    (lambda: Viewport(False, 1, 0, 1), PreconditionError, "viewport bounds must be integers"),
+    (lambda: Viewport(0, True, 0, 1), PreconditionError, "viewport bounds must be integers"),
+    (lambda: Viewport(0, 1, False, 1), PreconditionError, "viewport bounds must be integers"),
+    (lambda: Viewport(0, 1, 0, True), PreconditionError, "viewport bounds must be integers"),
+    (lambda: Viewport(0, 1.0, 0, 1), PreconditionError, "viewport bounds must be integers"),
 ]
 
 
