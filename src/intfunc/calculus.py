@@ -215,7 +215,7 @@ class IntegerScale(_Frozen):
         self._set(unit)
 
     def refined(self, m: int) -> "IntegerScale":
-        if m < 1:
+        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
             raise PreconditionError("refinement factor must be a positive integer")
         return IntegerScale(self.unit / m)
 

@@ -51,16 +51,17 @@ EXIT_PRECONDITION = 5
 
 def _cmd_generate(args) -> int:
     from .core import GenerationMode, generate
-    from .io import read_config, write_trace_file
+    from .io import read_config, trace_output
 
     config = read_config(args.config, args.set or ())
-    if config.mode is GenerationMode.MONOTONE:
-        f, trace = generate(config)
-    else:
-        from .curves import composite_generate
+    with trace_output(args.out) as write:
+        if config.mode is GenerationMode.MONOTONE:
+            f, trace = generate(config)
+        else:
+            from .curves import composite_generate
 
-        f, trace = composite_generate(config)
-    write_trace_file(trace, args.out)
+            f, trace = composite_generate(config)
+        write(trace)
     print(f"wrote {args.out}: {f.length} steps, end [{f.end.i}, {f.end.j}]")
     return EXIT_OK
 
@@ -91,16 +92,19 @@ def _cmd_derive(args) -> int:
 def _cmd_pi(args) -> int:
     from .curves import format_bound, pi_bounds
 
-    result = pi_bounds(args.x0)
     if args.trace:
         from .core import generate
         from .curves import harmonic_config
-        from .io import write_trace_file
+        from .io import trace_output
 
-        # Trace first: if the two-regulator run overflows, nothing is printed
-        # and no file is left behind.
-        _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
-        write_trace_file(trace, args.trace)
+        # Trace before printing: if the two-regulator run overflows, nothing
+        # is printed and no file is left behind.
+        with trace_output(args.trace) as write:
+            result = pi_bounds(args.x0)
+            _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
+            write(trace)
+    else:
+        result = pi_bounds(args.x0)
     print(f"i={result.i_quarter} j={result.j_quarter} "
           f"lower={format_bound(result.lower, round_up=False)} "
           f"upper={format_bound(result.upper, round_up=True)} "
@@ -113,12 +117,13 @@ def _cmd_pi(args) -> int:
 def _cmd_digitize(args) -> int:
     from .calculus import IntegerScale
     from .curves import digitize
-    from .io import parse_rational, read_samples_file, trace_for_function, write_trace_file
+    from .io import parse_rational, read_samples_file, trace_for_function, trace_output
 
     samples = read_samples_file(args.samples)
     scale = IntegerScale(parse_rational(args.unit))
-    f = digitize(samples, scale)
-    write_trace_file(trace_for_function(f), args.out)
+    with trace_output(args.out) as write:
+        f = digitize(samples, scale)
+        write(trace_for_function(f))
     print(f"wrote {args.out}: {f.length} steps, "
           f"start [{f.start.i}, {f.start.j}], end [{f.end.i}, {f.end.j}]")
     return EXIT_OK

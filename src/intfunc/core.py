@@ -653,6 +653,10 @@ def _indent(lines, levels=1):
     return ["    " * levels + line for line in lines]
 
 
+#: Steps in one block of the untraced loop that runs with no stop test.
+_FREE_STEPS = 1 << 10
+
+
 @lru_cache(maxsize=256)
 def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
                     loop: str) -> _Kernel:
@@ -687,6 +691,17 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     one side's count is (target - its start) // source for a live pair whose
     source is constant and whose target no other side feeds (for pi,
     j = (XX - XX_0) // XXY); a shape with no such pair counts its j steps.
+
+    An untraced kernel whose watched register W has live feeds first runs
+    blocks of _FREE_STEPS steps, 8 steps a pass, with no stop test.  A block
+    runs while the cap leaves a whole block and W > _FREE_STEPS * bound(a
+    feed of W) for the largest such bound, where bound(R) = |R| + _FREE_STEPS
+    * the largest bound of R's live feeds.  A step adds a feed at most once
+    to a register, as in _batch_fits, so bound(R) bounds |R| over the block,
+    W falls by less than W in it, and the stop test could not have fired.
+    For pi the guard is X > 1024 * (abs(XX) + 1024 * abs(XXY)).  The tested
+    loop then runs the remaining steps, its pass index carrying on from the
+    blocks, so the step total is unchanged.
     """
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
@@ -706,6 +721,16 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                if pair[0] in constant and pair[1] in (fed[0] ^ fed[1]) - set(REGULATORS)]
     counter = None if traced or derived else Axis.J
     cap = REGISTER_CAPACITY
+    feeds = {}
+    for pairs, _ in sides:
+        for source, target in pairs:
+            feeds.setdefault(target, []).append(source)
+
+    def reach(names):
+        # The largest magnitude any of names can reach in _FREE_STEPS steps.
+        terms = [f"abs({name})" + (f" + {_FREE_STEPS} * {reach(feeds[name])}"
+                                   if name in feeds else "") for name in names]
+        return terms[0] if len(terms) == 1 else f"max({', '.join(terms)})"
 
     def add(target, term, context):
         if not traced and target in REGULATORS:
@@ -735,7 +760,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                       *_indent(add(regulator, rate, context) + move(plus))]
         if traced:
             lines.append(f"snaps += {', '.join(ALL_REGISTERS[s] for s in recorded)}")
-        if watched is not None and ALL_REGISTERS[watched] in changed:
+        if stop and watched is not None and ALL_REGISTERS[watched] in changed:
             lines += [f"if {ALL_REGISTERS[watched]} <= 0:", *_indent(stop)]
         return lines or ["pass"]
 
@@ -758,8 +783,17 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     else:
         axis, (feed, target) = derived[0] if derived else (Axis.J, (None, None))
         head = ["def run(regs, steps):", unpack, "    r = RX - RY",
-                f"    base = {target}" if derived else "    j = 0",
-                "    for n in range(steps >> 1):"]
+                f"    base = {target}" if derived else "    j = 0"]
+        start, name = "", None if watched is None else ALL_REGISTERS[watched]
+        if name in feeds:
+            guard = f"{name} > {_FREE_STEPS} * ({reach(feeds[name])})"
+            head += ["    done = 0",
+                     f"    while steps - done >= {_FREE_STEPS} and {guard}:",
+                     f"        for _ in repeat(None, {_FREE_STEPS >> 3}):",
+                     *_indent(step([]) * 8, 3),
+                     f"        done += {_FREE_STEPS}"]
+            start = "done >> 1, "
+        head.append(f"    for n in range({start}steps >> 1):")
         body = step(["total = 2 * n + 1", "break"]) + step(["total = 2 * n + 2", "break"])
         tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}",
                 *([f"    {axis.value} = ({target} - base) // {feed}"] if derived else []),

@@ -184,6 +184,14 @@ def pi_bounds(x0: int) -> PiResult:
     the exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
     ``elapsed`` times the run alone, not the kernel's compile.
 
+    Far from the stop the loop makes no stop test: it runs blocks of
+    core._FREE_STEPS = 1024 steps while X > 1024 * (|XX| + 1024 * |XXY|),
+    which shows X stays positive through the block, since X falls by at most
+    |XX| per step and |XX| grows by at most |XXY| per step.  The rest of the
+    run, from the first block the guard refuses, tests X after every i step.
+    Seeds below about 1.05e6 fail the guard at once and run tested
+    throughout.
+
     The kernel checks no addition, because none can leave +/- 2**63 for
     x0 <= PI_SEED_LIMIT.  XX = -1 - j, and j is at most the cap, about
     4 sqrt(x0).  X falls from x0 by |XX| per i step and the run stops at its

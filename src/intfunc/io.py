@@ -13,7 +13,8 @@ columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
 bare integer functions (register columns all zero).  write_trace fills one
-row template per trace.  read_trace takes 4 096 lines at a time and has
+row template per trace, and trace_output opens a trace file before the run
+that fills it.  read_trace takes 4 096 lines at a time and has
 two tokenizers: a plain chunk (no quote, carriage return or NUL, exactly 19
 commas on every line, no line over the CSV field size limit) is split as
 strings, and csv.reader takes any other.  Both hand their cells to one row
@@ -34,6 +35,7 @@ beyond +/- REGISTER_CAPACITY raises RegisterOverflowError.
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
@@ -216,9 +218,35 @@ def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
         stream.write(chunk)
 
 
-def write_trace_file(trace: GenerationTrace, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+@contextmanager
+def trace_output(path: str):
+    """Open ``path`` for a trace before the run that makes it, so a path that
+    cannot be written fails first; yield a function that writes one trace
+    there.  The file is opened to append, so one that exists keeps its bytes
+    until that write empties it, and one this call created is removed again
+    if the block raises."""
+    try:
+        handle, created = open(path, "x", encoding="utf-8", newline=""), True
+    except FileExistsError:
+        handle, created = open(path, "a", encoding="utf-8", newline=""), False
+
+    def write(trace: GenerationTrace) -> None:
+        if handle.seekable():  # a pipe or a terminal has nothing to empty
+            handle.truncate(0)
         write_trace(trace, handle)
+
+    try:
+        with handle:
+            yield write
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
+def write_trace_file(trace: GenerationTrace, path: str) -> None:
+    with trace_output(path) as write:
+        write(trace)
 
 
 def _parse_column(cells: list[str], name: str) -> array:

@@ -258,3 +258,9 @@ class TestIntegerScale:
         scale = IntegerScale(Fraction(1, 100))
         assert scale.cell_of(Fraction(1, 40), Fraction(0)) == IntegerPair(2, 0)
         assert scale.refined(10).unit == Fraction(1, 1000)
+
+    # bool is an int subclass, but True is not a factor; "2" and 2.0 are not ints.
+    @pytest.mark.parametrize("m", [0, True, "2", 2.0])
+    def test_refined_factor_must_be_a_positive_integer(self, m):
+        with pytest.raises(PreconditionError, match="refinement factor"):
+            IntegerScale(1).refined(m)

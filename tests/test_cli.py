@@ -354,6 +354,61 @@ class TestPiCommand:
         assert not trace_path.exists()
 
 
+class TestOutputPaths:
+    # generate --out, digitize --out and pi --trace open their output before
+    # the run, so a path that cannot be written fails first, and a failed run
+    # leaves no file behind and an existing one as it was.
+    COMMANDS = {"generate": ["generate", "--config", "{cfg}", "--out"],
+                "digitize": ["digitize", "--unit", "1/10", "--samples", "{samples}", "--out"],
+                "pi": ["pi", "--x0", "10000000000", "--trace"]}
+    # generate exhausts a 5-step cap, digitize finds a gap, pi refuses x0 = 1.
+    FAILING = {"generate": ["generate", "--config", "{cfg}", "--set", "CAP=5", "--out"],
+               "digitize": ["digitize", "--unit", "1", "--samples", "{gap}", "--out"],
+               "pi": ["pi", "--x0", "1", "--trace"]}
+
+    @staticmethod
+    def _argv(template, tmp_path, out):
+        inputs = {"cfg": format_config(harmonic_config(10**10)),
+                  "samples": "0,0\n1/10,1/20\n2/10,1/10\n", "gap": "0,0\n5,0\n"}
+        for name, text in inputs.items():
+            (tmp_path / name).write_text(text)
+        return [part.format_map({name: tmp_path / name for name in inputs})
+                for part in template] + [str(out)]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_missing_directory_fails_before_the_run(self, command, tmp_path, capsys,
+                                                    monkeypatch):
+        def no_run(*args):
+            raise AssertionError("the run started")
+
+        for name in ("core.generate", "curves.digitize", "curves.pi_bounds"):
+            monkeypatch.setattr(f"intfunc.{name}", no_run)
+        out = tmp_path / "missing" / "out.csv"
+        code, stdout, err = run_cli(*self._argv(self.COMMANDS[command], tmp_path, out),
+                                    capsys=capsys)
+        assert (code, stdout) == (3, "")
+        assert str(out) in err
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_failed_run_leaves_the_output_as_it_was(self, command, tmp_path, capsys):
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("not a trace\n")
+        for out in (kept, new):
+            code, stdout, _ = run_cli(*self._argv(self.FAILING[command], tmp_path, out),
+                                      capsys=capsys)
+            assert (code, stdout) == (5, "")
+        assert kept.read_text() == "not a trace\n"
+        assert not new.exists()
+
+    def test_existing_output_is_replaced(self, tmp_path, capsys):
+        out = tmp_path / "pi.csv"
+        out.write_text("x" * 10**5)
+        code, _, _ = run_cli("pi", "--x0", "100", "--trace", str(out), capsys=capsys)
+        assert code == 0
+        assert len(read_trace_file(str(out))) == 24
+
+
 class TestDigitizeAndRender:
     def test_pipeline(self, tmp_path, capsys):
         samples_path = tmp_path / "line.samples"

@@ -7,6 +7,8 @@ errors must not change which step a run fails on, or its error text.
 
 import re
 from array import array
+from fractions import Fraction
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -37,6 +39,8 @@ from intfunc import (
 from intfunc import core
 from intfunc.core import REGULATORS, _checked, _run
 from intfunc.curves import harmonic_config, line_config
+
+from helpers import machin_pi, quarter_wave
 
 CAP = REGISTER_CAPACITY
 
@@ -390,6 +394,139 @@ def test_untraced_loop_cannot_watch_a_regulator():
     for register in REGULATORS:
         with pytest.raises(PreconditionError, match=f"cannot watch {register}$"):
             _kernel_of(bank, stop=WhilePositive(register, 100), loop=core._UNTRACED)
+
+
+# Blocks of core._FREE_STEPS steps with no stop test.  A block runs while the
+# cap leaves a whole block and W > B * max(reach of W's feeds), B = _FREE_STEPS.
+_BLOCK = core._FREE_STEPS
+
+
+def _reach(values, name):
+    """The most |name| can reach within a block: a step adds one of its feeds
+    at most once, so its own magnitude plus B times its feeds' reach."""
+    feeds = [] if len(name) == 3 else [name + "X", name + "Y"]
+    return abs(values[name]) + _BLOCK * max((_reach(values, f) for f in feeds), default=0)
+
+
+def _guard_threshold(values, name):
+    return _BLOCK * max(_reach(values, name + "X"), _reach(values, name + "Y"))
+
+
+def _untraced_blocks(config, steps):
+    """(i steps, j steps, work registers, blocks run) of the untraced kernel
+    of ``config`` run for ``steps`` steps.  A block runs its _FREE_STEPS
+    steps 8 a pass, as one repeat(None, _FREE_STEPS >> 3) loop, so a spy on
+    the kernel's repeat counts the blocks."""
+    kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
+    calls = []
+
+    def spy(value, times):
+        calls.append(times)
+        return repeat(value, times)
+
+    regs = list(config.bank._values)
+    with mock.patch.dict(kernel.run.__globals__, repeat=spy):
+        i, j = kernel.run(regs, steps)
+    return i, j, regs[2:], calls.count(_BLOCK >> 3)
+
+
+# The registers a block can watch: each has feeds (rank 3 has none).
+_FED = [name for name in WORK_REGISTERS if len(name) < 3]
+
+
+@st.composite
+def block_configs(draw):
+    """A large watched register W with small feeds, so that the guard passes:
+    W far above the guard runs to its cap in blocks, W a little above it
+    stops in the tested loop after a block or two.  The cap ends inside, at
+    or just after a block."""
+    values = {name: draw(_SMALL) for name in ALL_REGISTERS}
+    register = draw(st.sampled_from(_FED))
+    values[register + draw(st.sampled_from("XY"))] = draw(st.sampled_from([-3, -1, 1, 2]))
+    values[register] = draw(st.one_of(st.integers(2**21, 2**24), st.integers(2**40, 2**45)))
+    cap = _BLOCK * draw(st.integers(1, 3)) + draw(st.sampled_from([-1, 0, 1]))
+    return GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
+                           stop=WhilePositive(register, cap),
+                           mode=draw(st.sampled_from(list(GenerationMode))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_configs())
+def test_blocks_match_the_traced_run(config):
+    i, j, registers, _ = _untraced_blocks(config, config.stop.cap)
+    assert (i, j, registers) == _traced_counts(config)
+
+
+@pytest.mark.parametrize("mode", list(GenerationMode))
+@pytest.mark.parametrize("register", _FED)
+def test_blocks_run_at_every_watched_register(register, mode):
+    # Far above the guard, every whole block of the cap runs.
+    values = {name: 0 for name in ALL_REGISTERS}
+    values.update({register: 2**40, register + "Y": -1})
+    for cap in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1):
+        config = GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
+                                 stop=WhilePositive(register, cap), mode=mode)
+        i, j, registers, blocks = _untraced_blocks(config, cap)
+        assert (i, j, registers) == _traced_counts(config)
+        assert blocks == cap // _BLOCK
+
+
+def _replay(bank, mode, steps):
+    """The banks after each of ``steps`` steps of the single-step reference."""
+    banks = []
+    for _ in range(steps):
+        axis = choose_step(bank)
+        bank = (apply_step(bank, axis) if mode is GenerationMode.MONOTONE
+                else _harmonized_step(bank, axis)[0])
+        banks.append(bank)
+    return banks
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_configs(), st.integers(-2, 2))
+def test_guard_keeps_the_watched_register_positive(config, offset):
+    # W at the guard's threshold, give or take two: the kernel runs a block
+    # exactly when W is above it, and the block leaves W positive after
+    # every one of its steps.
+    register = config.stop.register
+    values = config.bank.as_dict()
+    values[register] = max(1, _guard_threshold(values, register) + offset)
+    bank = RegisterBank(**values)
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive(register, _BLOCK),
+                             mode=config.mode)
+    blocks = _untraced_blocks(config, _BLOCK)[3]
+    assert blocks == (values[register] > _guard_threshold(values, register))
+    if blocks:
+        assert min(b.value(register) for b in _replay(bank, config.mode, _BLOCK)) > 0
+
+
+# 1 049 601 is the first seed the pi guard X > 1024 * (1 + 1024) passes at the
+# start.  Each pair of seeds: the last before and the first with one more
+# block, or with a run one step past a multiple of _FREE_STEPS.
+_BLOCK_EDGES = {1_700_080: 1, 1_700_081: 2, 2_604_051: 2, 2_604_052: 3,
+                3_779_171: 3, 3_779_172: 4}
+_PAST_A_BLOCK = [1_429_392, 1_429_393, 2_541_142, 2_541_143,
+                 3_969_899, 3_969_900, 10_159_929, 10_159_930]
+
+
+def test_pi_seeds_around_the_first_block():
+    low, high = machin_pi(40)
+    pi_half_low, pi_half_high = Fraction(low, 2 * 10**40), Fraction(high, 2 * 10**40)
+    seeds = [*range(1_049_600 - 32, 1_049_600 + 33), *_BLOCK_EDGES, *_PAST_A_BLOCK]
+    past = set()
+    for x0 in seeds:
+        config = harmonic_config(x0)
+        i, j, _, blocks = _untraced_blocks(config, config.stop.cap)
+        if x0 in _BLOCK_EDGES:
+            assert blocks == _BLOCK_EDGES[x0], x0
+        elif x0 < 1_100_000:
+            assert blocks == (x0 > 1_049_600), x0
+        result = pi_bounds(x0)
+        assert (i, j, i + j) == (result.i_quarter, result.j_quarter, result.step_count) \
+            == quarter_wave(x0), x0
+        assert result.lower < pi_half_low and pi_half_high < result.upper, x0
+        past.add(result.step_count % _BLOCK)
+    assert past >= {0, 1}
 
 
 def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), loop=core._TRACED):
