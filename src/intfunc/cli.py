@@ -18,7 +18,6 @@ from .core import IntegerFunctionError, ParseError, RegisterOverflowError
 
 import argparse
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -51,17 +50,17 @@ EXIT_PRECONDITION = 5
 
 def _cmd_generate(args) -> int:
     from .core import GenerationMode, generate
-    from .io import read_config, trace_output
+    from .io import output_file, read_config, write_trace
 
     config = read_config(args.config, args.set or ())
-    with trace_output(args.out) as write:
+    with output_file(args.out) as start:
         if config.mode is GenerationMode.MONOTONE:
             f, trace = generate(config)
         else:
             from .curves import composite_generate
 
             f, trace = composite_generate(config)
-        write(trace)
+        write_trace(trace, start())
     print(f"wrote {args.out}: {f.length} steps, end [{f.end.i}, {f.end.j}]")
     return EXIT_OK
 
@@ -95,14 +94,14 @@ def _cmd_pi(args) -> int:
     if args.trace:
         from .core import generate
         from .curves import harmonic_config
-        from .io import trace_output
+        from .io import output_file, write_trace
 
         # Trace before printing: if the two-regulator run overflows, nothing
         # is printed and no file is left behind.
-        with trace_output(args.trace) as write:
+        with output_file(args.trace) as start:
             result = pi_bounds(args.x0)
             _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
-            write(trace)
+            write_trace(trace, start())
     else:
         result = pi_bounds(args.x0)
     print(f"i={result.i_quarter} j={result.j_quarter} "
@@ -117,13 +116,14 @@ def _cmd_pi(args) -> int:
 def _cmd_digitize(args) -> int:
     from .calculus import IntegerScale
     from .curves import digitize
-    from .io import parse_rational, read_samples_file, trace_for_function, trace_output
+    from .io import (output_file, parse_rational, read_samples_file, trace_for_function,
+                     write_trace)
 
     samples = read_samples_file(args.samples)
     scale = IntegerScale(parse_rational(args.unit))
-    with trace_output(args.out) as write:
+    with output_file(args.out) as start:
         f = digitize(samples, scale)
-        write(trace_for_function(f))
+        write_trace(trace_for_function(f), start())
     print(f"wrote {args.out}: {f.length} steps, "
           f"start [{f.start.i}, {f.start.j}], end [{f.end.i}, {f.end.j}]")
     return EXIT_OK
@@ -143,27 +143,37 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
     return Viewport(i_min, i_max, j_min, j_max, cell_px=cell_px)
 
 
+def _output(path):
+    """io.output_file(path), or stdout when there is no path."""
+    if not path:
+        from contextlib import nullcontext
+
+        return nullcontext(lambda: sys.stdout)
+    from .io import output_file
+
+    return output_file(path)
+
+
 def _cmd_render(args) -> int:
     from .io import function_from_trace, read_trace_file
     from .render import Viewport, render_ascii, render_pbm, render_svg
 
-    trace = read_trace_file(args.infile)
-    f = function_from_trace(trace)
-    if args.viewport:
-        viewport = _parse_viewport(args.viewport, args.cell_px)
-    else:
-        viewport = Viewport.around(f, cell_px=args.cell_px)
-    if args.format == "ascii":
-        payload = render_ascii(f, viewport).encode("utf-8")
-    elif args.format == "pbm":
-        payload = render_pbm(f, viewport)
-    else:
-        payload = render_svg(f, viewport, scale_label=args.label).encode("utf-8")
-    if args.out:
-        Path(args.out).write_bytes(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
+    with _output(args.out) as start:
+        trace = read_trace_file(args.infile)
+        f = function_from_trace(trace)
+        if args.viewport:
+            viewport = _parse_viewport(args.viewport, args.cell_px)
+        else:
+            viewport = Viewport.around(f, cell_px=args.cell_px)
+        if args.format == "ascii":
+            payload = render_ascii(f, viewport).encode("utf-8")
+        elif args.format == "pbm":
+            payload = render_pbm(f, viewport)
+        else:
+            payload = render_svg(f, viewport, scale_label=args.label).encode("utf-8")
+        stream = start().buffer
+        stream.write(payload)
+        stream.flush()
     return EXIT_OK
 
 
@@ -171,17 +181,14 @@ def _cmd_mech(args) -> int:
     from .curves import free_fall_config, harmonic_config, uniform_motion_config
     from .io import format_config
 
-    if args.kind == "uniform":
-        config = uniform_motion_config(args.il, args.jl)
-    elif args.kind == "freefall":
-        config = free_fall_config(args.xx, args.y, args.steps, args.x0)
-    else:
-        config = harmonic_config(args.x0, cap=args.cap)
-    text = format_config(config)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(args.out) as start:
+        if args.kind == "uniform":
+            config = uniform_motion_config(args.il, args.jl)
+        elif args.kind == "freefall":
+            config = free_fall_config(args.xx, args.y, args.steps, args.x0)
+        else:
+            config = harmonic_config(args.x0, cap=args.cap)
+        start().write(format_config(config))
     return EXIT_OK
 
 

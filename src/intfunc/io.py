@@ -13,14 +13,15 @@ columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
 bare integer functions (register columns all zero).  write_trace fills one
-row template per trace, and trace_output opens a trace file before the run
-that fills it.  read_trace takes 4 096 lines at a time and has
-two tokenizers: a plain chunk (no quote, carriage return or NUL, exactly 19
-commas on every line, no line over the CSV field size limit) is split as
-strings, and csv.reader takes any other.  Both hand their cells to one row
-checker, so they accept the same input and raise the same errors.  Like a
-run's batches, each checked chunk joins the trace as one part (core._Parts):
-a register stays one int while every part holds it at one value.
+row template per trace and writes it 1 024 rows at a time, and output_file
+opens an output file before the work that fills it.  read_trace takes 1 024
+lines at a time, about 1 MiB of cells, and has two tokenizers: a plain
+chunk (no quote, carriage return or NUL, exactly 19 commas on every line,
+no line over the CSV field size limit) is split as strings, and csv.reader
+takes any other.  Both hand their cells to one row checker, so they accept
+the same input and raise the same errors.  Like a run's batches, each
+checked chunk joins the trace as one part (core._Parts): a register stays
+one int while every part holds it at one value.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import os
+import sys
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
@@ -196,7 +198,10 @@ _TOKENS = tuple(step.token for step in STEP_CODES)
 _CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
 _WIDTH = len(TRACE_COLUMNS)
 _HEADER = ",".join(TRACE_COLUMNS) + "\n"
-_CHUNK_ROWS = 4096
+# Rows per chunk that read_trace checks and write_trace joins: a harmonic
+# row splits into about 1.1 KB of cells, so a chunk's cells, lines and text
+# come to about 1 MiB, one pymalloc arena.
+_CHUNK_ROWS = 1024
 
 
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
@@ -218,26 +223,39 @@ def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
         stream.write(chunk)
 
 
+def _is_stdout(handle: IO[str]) -> bool:
+    """Whether ``handle`` is open on the file that stdout writes."""
+    try:
+        return os.path.samestat(os.fstat(handle.fileno()), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no stdout, or not a file
+        return False
+
+
 @contextmanager
-def trace_output(path: str):
-    """Open ``path`` for a trace before the run that makes it, so a path that
-    cannot be written fails first; yield a function that writes one trace
-    there.  The file is opened to append, so one that exists keeps its bytes
-    until that write empties it, and one this call created is removed again
-    if the block raises."""
+def output_file(path: str):
+    """Open ``path`` before the work that fills it, so a path that cannot be
+    written fails first; yield a function that empties the file and returns
+    the text stream to write it through.  The file is opened to append, so
+    one that exists keeps its bytes until that call, and one this call
+    created is removed again if the block raises.  When the file is the one
+    stdout writes (``/dev/stdout`` redirected to a file, say), the stream is
+    sys.stdout: a second open file of it would write from an offset of its
+    own, over what stdout writes."""
     try:
         handle, created = open(path, "x", encoding="utf-8", newline=""), True
     except FileExistsError:
         handle, created = open(path, "a", encoding="utf-8", newline=""), False
 
-    def write(trace: GenerationTrace) -> None:
+    def start() -> IO[str]:
+        if _is_stdout(handle):
+            return sys.stdout
         if handle.seekable():  # a pipe or a terminal has nothing to empty
             handle.truncate(0)
-        write_trace(trace, handle)
+        return handle
 
     try:
         with handle:
-            yield write
+            yield start
     except BaseException:
         if created:
             os.remove(path)
@@ -245,8 +263,8 @@ def trace_output(path: str):
 
 
 def write_trace_file(trace: GenerationTrace, path: str) -> None:
-    with trace_output(path) as write:
-        write(trace)
+    with output_file(path) as start:
+        write_trace(trace, start())
 
 
 def _parse_column(cells: list[str], name: str) -> array:

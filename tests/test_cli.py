@@ -355,21 +355,31 @@ class TestPiCommand:
 
 
 class TestOutputPaths:
-    # generate --out, digitize --out and pi --trace open their output before
-    # the run, so a path that cannot be written fails first, and a failed run
-    # leaves no file behind and an existing one as it was.
+    # generate --out, digitize --out, pi --trace, render --out and mech --out
+    # open their output before the work, so a path that cannot be written
+    # fails first, and a failed run leaves no file behind and an existing one
+    # as it was.
     COMMANDS = {"generate": ["generate", "--config", "{cfg}", "--out"],
                 "digitize": ["digitize", "--unit", "1/10", "--samples", "{samples}", "--out"],
-                "pi": ["pi", "--x0", "10000000000", "--trace"]}
-    # generate exhausts a 5-step cap, digitize finds a gap, pi refuses x0 = 1.
+                "pi": ["pi", "--x0", "10000000000", "--trace"],
+                "render": ["render", "--in", "{trace}", "--format", "svg", "--out"],
+                "mech": ["mech", "harmonic", "--x0", "100", "--out"]}
+    # generate exhausts a 5-step cap, digitize finds a gap, pi and mech refuse
+    # x0 = 1, render goes over the ASCII grid limit.
     FAILING = {"generate": ["generate", "--config", "{cfg}", "--set", "CAP=5", "--out"],
                "digitize": ["digitize", "--unit", "1", "--samples", "{gap}", "--out"],
-               "pi": ["pi", "--x0", "1", "--trace"]}
+               "pi": ["pi", "--x0", "1", "--trace"],
+               "render": ["render", "--in", "{trace}", "--format", "ascii",
+                          "--viewport", "0:100000:0:1000", "--out"],
+               "mech": ["mech", "harmonic", "--x0", "1", "--out"]}
 
     @staticmethod
     def _argv(template, tmp_path, out):
+        elbow = io.StringIO()
+        write_trace(trace_for_function(from_step_sequence((0, 0), "i j")), elbow)
         inputs = {"cfg": format_config(harmonic_config(10**10)),
-                  "samples": "0,0\n1/10,1/20\n2/10,1/10\n", "gap": "0,0\n5,0\n"}
+                  "samples": "0,0\n1/10,1/20\n2/10,1/10\n", "gap": "0,0\n5,0\n",
+                  "trace": elbow.getvalue()}
         for name, text in inputs.items():
             (tmp_path / name).write_text(text)
         return [part.format_map({name: tmp_path / name for name in inputs})
@@ -378,10 +388,11 @@ class TestOutputPaths:
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_missing_directory_fails_before_the_run(self, command, tmp_path, capsys,
                                                     monkeypatch):
-        def no_run(*args):
+        def no_run(*args, **kwargs):
             raise AssertionError("the run started")
 
-        for name in ("core.generate", "curves.digitize", "curves.pi_bounds"):
+        for name in ("core.generate", "curves.digitize", "curves.pi_bounds",
+                     "io.read_trace_file", "curves.harmonic_config"):
             monkeypatch.setattr(f"intfunc.{name}", no_run)
         out = tmp_path / "missing" / "out.csv"
         code, stdout, err = run_cli(*self._argv(self.COMMANDS[command], tmp_path, out),
@@ -407,6 +418,38 @@ class TestOutputPaths:
         code, _, _ = run_cli("pi", "--x0", "100", "--trace", str(out), capsys=capsys)
         assert code == 0
         assert len(read_trace_file(str(out))) == 24
+
+    @pytest.mark.parametrize("command", ["render", "mech"])
+    def test_output_is_what_stdout_gets(self, command, tmp_path, capsys):
+        # A longer file that exists is emptied first, also where render
+        # writes its bytes below the text layer.
+        out = tmp_path / "out"
+        out.write_text("x" * 10**5)
+        argv = self._argv(self.COMMANDS[command], tmp_path, out)
+        assert run_cli(*argv, capsys=capsys)[:2] == (0, "")
+        assert run_cli(*argv[:-2], capsys=capsys)[:2] == (0, out.read_text())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    @pytest.mark.parametrize("redirect", ["w", "a"])
+    def test_trace_to_stdout_redirected_to_a_file(self, redirect, tmp_path):
+        # /dev/stdout opens a second file description of the file stdout
+        # writes; the trace must go through stdout itself, ahead of the two
+        # summary lines, as it does into a pipe.
+        out = tmp_path / "out.txt"
+        out.write_text("before\n")
+        with open(out, redirect) as stdout:
+            result = subprocess.run(
+                [sys.executable, "-m", "intfunc.cli", "pi", "--x0", "100",
+                 "--trace", "/dev/stdout"], stdout=stdout, stderr=subprocess.PIPE, text=True,
+                env={**os.environ, "PYTHONPATH": str(Path(intfunc.__file__).parents[1])})
+        assert (result.returncode, result.stderr) == (0, "")
+        lines = out.read_text().splitlines(keepends=True)
+        if redirect == "a":
+            assert lines.pop(0) == "before\n"
+        assert lines[0] == ",".join(TRACE_COLUMNS) + "\n"
+        assert len(read_trace(io.StringIO("".join(lines[:-2])))) == 24
+        assert lines[-2].startswith("i=15 j=9 lower=1.4 upper=1.777778 steps=24 ")
+        assert lines[-1] == "wrote /dev/stdout: 24 steps\n"
 
 
 class TestDigitizeAndRender:

@@ -172,7 +172,7 @@ def test_samples_name_the_bad_token(tmp_path, capsys):
     assert err.startswith("parse error: line 2: invalid rational 'zero'")
 
 
-# A trace of 6 000 rows spans two chunks of rows; each defect kind below
+# A trace of 6 000 rows spans several chunks of rows; each defect kind below
 # breaks one row rule.
 _DEFECTS = {
     "width": lambda cells: cells[:-1],
@@ -212,11 +212,12 @@ def test_error_is_that_of_the_first_bad_line(long_trace_lines, defects):
 
 
 def test_refused_line_waits_for_an_earlier_bad_row():
-    # Line 101 has a bad token and line 2001 a cell over the CSV field size
-    # limit, in the same chunk of rows: the earlier line is the one named.
-    lines = [HEADER] + [_row(k, "i+", k, 0) for k in range(1, 2001)]
+    # Line 101 has a bad token and the line of the chunk's last row a cell
+    # over the CSV field size limit: the earlier line is the one named.
+    last = intfunc.io._CHUNK_ROWS
+    lines = [HEADER] + [_row(k, "i+", k, 0) for k in range(1, last + 1)]
     lines[100] = _row(100, "up", 100, 0)
-    lines[2000] = _row(2000, "i+", "2" * 200_000, 0)
+    lines[last] = _row(last, "i+", "2" * 200_000, 0)
     text = "\n".join(lines) + "\n"
     for reader in (read_trace, read_trace_csv):
         with pytest.raises(ParseError, match=r"^line 101: invalid step token 'up'"):
@@ -352,10 +353,14 @@ def test_parts_keep_an_int_until_a_part_differs():
     assert core._Parts().trace() == GenerationTrace()
 
 
+def _pi_trace(x0):
+    return generate(harmonic_config(x0, cap=pi_bounds(x0).step_count))[1]
+
+
 def _read_overhead(x0):
     """Rows of the pi trace of ``x0``, and the tracemalloc peak of one
     read_trace of its lines less what the read keeps."""
-    _, trace = generate(harmonic_config(x0, cap=pi_bounds(x0).step_count))
+    trace = _pi_trace(x0)
     lines = _text(trace).splitlines(keepends=True)
     tracemalloc.start()
     try:
@@ -373,6 +378,21 @@ def test_read_memory_does_not_grow_past_what_it_keeps():
     (rows, overhead), (more_rows, more_overhead) = map(_read_overhead, (10**8, 10**9))
     assert (rows, more_rows) == (25706, 81294)
     assert more_overhead - overhead <= 16 * (more_rows - rows)
+    # One chunk of 1 024 rows is about 1 MiB of cells, lines and text.
+    assert more_overhead <= 1.5 * 2**20
+
+
+def test_write_holds_one_chunk():
+    # write_trace joins one chunk of rows at a time, about 0.36 MiB here.
+    trace = _pi_trace(10**9)
+    with open(os.devnull, "w", encoding="utf-8") as null:
+        tracemalloc.start()
+        try:
+            write_trace(trace, null)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
 
 
 def _edit_cells(change):
@@ -451,9 +471,10 @@ def _outcome(reader, text, newline):
         return type(exc), str(exc)
 
 
-# Rows 1 and 4096 open and close the first chunk of lines, and 4097 opens
+# Rows 1 and B open and close the first chunk of B lines, and B + 1 opens
 # the second; the long file has 6 000 rows.
-_EDGES = (1, 2, 4095, 4096, 4097, 4098, 6000)
+B = intfunc.io._CHUNK_ROWS
+_EDGES = (1, 2, B - 1, B, B + 1, B + 2, 6000)
 
 
 # ``pick`` is a preset's file, the bare path's (11) or the long file's (-1).
@@ -464,8 +485,8 @@ _EDGES = (1, 2, 4095, 4096, 4097, 4098, 6000)
                                     st.sampled_from(range(len(TRACE_COLUMNS)))),
                           min_size=1, max_size=3),
        newline=st.sampled_from(["\n", ""]))
-@example(pick=-1, mutations=[(4097, "moved", 0)], newline="\n")
-@example(pick=-1, mutations=[(4096, "shift", 0)], newline="\n")
+@example(pick=-1, mutations=[(B + 1, "moved", 0)], newline="\n")
+@example(pick=-1, mutations=[(B, "shift", 0)], newline="\n")
 @example(pick=-1, mutations=[(100, "token", 0), (2000, "oversized", 7)], newline="\n")
 @example(pick=0, mutations=[(3, "cr", 5)], newline="\n")
 @example(pick=0, mutations=[(3, "crlf", 0), (9, "nul", 4)], newline="")
