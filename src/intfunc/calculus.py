@@ -6,14 +6,25 @@ characteristic elements whose study coordinates are D apart is the
 characteristic difference of class D; collected over all coordinates these
 form a difference field, and the fields over all classes describe how the
 two step kinds are interleaved.
+
+``difference_field`` builds its one class with one subtraction per entry.
+``full_derivative`` and ``derive --all`` build every class, and when the
+cross coordinates span less than 2**15 they pack them once into the 16-bit
+lanes of one int and build each class from a few big-int operations: every
+lane holds its coordinate's offset from the minimum, below 2**15, so a lane
+difference plus 2**15 stays within 0 .. 2**16 - 1 and no borrow crosses a
+lane.  A wider span keeps the subtraction per entry.  Fraction is bound
+only under TYPE_CHECKING, so typing.get_type_hints of IntegerScale's
+methods raises NameError unless localns binds it.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
+import sys
+from array import array
 from itertools import compress, islice
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .core import (
     Axis,
@@ -23,6 +34,9 @@ from .core import (
     PreconditionError,
     _Frozen,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CharacteristicIndex(NamedTuple):
@@ -122,6 +136,12 @@ class DifferenceField:
                 f"first={self.first}, values={self._values})")
 
 
+def _check_class(diff_class) -> None:
+    """Refuse a difference class that is not a positive integer."""
+    if isinstance(diff_class, bool) or not isinstance(diff_class, int) or diff_class < 1:
+        raise PreconditionError("difference class must be a positive integer")
+
+
 def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> DifferenceField:
     """Differences of the cross coordinate over spans of ``diff_class``.
 
@@ -130,15 +150,54 @@ def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> Differe
     Coordinates without a partner are omitted; a class at or beyond the
     coordinate span yields an empty field.
     """
-    if isinstance(diff_class, bool) or not isinstance(diff_class, int) or diff_class < 1:
-        raise PreconditionError("difference class must be a positive integer")
-    return _field(axis, diff_class, *_cross_coordinates(f, axis))
+    _check_class(diff_class)
+    first, cross = _cross_coordinates(f, axis)
+    return DifferenceField.from_values(axis, diff_class, first, _differences(cross, diff_class))
 
 
-def _field(axis: Axis, diff_class: int, first: int, cross: list[int]) -> DifferenceField:
-    """Class ``diff_class`` of the cross list: cross[c + D] - cross[c]."""
-    return DifferenceField.from_values(axis, diff_class, first,
-                                       tuple(map(operator.sub, cross[diff_class:], cross)))
+def _differences(cross: list[int], diff_class: int) -> tuple[int, ...]:
+    """Class ``diff_class`` of the cross list, cross[c + D] - cross[c], by one
+    subtraction per entry: the reference the packed path must equal."""
+    return tuple(map(operator.sub, cross[diff_class:], cross))
+
+
+# Cross lists spanning less than this pack into 16-bit lanes.
+_LANE_SPAN = 1 << 15
+
+
+def _class_values(cross: list[int]) -> Iterator[tuple[int, ...]]:
+    """The values of classes 1 .. n - 1 of the cross list, in order, one
+    tuple at a time: packed when the span allows, else by subtraction."""
+    if len(cross) > 1 and max(cross) - min(cross) < _LANE_SPAN:
+        return _packed_values(cross)
+    return (_differences(cross, diff_class) for diff_class in range(1, len(cross)))
+
+
+def _packed_values(cross: list[int]) -> Iterator[tuple[int, ...]]:
+    """What _class_values gives, for a cross list spanning less than 2**15.
+
+    Lane k (bits 16k .. 16k + 15) of ``packed`` holds v[k] = cross[k] -
+    min(cross), in 0 .. 2**15 - 1, and ``high`` holds 2**15 in every lane.
+    Lane k of (packed >> 16 D) + high - packed is then v[k + D] + 2**15 -
+    v[k] (v[k + D] read as 0 past the end), within 1 .. 2**16 - 1, so no
+    lane borrows from the next.  The xor with ``high`` turns each lane into
+    the 16-bit two's complement of the difference, read back as signed
+    shorts; the top D lanes have no partner and are dropped.  Packing costs
+    about two passes of subtraction, so it pays only over many classes.
+    """
+    n, lo = len(cross), min(cross, default=0)
+    lanes = array("H", [c - lo for c in cross])
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    packed = int.from_bytes(lanes.tobytes(), "little")
+    high = int.from_bytes(b"\0\x80" * n, "little")
+    base = packed - high
+    for diff_class in range(1, n):
+        values = array("h", (((packed >> 16 * diff_class) - base) ^ high).to_bytes(2 * n, "little"))
+        del values[n - diff_class:]
+        if sys.byteorder == "big":
+            values.byteswap()
+        yield tuple(values.tolist())
 
 
 def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
@@ -146,7 +205,8 @@ def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
     from a single cross list.  A study axis that goes down raises here, before
     the first field."""
     first, cross = _cross_coordinates(f, axis)
-    return (_field(axis, diff_class, first, cross) for diff_class in range(1, len(cross)))
+    return (DifferenceField.from_values(axis, diff_class, first, values)
+            for diff_class, values in enumerate(_class_values(cross), 1))
 
 
 class ScaledDifference(_Frozen):
@@ -207,6 +267,8 @@ class IntegerScale(_Frozen):
     __slots__ = ("unit",)
 
     def __init__(self, unit: Fraction):
+        from fractions import Fraction
+
         if isinstance(unit, float):
             raise PreconditionError("scale unit must be exact; pass a Fraction, not a float")
         unit = Fraction(unit)

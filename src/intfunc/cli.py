@@ -66,10 +66,13 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_derive(args) -> int:
-    from .calculus import _class_fields, difference_field
+    from .calculus import _check_class, _class_fields, difference_field
     from .core import Axis
     from .io import function_from_trace, read_trace_file
 
+    # A bad --class is refused before the trace is read (exit 5).
+    if not args.all:
+        _check_class(args.diff_class)
     trace = read_trace_file(args.infile)
     f = function_from_trace(trace)
     axis = Axis(args.axis)

@@ -309,6 +309,17 @@ class TestDeriveCommand:
         classes = {int(line.split(",")[0]) for line in lines[1:]}
         assert classes == set(range(1, 15))
 
+    @pytest.mark.parametrize("diff_class", ["0", "-3"])
+    @pytest.mark.parametrize("infile", ["malformed.csv", "missing.csv"])
+    def test_bad_class_wins_over_a_bad_trace(self, tmp_path, capsys, diff_class, infile):
+        # The trace would exit 3; the class is refused before it is read.
+        (tmp_path / "malformed.csv").write_text("not,a,trace\n1,2\n")
+        code, out, err = run_cli("derive", "--in", str(tmp_path / infile), "--axis", "i",
+                                 "--class", diff_class, capsys=capsys)
+        assert code == 5
+        assert out == ""
+        assert "difference class must be a positive integer" in err
+
 
 class TestPiCommand:
     def test_golden_line(self, capsys):
@@ -634,6 +645,22 @@ class TestStreamedDerive:
             for c, d in field)
         assert _first_difference(out, expected) is None
 
+    def test_all_past_the_packed_span(self, tmp_path, capsys):
+        # The cross coordinate spans 2**15 + 2, too wide for 16-bit lanes, so
+        # every class is subtracted entry by entry.
+        f = IntegerFunction.from_codes(
+            (3, -5), b"\0" + b"\1" * (2**15 + 2) + b"\0" + b"\3" * 7 + b"\0\0\1\0")
+        path = tmp_path / "wide.csv"
+        write_trace_file(trace_for_function(f), str(path))
+        fields = full_derivative(f, Axis.I)
+        assert fields[1].values() == (2**15 + 2, -7, 0, 1)
+        code, out, _ = run_cli("derive", "--in", str(path), "--axis", "i", "--all",
+                               capsys=capsys)
+        assert code == 0
+        expected = "class,coordinate,d\n" + "".join(
+            f"{diff_class},{c},{d}\n" for diff_class, field in fields.items() for c, d in field)
+        assert out == expected
+
     @pytest.mark.parametrize("diff_class", [1, 5, 200, 10**6])
     def test_class_matches_difference_field(self, harmonic_trace, capsys, diff_class):
         path, f = harmonic_trace
@@ -751,7 +778,8 @@ COMMAND_MODULES = [
 ]
 
 # Runs the command as `python -m intfunc.cli` does, then prints its exit code
-# and the intfunc submodules it loaded as the last line of stderr.
+# and the intfunc submodules it loaded on one line of stderr, then whether
+# it loaded fractions (which brings decimal and numbers) on the last.
 _RUN_COMMAND = """\
 import runpy, sys
 try:
@@ -759,6 +787,7 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(code, *sorted(m for m in sys.modules if m.startswith("intfunc.")), file=sys.stderr)
+print("fractions" in sys.modules, file=sys.stderr)
 """
 
 
@@ -776,10 +805,14 @@ def command_inputs(tmp_path_factory):
                          ids=[" ".join(argv) for argv, _ in COMMAND_MODULES])
 def test_command_loads_only_what_it_runs(argv, allowed, command_inputs):
     result = _python(["-c", _RUN_COMMAND, *argv], command_inputs)
-    code, *loaded = result.stderr.splitlines()[-1].split()
+    modules, fractions = result.stderr.splitlines()[-2:]
+    code, *loaded = modules.split()
     assert code == "0", result.stderr
     assert "intfunc.cli" not in loaded  # it ran as __main__
     assert set(loaded) <= {f"intfunc.{name}" for name in allowed}, loaded
+    # calculus imports fractions only where IntegerScale uses it.
+    if argv[0] == "derive":
+        assert fractions == "False"
 
 
 def test_run_as_module_writes_no_warning(tmp_path):

@@ -1,18 +1,21 @@
 """Fast paths against readable references kept here.
 
-Difference fields are built from one cross-coordinate list, digitize floors
-on integers, ASCII and PBM grids are byte rows, and SVG is written as text.
-Each reference below is the straightforward version of the same definition:
-a coordinate dict, Fraction division, the occupancy grid, an ElementTree.
+Difference fields are built from one cross-coordinate list, and every class
+of a list spanning less than 2**15 from its 16-bit lanes packed into one int
+(the packed path); digitize floors on integers, ASCII and PBM grids are byte
+rows, and SVG is written as text.  Each reference below is the
+straightforward version of the same definition: a coordinate dict and one
+subtraction per entry, Fraction division, the occupancy grid, an ElementTree.
 """
 
 import math
+import operator
 import tracemalloc
 from fractions import Fraction
 from xml.etree import ElementTree
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intfunc import (
@@ -34,7 +37,7 @@ from intfunc import (
     render_svg,
 )
 from intfunc import render
-from intfunc.calculus import IntegerScale
+from intfunc.calculus import IntegerScale, _class_values, _packed_values
 from intfunc.curves import RealSampleSeries, digitize
 
 FAST = settings(max_examples=200, deadline=None)
@@ -201,6 +204,66 @@ class TestDifferenceFields:
             with pytest.raises(PreconditionError) as caught:
                 call()
             assert str(caught.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Packed classes: every class of a cross list from one packed int
+
+LAST_PACKED = 2**15 - 1
+
+
+def _subtracted(cross):
+    return [tuple(map(operator.sub, cross[d:], cross)) for d in range(1, len(cross))]
+
+
+@st.composite
+def cross_lists(draw, spans):
+    """Cross lists spanning a drawn span exactly: once there are two entries,
+    the minimum and the maximum both occur, in either order."""
+    span = draw(spans)
+    low = draw(st.one_of(st.sampled_from((0, -1, -2**62, 2**62 - span)),
+                         st.integers(-2**62, 2**62 - span)))
+    offsets = draw(st.lists(st.integers(0, span), max_size=40))
+    if len(offsets) >= 2:
+        at, to = draw(st.permutations(range(len(offsets))))[:2]
+        offsets[at], offsets[to] = 0, span
+    return [low + v for v in offsets]
+
+
+class TestPackedClasses:
+    @FAST
+    @given(cross_lists(st.one_of(st.sampled_from((0, 1, LAST_PACKED)),
+                                 st.integers(0, LAST_PACKED))))
+    @example([])
+    @example([-7])
+    @example([5, 5])
+    @example([0, LAST_PACKED])
+    @example([LAST_PACKED, 0])
+    @example([-2**62, -2**62 + LAST_PACKED, -2**62])
+    @example([2**62, 2**62 - LAST_PACKED, 2**62])
+    def test_packed_values_match_subtraction(self, cross):
+        got = list(_packed_values(cross))
+        assert got == _subtracted(cross)
+        assert all(type(values) is tuple for values in got)
+        assert all(type(d) is int for values in got for d in values)
+
+    @FAST
+    @given(cross_lists(st.one_of(st.sampled_from((0, LAST_PACKED, 2**15, 2**15 + 1)),
+                                 st.integers(0, 2**16))))
+    @example([0, 2**15])
+    @example([2**15, 0])
+    @example([-2**62, -2**62 + 2**15, 0])
+    @example([2**62 - 2**15, 2**62])
+    @example([-2**62, 2**62])
+    def test_class_values_match_subtraction(self, cross):
+        # Spans from 2**15 on keep the subtraction per entry.
+        assert list(_class_values(cross)) == _subtracted(cross)
+
+    def test_first_fallback_span_would_carry_across_lanes(self):
+        # A difference of 2**15 does not fit a lane: packed, it carries into
+        # the next one.  This is why 2**15 - 1 is the last packed span.
+        assert list(_packed_values([0, 2**15])) != [(2**15,)]
+        assert list(_class_values([0, 2**15])) == [(2**15,)]
 
 
 # ---------------------------------------------------------------------------

@@ -135,8 +135,8 @@ def test_annotation_names_resolve(path):
 
 def test_type_hints_need_the_type_checking_names():
     # These annotations name classes bound only under TYPE_CHECKING, as the
-    # io, curves and cli docstrings say: get_type_hints resolves them only
-    # when localns binds those names.
+    # io, curves, cli and calculus docstrings say: get_type_hints resolves
+    # them only when localns binds those names.
     from fractions import Fraction
     from typing import get_type_hints
 
@@ -151,3 +151,6 @@ def test_type_hints_need_the_type_checking_names():
         with pytest.raises(NameError):
             get_type_hints(function)
         assert get_type_hints(function, localns=localns)["return"] is returned
+    with pytest.raises(NameError):
+        get_type_hints(IntegerScale.__init__)
+    assert get_type_hints(IntegerScale.__init__, localns=localns)["unit"] is Fraction
