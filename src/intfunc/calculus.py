@@ -284,6 +284,10 @@ class IntegerScale(_Frozen):
     def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
         """(floor(x / unit), floor(y / unit)), floored on numerators and
         denominators; unit > 0 keeps the divisor positive."""
+        # curves.digitize applies the same floor to every sample, on the
+        # _numerator and _denominator slots of the exact Fractions a
+        # RealSampleSeries stores.  Here x and y may be ints, which have no
+        # such slots, so the public properties are read.
         num, den = self.unit.numerator, self.unit.denominator
         return IntegerPair((x.numerator * den) // (x.denominator * num),
                            (y.numerator * den) // (y.denominator * num))

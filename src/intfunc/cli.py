@@ -159,14 +159,23 @@ def _output(path):
 
 def _cmd_render(args) -> int:
     from .io import function_from_trace, read_trace_file
-    from .render import Viewport, render_ascii, render_pbm, render_svg
+    from .render import (Viewport, _check_cell_px, _check_grid, _check_label, render_ascii,
+                         render_pbm, render_svg)
 
+    # The arguments are refused before --out is opened or the trace is read;
+    # only the grid limit of a default viewport needs the path.
+    if args.viewport:
+        viewport = _parse_viewport(args.viewport, args.cell_px)
+        if args.format != "svg":
+            _check_grid(viewport.columns, viewport.rows)
+    else:
+        _check_cell_px(args.cell_px)
+    if args.format == "svg":
+        _check_label(args.label)
     with _output(args.out) as start:
         trace = read_trace_file(args.infile)
         f = function_from_trace(trace)
-        if args.viewport:
-            viewport = _parse_viewport(args.viewport, args.cell_px)
-        else:
+        if not args.viewport:
             viewport = Viewport.around(f, cell_px=args.cell_px)
         if args.format == "ascii":
             payload = render_ascii(f, viewport).encode("utf-8")

@@ -14,6 +14,7 @@ import math
 import operator
 import time
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
@@ -277,9 +278,11 @@ class RealSampleSeries(_Frozen):
                         "samples must be exact rationals; convert floats explicitly")
                 x, y = Fraction(x), Fraction(y)
             converted.append((x, y))
-        # x1 > x0, compared on numerators and denominators.
-        nums = [x.numerator for x, _ in converted]
-        dens = [x.denominator for x, _ in converted]
+        # x1 > x0, compared on numerators and denominators.  Every coordinate
+        # is now exactly a Fraction, so its _numerator and _denominator slots
+        # hold what the numerator and denominator properties would return.
+        nums = [x._numerator for x, _ in converted]
+        dens = [x._denominator for x, _ in converted]
         if not all(map(operator.gt, map(operator.mul, nums[1:], dens),
                        map(operator.mul, nums, dens[1:]))):
             raise PreconditionError("sample x values must be strictly increasing")
@@ -293,11 +296,13 @@ class RealSampleSeries(_Frozen):
         return len(self.points)
 
 
-# Step codes for a cell change (di, dj) between consecutive samples: none for
-# the same cell, the i step (0 = i+, 2 = i-) first at an exact corner, then the
-# j step (1 = j+, 3 = j-).  A jump missing here is more than one cell.
-_JUMP_CODES = {(di, dj): {1: b"\0", 0: b"", -1: b"\2"}[di] + {1: b"\1", 0: b"", -1: b"\3"}[dj]
-               for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+# Step-code tables, one byte per pair of consecutive samples.  x rises
+# strictly, so an i jump di is 0 or more: 1 is the i+ step (code 0) and 0 no
+# step (0xFF).  The j table reads dj + 1: 0, 1 and 2 (dj = -1, 0, 1) are the
+# j- step (code 3), no step and the j+ step (code 1).  Every other byte is a
+# jump of more than one cell (0xFE).
+_I_CODES = b"\xff\x00" + b"\xfe" * 254
+_J_CODES = b"\x03\xff\x01" + b"\xfe" * 253
 
 
 def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
@@ -308,23 +313,40 @@ def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
     exact corner crossing (diagonal cell change) is resolved by taking the i
     step first.  A jump of more than one cell in either coordinate means the
     samples are too sparse for this scale.
+
+    The cells come from one floor division per coordinate, read on the
+    Fraction slots (RealSampleSeries stores exact Fractions only).  The codes
+    come from the di and dj + 1 byte strings, each mapped through its table
+    and interleaved i first; deleting the no-step bytes leaves the path.  A
+    jump that no byte holds, or that a table maps to 0xFE, is too sparse.
     """
-    if not samples.points:
+    points = samples.points
+    if not points:
         raise PreconditionError("at least one sample is required")
     # floor(x / u) on numerators and denominators, as in IntegerScale.cell_of.
     num, den = scale.unit.numerator, scale.unit.denominator
-    ci = [(x.numerator * den) // (x.denominator * num) for x, _ in samples.points]
-    cj = [(y.numerator * den) // (y.denominator * num) for _, y in samples.points]
-    jumps = zip(map(operator.sub, ci[1:], ci), map(operator.sub, cj[1:], cj))
-    try:
-        codes = b"".join(map(_JUMP_CODES.__getitem__, jumps))
-    except KeyError:
-        t = next(t for t in range(1, len(ci))
-                 if abs(ci[t] - ci[t - 1]) > 1 or abs(cj[t] - cj[t - 1]) > 1)
-        raise PreconditionError(
-            f"samples too sparse: cell jump ({ci[t] - ci[t - 1]}, {cj[t] - cj[t - 1]}) "
-            f"between {(ci[t - 1], cj[t - 1])} and {(ci[t], cj[t])}") from None
-    return IntegerFunction.from_codes((ci[0], cj[0]), codes)
+    ci = [(x._numerator * den) // (x._denominator * num) for x, _ in points]
+    cj = [(y._numerator * den) // (y._denominator * num) for _, y in points]
+    try:  # bytes() refuses a value outside 0..255, a jump of several cells
+        di = bytes(map(operator.sub, ci[1:], ci))
+        dj1 = bytes(map(operator.sub, map(operator.add, cj[1:], repeat(1)), cj))
+    except ValueError:
+        raise _too_sparse(ci, cj) from None
+    codes = bytearray(2 * len(di))
+    codes[0::2] = di.translate(_I_CODES)
+    codes[1::2] = dj1.translate(_J_CODES)
+    if 0xFE in codes:
+        raise _too_sparse(ci, cj)
+    return IntegerFunction.from_codes((ci[0], cj[0]), codes.translate(None, b"\xff"))
+
+
+def _too_sparse(ci: list[int], cj: list[int]) -> PreconditionError:
+    """The error for the first jump of more than one cell."""
+    t = next(t for t in range(1, len(ci))
+             if abs(ci[t] - ci[t - 1]) > 1 or abs(cj[t] - cj[t - 1]) > 1)
+    return PreconditionError(
+        f"samples too sparse: cell jump ({ci[t] - ci[t - 1]}, {cj[t] - cj[t - 1]}) "
+        f"between {(ci[t - 1], cj[t - 1])} and {(ci[t], cj[t])}")
 
 
 def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:

@@ -18,6 +18,25 @@ MAX_GRID_CELLS = 10**8
 _XML_INVALID = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
+def _check_cell_px(cell_px) -> None:
+    if isinstance(cell_px, bool) or not isinstance(cell_px, int) or cell_px < 1:
+        raise PreconditionError("cell_px must be a positive integer")
+
+
+def _check_grid(columns: int, rows: int) -> None:
+    """Refuse an ASCII or PBM grid of more than MAX_GRID_CELLS cells."""
+    if columns * rows > MAX_GRID_CELLS:
+        raise PreconditionError(
+            f"viewport of {columns} x {rows} = {columns * rows} cells is over the "
+            f"ASCII/PBM grid limit of {MAX_GRID_CELLS} cells")
+
+
+def _check_label(text: str | None) -> None:
+    """Refuse an SVG label holding a character that XML 1.0 does not allow."""
+    if text and (bad := re.search(_XML_INVALID, text)):
+        raise PreconditionError(f"scale label holds {bad.group()!r}, which XML 1.0 does not allow")
+
+
 class Viewport(_Frozen):
     """Inclusive cell bounds; cells outside are clipped, not errors."""
 
@@ -28,8 +47,7 @@ class Viewport(_Frozen):
             raise PreconditionError("viewport bounds must be integers")
         if i_min > i_max or j_min > j_max:
             raise PreconditionError("viewport bounds must satisfy min <= max")
-        if isinstance(cell_px, bool) or not isinstance(cell_px, int) or cell_px < 1:
-            raise PreconditionError("cell_px must be a positive integer")
+        _check_cell_px(cell_px)
         self._set(i_min, i_max, j_min, j_max, cell_px)
 
     @classmethod
@@ -70,10 +88,7 @@ def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
     cells.
     """
     columns, rows = viewport.columns, viewport.rows
-    if columns * rows > MAX_GRID_CELLS:
-        raise PreconditionError(
-            f"viewport of {columns} x {rows} = {columns * rows} cells is over the "
-            f"ASCII/PBM grid limit of {MAX_GRID_CELLS} cells")
+    _check_grid(columns, rows)
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
     width = columns + 1
     grid = bytearray(b"." * columns + b"\n") * rows
@@ -144,8 +159,7 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
     > escaped in the label.  A label holding a character that XML 1.0 does
     not allow raises PreconditionError.
     """
-    if scale_label and (bad := re.search(_XML_INVALID, scale_label)):
-        raise PreconditionError(f"scale label holds {bad.group()!r}, which XML 1.0 does not allow")
+    _check_label(scale_label)
     px = viewport.cell_px
     width = viewport.columns * px
     height = viewport.rows * px

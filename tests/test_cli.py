@@ -727,6 +727,24 @@ class TestGridLimit:
         assert out.count("<rect") == 3
 
 
+@pytest.mark.parametrize("args, code, message", [
+    (["--format", "svg", "--viewport", "5:0:0:3"], 3, "min <= max"),
+    (["--format", "svg", "--cell-px", "0"], 5, "cell_px must be a positive integer"),
+    (["--format", "ascii", "--viewport", "0:100000:0:999"], 5, "grid limit"),
+    (["--format", "pbm", "--viewport", "0:100000:0:999"], 5, "grid limit"),
+    (["--format", "svg", "--label", "a\x01b"], 5, "XML 1.0"),
+])
+def test_bad_render_argument_wins_over_a_missing_trace(tmp_path, capsys, args, code, message):
+    # The missing --in file would exit 3; the argument is refused before it is read.
+    out_path = tmp_path / "out"
+    for out_args in ([], ["--out", str(out_path)]):
+        got, out, err = run_cli("render", "--in", str(tmp_path / "missing.csv"), *args,
+                                *out_args, capsys=capsys)
+        assert (got, out) == (code, "")
+        assert message in err and "missing.csv" not in err
+    assert not out_path.exists()
+
+
 # What importing the package must not load: dataclasses and the modules it
 # brings (inspect, ast, dis, tokenize) cost start-up time on every command.
 START_UP_EXCLUDED = {"dataclasses", "inspect", "ast", "dis", "tokenize"}

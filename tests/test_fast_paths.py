@@ -2,10 +2,11 @@
 
 Difference fields are built from one cross-coordinate list, and every class
 of a list spanning less than 2**15 from its 16-bit lanes packed into one int
-(the packed path); digitize floors on integers, ASCII and PBM grids are byte
-rows, and SVG is written as text.  Each reference below is the
-straightforward version of the same definition: a coordinate dict and one
-subtraction per entry, Fraction division, the occupancy grid, an ElementTree.
+(the packed path); digitize floors on integers and maps its cell jumps to step
+codes through byte tables, ASCII and PBM grids are byte rows, and SVG is
+written as text.  Each reference below is the straightforward version of the
+same definition: a coordinate dict and one subtraction per entry, Fraction
+division, the occupancy grid, an ElementTree.
 """
 
 import math
@@ -337,6 +338,47 @@ class TestDigitize:
                            match=r"cell jump \(1, -3\) between \(0, 0\) and \(1, -3\)"):
             digitize(RealSampleSeries(points), IntegerScale(Fraction(1)))
 
+    # Samples at unit 1 in the given cells, x rising within a cell.  The codes
+    # come from di and dj + 1 as bytes: a jump that no byte holds (bytes()
+    # raises ValueError) and one that a table maps to 0xFE both end in the
+    # scan that names the first jump of more than one cell.
+    @staticmethod
+    def _outcomes(cells):
+        points = [(i + Fraction(k, 2 * len(cells)), Fraction(j))
+                  for k, (i, j) in enumerate(cells)]
+        got = _outcome(digitize, RealSampleSeries(tuple(points)), IntegerScale(Fraction(1)))
+        return got, _outcome(_digitize_reference, points, Fraction(1))
+
+    @pytest.mark.parametrize("cells, jump", [
+        ([(0, 0), (300, 0)], (300, 0)),            # di past a byte
+        ([(0, 0), (256, 0)], (256, 0)),
+        ([(0, 0), (255, 0)], (255, 0)),            # di in a byte, too far
+        ([(0, 0), (2, 0)], (2, 0)),
+        ([(0, 0), (0, -2)], (0, -2)),              # dj + 1 below a byte
+        ([(0, 0), (1, -300)], (1, -300)),
+        ([(0, 0), (0, 2)], (0, 2)),                # dj + 1 in a byte, too far
+        ([(0, 0), (0, 254)], (0, 254)),
+        ([(0, 0), (0, 255)], (0, 255)),            # dj + 1 past a byte
+        ([(0, 0), (1, 1), (1, 3), (400, 3)], (0, 2)),  # the first jump is named
+        ([(0, 0), (1, 1), (1, -1), (1, 3)], (0, -2)),
+    ])
+    def test_too_sparse_edges(self, cells, jump):
+        got, reference = self._outcomes(cells)
+        assert got == reference
+        assert got[0] is PreconditionError
+        assert got[1].startswith(f"samples too sparse: cell jump {jump} between ")
+
+    @pytest.mark.parametrize("cells, elements", [
+        ([(5, -7)], [(5, -7)]),                    # one sample: no codes
+        ([(0, 0), (0, 0), (0, 0), (1, 0), (1, 0)], [(0, 0), (1, 0)]),
+        ([(0, 0), (1, 1), (2, 0)], [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0)]),
+        ([(0, 0), (1, -1), (1, 0)], [(0, 0), (1, 0), (1, -1), (1, 0)]),
+    ])
+    def test_path_edges(self, cells, elements):
+        got, reference = self._outcomes(cells)
+        assert got == reference
+        assert got.elements == tuple(map(IntegerPair._make, elements))
+
 
 class TestSampleSeries:
     @FAST
@@ -362,6 +404,22 @@ class TestSampleSeries:
         x, y = Fraction(1, 3), Fraction(2, 7)
         series = RealSampleSeries(((x, y),))
         assert series.points[0][0] is x and series.points[0][1] is y
+
+    def test_fraction_slot_layout(self):
+        # RealSampleSeries and digitize read these slots, not the properties.
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+
+    def test_subclasses_and_ints_stored_as_fractions(self):
+        # Converted on the way in, so digitize never reads a subclass's slots.
+        class Rational(Fraction):
+            pass
+
+        points = ((Rational(1, 2), 3), (1, Rational(5, 2)))
+        series = RealSampleSeries(points)
+        assert series.points == ((Fraction(1, 2), Fraction(3)), (Fraction(1), Fraction(5, 2)))
+        assert all(type(v) is Fraction for p in series.points for v in p)
+        assert digitize(series, IntegerScale(Fraction(1))) == \
+            _digitize_reference(series.points, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
