@@ -9,10 +9,11 @@ work registers that feed each other in a fixed cascade.
 choose_step and apply_step run one step on a RegisterBank; they are the
 readable reference.  Runs go through one step loop, generated as Python
 source per kernel key with the live registers as locals, compiled when first
-needed and cached: generate, curves.composite_generate and curves.pi_bounds
-all run it.  The key is a machine shape (the bank's zero pattern, the mode and
-the watched register; see _shape) plus one of three loop kinds: untraced,
-traced or checked (see _compile_kernel).
+needed and cached: generate, curves.composite_generate, curves.pi_bounds and
+io.read_trace, which replays the machine over a trace file, all run it.  The
+key is a machine shape (the bank's zero pattern, the mode and the watched
+register; see _shape) plus one of three loop kinds: untraced, traced or
+checked (see _compile_kernel).
 """
 
 from __future__ import annotations
@@ -581,7 +582,8 @@ class _Parts:
         return trace
 
 
-def _constant_registers(zeros) -> set[str]:
+@lru_cache(maxsize=256)
+def _constant_registers(zeros: frozenset[str]) -> frozenset[str]:
     """Work registers no cascade addition can change, given the set ``zeros``
     of work registers that start at zero.
 
@@ -592,19 +594,19 @@ def _constant_registers(zeros) -> set[str]:
     def constant(name):
         return len(name) == 3 or all(f in zeros and constant(f) for f in (name + "X", name + "Y"))
 
-    return {name for name in WORK_REGISTERS if constant(name)}
+    return frozenset(name for name in WORK_REGISTERS if constant(name))
 
 
-def _zero_registers(bank: RegisterBank) -> frozenset[str]:
-    """The bank's zero pattern: the work registers that start at zero."""
-    return frozenset(compress(WORK_REGISTERS, map(not_, bank._values[2:])))
+def _zero_registers(values) -> frozenset[str]:
+    """The zero pattern of the 16 register ``values``: the work registers at zero."""
+    return frozenset(compress(WORK_REGISTERS, map(not_, values[2:])))
 
 
 def _shape(config: GeneratorConfig) -> tuple[frozenset[str], bool, int | None]:
     """The machine shape of ``config``: its bank's zero pattern, whether it is
     sign-harmonized, and its watched register's slot (None under a step count)."""
     stop = config.stop
-    return (_zero_registers(config.bank), config.mode is GenerationMode.SIGN_HARMONIZED,
+    return (_zero_registers(config.bank._values), config.mode is GenerationMode.SIGN_HARMONIZED,
             _SLOT[stop.register] if isinstance(stop, WhilePositive) else None)
 
 
@@ -614,8 +616,8 @@ def implied_designation(bank: RegisterBank) -> frozenset[str]:
     The non-zero structurally constant registers form the IF's type
     designation (written {X, Y}, {XXY, Y}, ...).
     """
-    zeros = _zero_registers(bank)
-    return frozenset(_constant_registers(zeros) - zeros)
+    zeros = _zero_registers(bank._values)
+    return _constant_registers(zeros) - zeros
 
 
 def designation_violations(designation, initial_bank: RegisterBank,
@@ -634,15 +636,14 @@ class _Kernel(_Frozen):
 
     ``sides`` holds, for the i and then the j axis, the live cascade pairs
     ((source, target) names in firing order) and the sign-harmonized rate
-    register (None in monotone mode, or for a rate that is always zero);
-    ``recorded`` the slots a traced step snapshots; ``designation`` the
-    implied type designation.
+    register (None in monotone mode, or for a rate that is always zero), and
+    ``recorded`` the slots a traced step snapshots.
     """
 
-    __slots__ = ("run", "sides", "recorded", "designation")
+    __slots__ = ("run", "sides", "recorded")
 
-    def __init__(self, run, sides, recorded, designation):
-        self._set(run, sides, recorded, designation)
+    def __init__(self, run, sides, recorded):
+        self._set(run, sides, recorded)
 
 
 def _overflow(context: str, value: int) -> RegisterOverflowError:
@@ -806,7 +807,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                         *_indent(step(["break"]), 3), *tail])
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
-    return _Kernel(namespace["run"], tuple(sides), recorded, frozenset(constant - zeros))
+    return _Kernel(namespace["run"], tuple(sides), recorded)
 
 
 _BATCH_STEPS = 1 << 12
@@ -830,17 +831,32 @@ def _batch_fits(regs: list[int], steps: int) -> bool:
     return max(gap, *bound) <= REGISTER_CAPACITY
 
 
+def _batch(regs: list[int], shape, steps: int, start) -> tuple[IntegerFunction, list]:
+    """At most ``steps`` steps of the machine ``shape`` (see _shape) from the
+    registers ``regs``, updated in place, and the position ``start``: the
+    path walked and one entry per register, an array('q') of its value after
+    each step or the int it held throughout.  The batch runs traced when
+    _batch_fits shows it cannot overflow, and checked otherwise, so an
+    overflow raises apply_step's text at the same step."""
+    codes, snaps = bytearray(), []
+    kernel = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
+    kernel.run(regs, steps, codes.append, snaps)
+    flat, width = array("q", snaps), len(kernel.recorded)
+    columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
+    return (IntegerFunction.from_codes(start, codes),
+            [columns.get(slot, value) for slot, value in enumerate(regs)])
+
+
 def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     """The register machine: run ``config`` in its mode until its stop rule.
 
-    The kernels of the config's shape (see _compile_kernel; each is compiled
-    when first needed and cached) run in batches of at most _BATCH_STEPS
-    steps.  A batch runs traced when _batch_fits shows it cannot overflow,
-    and checked otherwise, so an overflow raises the same text at the same
-    step.  Each batch's path and register columns go to _Parts as one part,
-    so a long run holds about 8 bytes per recorded value.  Then the
-    registers of the implied type designation are audited for constancy,
-    and a predicate stop that used up its cap raises CapExhaustedError.
+    The run is a sequence of _batch calls of at most _BATCH_STEPS steps each,
+    on the kernels of the config's shape (see _compile_kernel; each is
+    compiled when first needed and cached).  Each batch's path and register
+    columns go to _Parts as one part, so a long run holds about 8 bytes per
+    recorded value.  Then the registers of the implied type designation are
+    audited for constancy, and a predicate stop that used up its cap raises
+    CapExhaustedError.
     """
     bank, stop = config.bank, config.stop
     shape = _shape(config)
@@ -852,13 +868,7 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
     # starts non-positive gets the first step run alone.
     batch = 1 if watched is not None and regs[watched] <= 0 else _BATCH_STEPS
     while len(parts) < limit:
-        codes, snaps, steps = bytearray(), [], min(batch, limit - len(parts))
-        kernel = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
-        kernel.run(regs, steps, codes.append, snaps)
-        flat, width = array("q", snaps), len(kernel.recorded)
-        columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
-        parts.add(IntegerFunction.from_codes(parts.path.end, codes),
-                  [columns.get(slot, value) for slot, value in enumerate(regs)])
+        parts.add(*_batch(regs, shape, min(batch, limit - len(parts)), parts.path.end))
         if watched is not None and regs[watched] <= 0:
             break
         batch = _BATCH_STEPS
@@ -867,7 +877,7 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
             raise CapExhaustedError(
                 f"{stop.register} still positive after {limit} steps (cap exhausted)")
     trace = parts.trace()
-    changed = designation_violations(kernel.designation, bank, trace)
+    changed = designation_violations(implied_designation(bank), bank, trace)
     if changed:
         raise InternalConsistencyError(
             f"type-designation registers changed during generation: {changed}")

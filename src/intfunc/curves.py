@@ -259,6 +259,18 @@ def _decimal_string(mantissa: int, power: int) -> str:
     return text.rstrip("0").rstrip(".")
 
 
+def _exact_pairs(points) -> bool:
+    """Whether ``points`` is a tuple of pairs that are tuples of two
+    Fractions, each exactly of those types (no subclass)."""
+    if type(points) is not tuple:
+        return False
+    for pair in points:
+        x, y = pair
+        if type(pair) is not tuple or type(x) is not Fraction or type(y) is not Fraction:
+            return False
+    return True
+
+
 class RealSampleSeries(_Frozen):
     """Dense samples (x, y) of a curve segment, as exact rationals.
 
@@ -270,23 +282,27 @@ class RealSampleSeries(_Frozen):
     __slots__ = ("points",)
 
     def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
-        converted = []
-        for x, y in points:
-            if type(x) is not Fraction or type(y) is not Fraction:
-                if isinstance(x, float) or isinstance(y, float):
-                    raise PreconditionError(
-                        "samples must be exact rationals; convert floats explicitly")
-                x, y = Fraction(x), Fraction(y)
-            converted.append((x, y))
+        # A tuple of (Fraction, Fraction) tuples is kept as given; any other
+        # input is rebuilt pair by pair.
+        if not _exact_pairs(points):
+            converted = []
+            for x, y in points:
+                if type(x) is not Fraction or type(y) is not Fraction:
+                    if isinstance(x, float) or isinstance(y, float):
+                        raise PreconditionError(
+                            "samples must be exact rationals; convert floats explicitly")
+                    x, y = Fraction(x), Fraction(y)
+                converted.append((x, y))
+            points = tuple(converted)
         # x1 > x0, compared on numerators and denominators.  Every coordinate
         # is now exactly a Fraction, so its _numerator and _denominator slots
         # hold what the numerator and denominator properties would return.
-        nums = [x._numerator for x, _ in converted]
-        dens = [x._denominator for x, _ in converted]
+        nums = [x._numerator for x, _ in points]
+        dens = [x._denominator for x, _ in points]
         if not all(map(operator.gt, map(operator.mul, nums[1:], dens),
                        map(operator.mul, nums, dens[1:]))):
             raise PreconditionError("sample x values must be strictly increasing")
-        self._set(tuple(converted))
+        self._set(points)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "RealSampleSeries":

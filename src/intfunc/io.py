@@ -14,14 +14,22 @@ its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
 bare integer functions (register columns all zero).  write_trace fills one
 row template per trace and writes it 1 024 rows at a time, and output_file
-opens an output file before the work that fills it.  read_trace takes 1 024
-lines at a time, about 1 MiB of cells, and has two tokenizers: a plain
-chunk (no quote, carriage return or NUL, exactly 19 commas on every line,
-no line over the CSV field size limit) is split as strings, and csv.reader
-takes any other.  Both hand their cells to one row checker, so they accept
-the same input and raise the same errors.  Like a run's batches, each
-checked chunk joins the trace as one part (core._Parts): a register stays
-one int while every part holds it at one value.
+opens an output file before the work that fills it.
+
+read_trace takes 1 024 lines at a time.  A file that a run wrote is fixed
+by its first row, so read_trace parses that row and replays the register
+machine from it, a chunk at a time; a chunk whose lines are the replayed
+rows, text for text, is taken with nothing parsed.  Anything else (a file
+that is not a machine run, an edited row, CRLF line ends, a missing final
+newline) is parsed from the first chunk that differs, as _read_parsed
+parses a whole file, so it gives the same trace or the same error.  The
+parser has two tokenizers: a plain chunk (no quote, carriage return or
+NUL, exactly 19 commas on every line, no line over the CSV field size
+limit) is split as strings, and csv.reader takes any other.  Both hand
+their cells to one row checker, so they accept the same input and raise
+the same errors.  Like a run's batches, each replayed or checked chunk
+joins the trace as one part (core._Parts): a register stays one int while
+every part holds it at one value.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
@@ -41,6 +49,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
+from operator import contains, eq
 from typing import IO, TYPE_CHECKING
 
 from .core import (
@@ -61,7 +70,9 @@ from .core import (
     StepCount,
     WhilePositive,
     _Parts,
+    _batch,
     _path_through,
+    _zero_registers,
 )
 
 if TYPE_CHECKING:
@@ -204,20 +215,25 @@ _HEADER = ",".join(TRACE_COLUMNS) + "\n"
 _CHUNK_ROWS = 1024
 
 
-def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
-    """Write the CSV rows, a chunk at a time, from one row template.
+def _rows(k: int, codes, i, j, registers):
+    """The CSV text of each row of a trace part, its steps numbered from
+    ``k``, from one row template.
 
     The template has a ``%s`` or ``%d`` for k, step, i, j and each register
     column that changes, and the text of each constant register.  No field
-    can hold a comma, quote or line break, so the output is what csv.writer
-    would write for the same rows, byte for byte.
+    can hold a comma, quote or line break, so each row is what csv.writer
+    would write for it, byte for byte.
     """
     fields = ["%d", "%s", "%d", "%d"] + [str(entry) if isinstance(entry, int) else "%d"
-                                         for entry in trace.registers]
-    columns = [entry for entry in trace.registers if not isinstance(entry, int)]
-    rows = map((",".join(fields) + "\n").__mod__, zip(
-        range(1, len(trace) + 1), map(_TOKENS.__getitem__, trace.codes),
-        trace.i, trace.j, *columns))
+                                         for entry in registers]
+    columns = [entry for entry in registers if not isinstance(entry, int)]
+    return map((",".join(fields) + "\n").__mod__, zip(
+        range(k, k + len(codes)), map(_TOKENS.__getitem__, codes), i, j, *columns))
+
+
+def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
+    """Write the header, then the rows (see _rows) a chunk at a time."""
+    rows = _rows(1, trace.codes, trace.i, trace.j, trace.registers)
     stream.write(_HEADER)
     while chunk := "".join(islice(rows, _CHUNK_ROWS)):
         stream.write(chunk)
@@ -399,17 +415,15 @@ def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
     return parts.trace()
 
 
-def read_trace(stream: IO[str]) -> GenerationTrace:
-    """Parse a trace CSV into columns, a chunk of lines at a time.
+def _parse_from(lines, parts: _Parts, lineno: int) -> GenerationTrace:
+    """The rest of a trace after ``parts``, from ``lines``, the first of which
+    is line ``lineno``, parsed a chunk at a time.
 
     _split_cells tokenizes a plain chunk and _parse_cells checks it.  The
     first chunk that is not plain or breaks a rule, and the rest of the
     stream after it, go to _read_csv_rows, whose error names the first bad
     line.  Each checked chunk goes to _Parts as one part.
     """
-    lines = iter(stream)
-    _read_header(lines)
-    parts, lineno = _Parts(), 2
     while chunk := list(islice(lines, _CHUNK_ROWS)):
         # No name holds a chunk's cells, and the csv path starts only once
         # the handler has dropped the error, whose traceback holds them.
@@ -421,6 +435,73 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     else:
         return parts.trace()
     return _read_csv_rows(chain(chunk, lines), parts, lineno)
+
+
+def _read_parsed(stream: IO[str]) -> GenerationTrace:
+    """read_trace with no replay: every row is parsed.  The reference for
+    read_trace, which must return the same trace or raise the same error."""
+    lines = iter(stream)
+    _read_header(lines)
+    return _parse_from(lines, _Parts(), 2)
+
+
+def _replayed(chunk: list[str], parts: _Parts, regs: list[int], zeros) -> bool:
+    """Whether the machine with the zero pattern ``zeros``, run from the
+    registers ``regs`` (updated in place) at the end of ``parts``, writes
+    exactly the lines ``chunk``; if so, the part it ran joins ``parts``.
+
+    A register cell's "-" is always followed by a digit, so "-," follows
+    only an i- or j- token: a chunk with one replays sign-harmonized, any
+    other monotone, which both modes run alike while no rate is negative.
+    A wrong guess, like an overflow in the replay, is a miss.
+
+    Nothing the size of the chunk is built beside it: the lines are scanned,
+    and each replayed row is compared with its line, one at a time, up to the
+    first row that differs.
+    """
+    shape = (zeros, any(map(contains, chunk, repeat("-,"))), None)
+    try:
+        path, entries = _batch(regs, shape, len(chunk), parts.path.end)
+    except IntegerFunctionError:
+        return False
+    if not all(map(eq, _rows(len(parts) + 1, path.codes, path.i[1:], path.j[1:], entries), chunk)):
+        return False
+    parts.add(path, entries)
+    return True
+
+
+def read_trace(stream: IO[str]) -> GenerationTrace:
+    """Read a trace CSV into columns, a chunk of lines at a time.
+
+    Every trace that a run writes is fixed by its first row, so that row is
+    parsed, and from its registers and position the machine is replayed for
+    each chunk after it (the rest of the first chunk, then _CHUNK_ROWS lines
+    at a time).  A chunk whose replayed rows are its lines, text for text,
+    joins the trace with nothing parsed: the parser would have read those
+    lines as the same part.  The first chunk that misses, and the rest of
+    the stream after it, are parsed as _read_parsed parses them, so a file
+    that is not a machine run gives the same trace or the same error.
+    """
+    lines = iter(stream)
+    _read_header(lines)
+    parts = _Parts()
+    if not (first := list(islice(lines, _CHUNK_ROWS))):
+        return parts.trace()
+    try:
+        parts.add(*_parse_cells(_split_cells(first[:1]), 1, None))
+    except IntegerFunctionError:
+        return _parse_from(chain(first, lines), parts, 2)
+    # The kernels of a shape drop only registers that are zero and that no
+    # live register feeds; those stay zero, so row 1's shape holds for every
+    # later chunk.
+    regs, chunk, lineno = list(parts.registers), first[1:], 3
+    zeros = _zero_registers(regs)
+    while True:
+        if chunk and not _replayed(chunk, parts, regs, zeros):
+            return _parse_from(chain(chunk, lines), parts, lineno)
+        lineno += len(chunk)
+        if not (chunk := list(islice(lines, _CHUNK_ROWS))):
+            return parts.trace()
 
 
 def read_trace_file(path: str) -> GenerationTrace:

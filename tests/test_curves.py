@@ -213,6 +213,25 @@ class TestRealSampleSeries:
         series = RealSampleSeries.from_pairs([(0, 0), ("1/2", "1/5"), (1, 1)])
         assert series.points[1] == (Fraction(1, 2), Fraction(1, 5))
 
+    def test_exact_pairs_are_kept_as_given(self):
+        exact = ((Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(-2)),
+                 (Fraction(3), Fraction(0)))
+        assert RealSampleSeries(exact).points is exact
+
+        class Rational(Fraction):
+            pass
+
+        # Any other input is rebuilt as a tuple of (Fraction, Fraction) tuples.
+        others = [list(exact), tuple(map(list, exact)), (p for p in exact),
+                  ((0, Fraction(1, 3)), (Fraction(1, 2), -2), (3, 0)),
+                  ((Rational(0), Fraction(1, 3)), *exact[1:]),
+                  (exact[0], (Fraction(1, 2), Rational(-2)), exact[2])]
+        for given in others:
+            points = RealSampleSeries(given).points
+            assert points == exact and points is not given
+            assert all(type(pair) is tuple for pair in points)
+            assert {type(c) for pair in points for c in pair} == {Fraction}
+
 
 class TestDigitize:
     def test_sloped_line(self):

@@ -28,10 +28,13 @@ from intfunc import (
     REGISTER_CAPACITY,
     GenerationMode,
     GenerationTrace,
+    GeneratorConfig,
     IntegerFunction,
     IntegerFunctionError,
     ParseError,
+    RegisterBank,
     RegisterOverflowError,
+    StepCount,
     composite_generate,
     from_step_sequence,
     generate,
@@ -496,3 +499,139 @@ def test_split_reader_matches_the_csv_reader(trace_files, pick, mutations, newli
         _MUTATIONS[kind](lines, (row - 1) % (len(lines) - 1) + 1, column)
     text = "".join(lines)
     assert _outcome(read_trace, text, newline) == _outcome(read_trace_csv, text, newline)
+
+
+# read_trace parses row 1 and replays the machine from it; _read_parsed
+# parses every row.  Every file below, and every edit of one, must read the
+# same through both.
+
+@pytest.fixture(scope="module")
+def replay_files(traces):
+    """The preset files, and the pi file cut to 1, 2 and 3 chunks of rows,
+    one row short of, at and one row past each chunk edge."""
+    b = intfunc.io._CHUNK_ROWS
+    pi = _text(_pi_trace(10**7)).splitlines(keepends=True)
+    assert len(pi) > 3 * b + 1
+    cuts = [1, 2] + [n * b + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+    return [_text(trace).splitlines(keepends=True) for trace in traces[:-1]] + [
+        pi[:1 + rows] for rows in cuts]
+
+
+def _changed_byte(column):
+    # One character of the cell in ``column`` (a register column when None)
+    # becomes another: a digit, a sign, a letter or a space.
+    def edit(lines, at, n):
+        cells = lines[at].split(",")
+        c = 4 + n % 16 if column is None else column
+        body = cells[c].rstrip("\r\n")
+        spot = n % len(body)
+        cells[c] = body[:spot] + "0159-x "[n % 7] + cells[c][spot + 1:]
+        lines[at] = ",".join(cells)
+    return edit
+
+
+_EDITS = {
+    "register": _changed_byte(None),
+    "i": _changed_byte(2),
+    "k": _changed_byte(0),
+    "delete": lambda lines, at, n: lines.pop(at),
+    "duplicate": lambda lines, at, n: lines.insert(at, lines[at]),
+    "crlf": lambda lines, at, n: _end_line(lines, at, "\r\n"),
+    "no final newline": lambda lines, at, n: _end_line(lines, -1, ""),
+    "blank": lambda lines, at, n: lines.insert(at, "\n"),
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(pick=st.integers(0, 10**3), edit=st.sampled_from(sorted(_EDITS)),
+       row=st.integers(1, 10**4), n=st.integers(0, 10**6))
+@example(pick=-1, edit="register", row=3073, n=5)
+@example(pick=-2, edit="i", row=2048, n=0)
+@example(pick=-6, edit="delete", row=1024, n=0)
+@example(pick=-7, edit="duplicate", row=2, n=0)
+@example(pick=-8, edit="crlf", row=1023, n=0)
+@example(pick=-4, edit="no final newline", row=1, n=0)
+@example(pick=-5, edit="blank", row=1025, n=0)
+@example(pick=-3, edit="k", row=1, n=3)
+def test_replay_reads_as_the_parser_reads(replay_files, pick, edit, row, n):
+    lines = list(replay_files[pick % len(replay_files)])
+    _EDITS[edit](lines, (row - 1) % (len(lines) - 1) + 1, n)
+    text = "".join(lines)
+    assert (_outcome(read_trace, text, "")
+            == _outcome(intfunc.io._read_parsed, text, ""))
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Each _parse_cells call from here on, as its first step index."""
+    calls, parse = [], intfunc.io._parse_cells
+
+    def counted(cells, k, last):
+        calls.append(k)
+        return parse(cells, k, last)
+
+    monkeypatch.setattr(intfunc.io, "_parse_cells", counted)
+    return calls
+
+
+def _machine_traces():
+    b = intfunc.io._CHUNK_ROWS
+    harmonized = GenerationMode.SIGN_HARMONIZED
+    late_minus = composite_generate(GeneratorConfig(
+        (0, 0), RegisterBank(X=b, Y=b, XX=-1), StepCount(3 * b), harmonized))[1]
+    first_minus = composite_generate(GeneratorConfig(
+        (5, -5), RegisterBank(X=-3, Y=2, XX=1), StepCount(2 * b + 1), harmonized))[1]
+    falling = generate(parabola_config(-1, 1, 2 * b + 1, x=8))[1]
+    edge = REGISTER_CAPACITY - (3 * b // 4 + 32)
+    near_capacity = generate(GeneratorConfig(
+        (0, 0), RegisterBank(RX=edge, RY=edge, X=1, Y=1), StepCount(3 * b // 2)))[1]
+    minus = [n for n, code in enumerate(late_minus.codes) if code in (2, 3)]
+    assert minus and minus[0] >= b
+    assert first_minus.codes[0] == 2
+    assert falling.path.is_monotone() and min(falling.column("X")) < 0
+    return [late_minus, first_minus, falling, near_capacity]
+
+
+def test_machine_runs_are_replayed_after_row_1(parses, monkeypatch):
+    fits, fitted = [], core._batch_fits
+
+    def batch_fits(regs, steps):
+        fits.append(result := fitted(regs, steps))
+        return result
+
+    monkeypatch.setattr(core, "_batch_fits", batch_fits)
+    for trace in _machine_traces():
+        text = _text(trace)
+        parses.clear()
+        fits.clear()
+        assert read_trace(io.StringIO(text)) == trace
+        assert parses == [1]
+    # The last trace runs within 2**63 - 1 only by a little more than its
+    # length, so its first replay is checked.
+    assert fits[0] is False
+
+
+def _digitized(tmp_path):
+    samples = tmp_path / "line.txt"
+    samples.write_text("".join(f"{x}/40,{3 * x}/200\n" for x in range(4000)))
+    out = tmp_path / "line.csv"
+    assert main(["digitize", "--unit", "1/10", "--samples", str(samples), "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def test_other_files_are_parsed_after_a_miss(parses, tmp_path):
+    b = intfunc.io._CHUNK_ROWS
+    bare = trace_for_function(from_step_sequence((-3, 2), "i j i- j- j- i i " * b))
+    zeros = ",0" * 11
+    overflow = "".join([
+        HEADER + "\n",
+        f"1,i+,1,0,0,0,{REGISTER_CAPACITY},0,1{zeros}\n",  # the machine's next X overflows
+        f"2,i+,2,0,0,0,{REGISTER_CAPACITY},0,1{zeros}\n"])
+    for text in (_text(bare), _digitized(tmp_path), overflow):
+        parses.clear()
+        read = read_trace(io.StringIO(text))
+        assert parses[0] == 1 and len(parses) > 1
+        # Once a chunk misses, every later one is parsed.
+        assert parses[1:] == list(range(2, len(read) + 1, b))
+        assert read == intfunc.io._read_parsed(io.StringIO(text))
+    assert read_trace(io.StringIO(_text(bare))) == bare
