@@ -122,8 +122,9 @@ def _cmd_digitize(args) -> int:
     from .io import (output_file, parse_rational, read_samples_file, trace_for_function,
                      write_trace)
 
-    samples = read_samples_file(args.samples)
+    # A bad --unit is refused before --samples is read.
     scale = IntegerScale(parse_rational(args.unit))
+    samples = read_samples_file(args.samples)
     with output_file(args.out) as start:
         f = digitize(samples, scale)
         write_trace(trace_for_function(f), start())

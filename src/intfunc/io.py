@@ -17,17 +17,14 @@ row template per trace and writes it 1 024 rows at a time, and output_file
 opens an output file before the work that fills it.
 
 read_trace takes 1 024 lines at a time.  A file that a run wrote is fixed
-by its first row, so read_trace parses that row and replays the register
-machine from it, a chunk at a time; a chunk whose lines are the replayed
-rows, text for text, is taken with nothing parsed.  Anything else (a file
-that is not a machine run, an edited row, CRLF line ends, a missing final
-newline) is parsed from the first chunk that differs, as _read_parsed
-parses a whole file, so it gives the same trace or the same error.  The
-parser has two tokenizers: a plain chunk (no quote, carriage return or
-NUL, exactly 19 commas on every line, no line over the CSV field size
-limit) is split as strings, and csv.reader takes any other.  Both hand
-their cells to one row checker, so they accept the same input and raise
-the same errors.  Like a run's batches, each replayed or checked chunk
+by its first row, so read_trace parses that row and, when its line is the
+text write_trace writes for it, replays the register machine from it, a
+chunk at a time; a chunk whose lines are the replayed rows, text for text,
+is taken with nothing parsed.  Anything else (a file that is not a machine
+run, an edited row, CRLF line ends, a missing final newline) is parsed from
+the first row or chunk that differs, as _read_parsed parses a whole file,
+so it gives the same trace or the same error.  The parser is csv.reader and
+one row checker.  Like a run's batches, each replayed or checked chunk
 joins the trace as one part (core._Parts): a register stays one int while
 every part holds it at one value.
 
@@ -45,6 +42,7 @@ from __future__ import annotations
 
 import csv
 import os
+import stat
 import sys
 from array import array
 from contextlib import contextmanager
@@ -180,10 +178,13 @@ def config_from_items(items: dict[str, str]) -> GeneratorConfig:
 
 
 def read_config(path: str, overrides=()) -> GeneratorConfig:
-    """The config file at ``path`` with KEY=VALUE ``overrides`` (--set) applied."""
+    """The config file at ``path`` with KEY=VALUE ``overrides`` (--set)
+    applied; a malformed item or unknown key of ``overrides`` is refused
+    before the file is opened."""
+    overrides = [_config_item(assignment, "--set") for assignment in overrides]
     with _open_text(path) as handle:
         items = parse_config_items(handle)
-    items.update(_config_item(assignment, "--set") for assignment in overrides)
+    items.update(overrides)
     return config_from_items(items)
 
 
@@ -210,7 +211,7 @@ _CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
 _WIDTH = len(TRACE_COLUMNS)
 _HEADER = ",".join(TRACE_COLUMNS) + "\n"
 # Rows per chunk that read_trace checks and write_trace joins: a harmonic
-# row splits into about 1.1 KB of cells, so a chunk's cells, lines and text
+# row parses into about 1.1 KB of cells, so a chunk's cells, lines and text
 # come to about 1 MiB, one pymalloc arena.
 _CHUNK_ROWS = 1024
 
@@ -265,7 +266,8 @@ def output_file(path: str):
     def start() -> IO[str]:
         if _is_stdout(handle):
             return sys.stdout
-        if handle.seekable():  # a pipe or a terminal has nothing to empty
+        # A pipe, a terminal or a device such as /dev/null has nothing to empty.
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
             handle.truncate(0)
         return handle
 
@@ -296,29 +298,17 @@ def _parse_column(cells: list[str], name: str) -> array:
     return values[0] if repeated else array("q", values)
 
 
-def _split_cells(lines: list[str]) -> list[str]:
-    """The cells of a plain chunk of lines, row after row, split as strings.
-    Plain is no quote, carriage return or NUL, and on each line exactly 19
-    commas and no more than the CSV field size limit: csv.reader would read
-    such a chunk as the same cells.  Any other chunk is a ParseError."""
-    text = "".join(lines)
-    if ('"' in text or "\r" in text or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {_WIDTH - 1}):
-        raise ParseError("chunk is not plain")
-    cells = text.replace("\n", ",").split(",")
-    del cells[len(lines) * _WIDTH:]  # the empty cell after a final newline
-    return cells
-
-
-def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list]:
-    """The path and register entries of a chunk's cells, 20 per row, checked
-    by the row rules of both tokenizers: steps are numbered from ``k``, and
-    the first leaves ``last`` (unchecked at the file's first row).  A rule is
-    checked over the whole chunk, so only a one-row chunk's error is exact."""
+def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list]:
+    """The path and register entries of non-blank csv.reader rows, checked by
+    the row rules: each has 20 cells, steps are numbered from ``k``, and the
+    first leaves ``last`` (unchecked at the file's first row).  A rule is
+    checked over all the rows at once, so only a one-row error is exact."""
+    if set(map(len, rows)) != {_WIDTH}:
+        raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
+    cells = list(chain.from_iterable(rows))
     # k is a step index, not a register: it has no range, only an order.  Its
     # text is parsed only when it is not the plain text of the expected index.
-    expected = range(k, k + len(cells) // _WIDTH)
+    expected = range(k, k + len(rows))
     if (cells[::_WIDTH] != list(map(str, expected))
             and _parse_ints(cells[::_WIDTH], "k") != list(expected)):
         raise ParseError(f"step index {cells[0]} out of order")
@@ -339,13 +329,6 @@ def _parse_cells(cells: list[str], k: int, last) -> tuple[IntegerFunction, list]
     # position does not follow from its step, or if the first row's start
     # (one step back) leaves +/- REGISTER_CAPACITY.
     return _path_through(codes, i, j), registers
-
-
-def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list]:
-    """_parse_cells of non-blank csv.reader rows, once each has 20 cells."""
-    if set(map(len, rows)) != {_WIDTH}:
-        raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
-    return _parse_cells(list(chain.from_iterable(rows)), k, last)
 
 
 def _raise_first_defect(numbered_rows, k: int, last) -> None:
@@ -377,7 +360,7 @@ def _read_header(lines) -> None:
 
 def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
     """The rest of a trace after ``parts``, from line ``first`` on, tokenized
-    by csv.reader and checked by _parse_cells: the reference reader.
+    by csv.reader and checked by _parse_rows.
 
     Each chunk is checked column by column; only a chunk that fails is
     rescanned row by row, so the error names the first bad row by the line it
@@ -415,34 +398,12 @@ def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
     return parts.trace()
 
 
-def _parse_from(lines, parts: _Parts, lineno: int) -> GenerationTrace:
-    """The rest of a trace after ``parts``, from ``lines``, the first of which
-    is line ``lineno``, parsed a chunk at a time.
-
-    _split_cells tokenizes a plain chunk and _parse_cells checks it.  The
-    first chunk that is not plain or breaks a rule, and the rest of the
-    stream after it, go to _read_csv_rows, whose error names the first bad
-    line.  Each checked chunk goes to _Parts as one part.
-    """
-    while chunk := list(islice(lines, _CHUNK_ROWS)):
-        # No name holds a chunk's cells, and the csv path starts only once
-        # the handler has dropped the error, whose traceback holds them.
-        try:
-            parts.add(*_parse_cells(_split_cells(chunk), len(parts) + 1, parts.path.end))
-        except IntegerFunctionError:
-            break
-        lineno += len(chunk)
-    else:
-        return parts.trace()
-    return _read_csv_rows(chain(chunk, lines), parts, lineno)
-
-
 def _read_parsed(stream: IO[str]) -> GenerationTrace:
     """read_trace with no replay: every row is parsed.  The reference for
     read_trace, which must return the same trace or raise the same error."""
     lines = iter(stream)
     _read_header(lines)
-    return _parse_from(lines, _Parts(), 2)
+    return _read_csv_rows(lines, _Parts())
 
 
 def _replayed(chunk: list[str], parts: _Parts, regs: list[int], zeros) -> bool:
@@ -474,13 +435,15 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     """Read a trace CSV into columns, a chunk of lines at a time.
 
     Every trace that a run writes is fixed by its first row, so that row is
-    parsed, and from its registers and position the machine is replayed for
-    each chunk after it (the rest of the first chunk, then _CHUNK_ROWS lines
-    at a time).  A chunk whose replayed rows are its lines, text for text,
-    joins the trace with nothing parsed: the parser would have read those
-    lines as the same part.  The first chunk that misses, and the rest of
-    the stream after it, are parsed as _read_parsed parses them, so a file
-    that is not a machine run gives the same trace or the same error.
+    parsed, and when its line is the text write_trace writes for it, the
+    machine is replayed from its registers and position for each chunk after
+    it (the rest of the first chunk, then _CHUNK_ROWS lines at a time).  A
+    chunk whose replayed rows are its lines, text for text, joins the trace
+    with nothing parsed: the parser would have read those lines as the same
+    part.  Any other row 1, or the first chunk that misses and the rest of
+    the stream after it, go to _read_csv_rows, which _read_parsed runs on a
+    whole file, so a file that is not a machine run gives the same trace or
+    the same error.
     """
     lines = iter(stream)
     _read_header(lines)
@@ -488,17 +451,22 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     if not (first := list(islice(lines, _CHUNK_ROWS))):
         return parts.trace()
     try:
-        parts.add(*_parse_cells(_split_cells(first[:1]), 1, None))
-    except IntegerFunctionError:
-        return _parse_from(chain(first, lines), parts, 2)
+        path, registers = _parse_rows(list(csv.reader(first[:1])), 1, None)
+    except (IntegerFunctionError, csv.Error):
+        written = False
+    else:
+        written = next(_rows(1, path.codes, path.i[1:], path.j[1:], registers)) == first[0]
+    if not written:
+        return _read_csv_rows(chain(first, lines), parts)
+    parts.add(path, registers)
     # The kernels of a shape drop only registers that are zero and that no
     # live register feeds; those stay zero, so row 1's shape holds for every
     # later chunk.
-    regs, chunk, lineno = list(parts.registers), first[1:], 3
+    regs, chunk, lineno = list(registers), first[1:], 3
     zeros = _zero_registers(regs)
     while True:
         if chunk and not _replayed(chunk, parts, regs, zeros):
-            return _parse_from(chain(chunk, lines), parts, lineno)
+            return _read_csv_rows(chain(chunk, lines), parts, lineno)
         lineno += len(chunk)
         if not (chunk := list(islice(lines, _CHUNK_ROWS))):
             return parts.trace()

@@ -4,8 +4,6 @@ from itertools import accumulate, product
 from operator import add, mul
 
 from intfunc import Axis, I_PLUS, J_PLUS, StepKind
-from intfunc.core import _Parts
-from intfunc.io import _read_csv_rows, _read_header
 
 # Full hand-checkable run of the quarter wave at seed 100, worked out with
 # pencil and paper from the update rules: after each step, the position, the
@@ -105,14 +103,6 @@ def random_monotone_steps(rng, max_len=60):
 def random_steps(rng, max_len=60):
     kinds = [StepKind(axis, sign) for axis in (Axis.I, Axis.J) for sign in (1, -1)]
     return tuple(rng.choice(kinds) for _ in range(rng.randint(0, max_len)))
-
-
-def read_trace_csv(stream):
-    """read_trace with csv.reader as its only tokenizer: the reference for the
-    split tokenizer, whose cells go to the same row checker."""
-    lines = iter(stream)
-    _read_header(lines)
-    return _read_csv_rows(lines, _Parts())
 
 
 def iterated_sums(bank, codes, harmonized=False):

@@ -440,6 +440,21 @@ class TestOutputPaths:
         assert run_cli(*argv, capsys=capsys)[:2] == (0, "")
         assert run_cli(*argv[:-2], capsys=capsys)[:2] == (0, out.read_text())
 
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    @pytest.mark.parametrize("template", [["pi", "--x0", "100", "--trace"],
+                                          COMMANDS["render"], COMMANDS["mech"]],
+                             ids=["pi", "render", "mech"])
+    def test_device_output(self, template, tmp_path, capsys):
+        # /dev/null can be sought but not truncated: only a regular file is
+        # emptied before it is written.  Stdout is what a file output gets.
+        printed = []
+        for out in (tmp_path / "out", "/dev/null"):
+            code, stdout, err = run_cli(*self._argv(template, tmp_path, out), capsys=capsys)
+            assert (code, err) == (0, "")
+            printed.append([line.partition(" elapsed=")[0]
+                            for line in stdout.replace(str(out), "OUT").splitlines()])
+        assert printed[0] == printed[1]
+
     @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
     @pytest.mark.parametrize("redirect", ["w", "a"])
     def test_trace_to_stdout_redirected_to_a_file(self, redirect, tmp_path):
@@ -742,6 +757,22 @@ def test_bad_render_argument_wins_over_a_missing_trace(tmp_path, capsys, args, c
                                 *out_args, capsys=capsys)
         assert (got, out) == (code, "")
         assert message in err and "missing.csv" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("unit, code, message", [
+    ("0", 5, "scale unit must be positive"),
+    ("x", 3, "invalid rational 'x'"),
+])
+def test_bad_digitize_unit_wins_over_a_missing_samples_file(tmp_path, capsys, unit, code,
+                                                            message):
+    # The missing --samples file would exit 3; --unit is refused before it is read.
+    out_path = tmp_path / "out.csv"
+    got, out, err = run_cli("digitize", "--unit", unit, "--samples",
+                            str(tmp_path / "missing.txt"), "--out", str(out_path),
+                            capsys=capsys)
+    assert (got, out) == (code, "")
+    assert message in err and "missing.txt" not in err
     assert not out_path.exists()
 
 

@@ -57,12 +57,11 @@ from intfunc.curves import (
 )
 from intfunc.io import (
     TRACE_COLUMNS,
+    _read_parsed,
     read_trace,
     trace_for_function,
     write_trace,
 )
-
-from helpers import read_trace_csv
 
 HEADER = ",".join(TRACE_COLUMNS)
 
@@ -162,6 +161,10 @@ class TestConfigItems:
         err = _one_line_error(capsys, 3, ["generate", "--config", str(config_path),
                                           "--set", item, "--out", out])
         assert err == f"parse error: {message}\n"
+        # The item is refused before --config is opened: a missing file is not named.
+        err = _one_line_error(capsys, 3, ["generate", "--config", str(tmp_path / "missing.cfg"),
+                                          "--set", item, "--out", out])
+        assert err == f"parse error: {message}\n"
         config_path.write_text(f"X=3\n{item}\n")
         err = _one_line_error(capsys, 3, ["generate", "--config", str(config_path), "--out", out])
         assert err == f"parse error: {message.replace('--set', 'line 2')}\n"
@@ -222,7 +225,7 @@ def test_refused_line_waits_for_an_earlier_bad_row():
     lines[100] = _row(100, "up", 100, 0)
     lines[last] = _row(last, "i+", "2" * 200_000, 0)
     text = "\n".join(lines) + "\n"
-    for reader in (read_trace, read_trace_csv):
+    for reader in (read_trace, _read_parsed):
         with pytest.raises(ParseError, match=r"^line 101: invalid step token 'up'"):
             reader(io.StringIO(text))
 
@@ -232,7 +235,7 @@ def test_error_names_the_line_a_row_starts_on():
     lines = [HEADER, '1,i+,1,0,"1\n"' + ",0" * 15, _row(2, "up", 2, 0)]
     text = "\n".join(lines) + "\n"
     assert text.count("\n") == 4
-    for reader in (read_trace, read_trace_csv):
+    for reader in (read_trace, _read_parsed):
         with pytest.raises(ParseError, match=r"^line 4: invalid step token 'up'"):
             reader(io.StringIO(text))
 
@@ -283,22 +286,23 @@ def test_write_trace_is_what_csv_writer_writes(traces, monkeypatch):
         writer.writerows(zip(range(1, len(trace) + 1), (s.token for s in trace.path.steps),
                              trace.i, trace.j, *map(trace.column, ALL_REGISTERS)))
         assert _text(trace) == buffer.getvalue()
-    # What write_trace writes never needs the csv.reader path.
-    monkeypatch.setattr(intfunc.io, "_read_csv_rows", None)
+    # What write_trace writes reads back as the trace it wrote, and a run's
+    # file, fixed by its row 1, never needs the csv.reader path after it.
     for trace in traces:
+        assert read_trace(io.StringIO(_text(trace))) == trace
+    monkeypatch.setattr(intfunc.io, "_read_csv_rows", None)
+    for trace in traces[:-2]:
         assert read_trace(io.StringIO(_text(trace))) == trace
 
 
-def test_split_reader_parses_a_step_index_it_does_not_spell(traces, monkeypatch):
-    # 05, +6 and " 7" are the step indices 5, 6 and 7 to both tokenizers'
-    # one row checker, so the split reader keeps them too.
+def test_a_step_index_spelled_otherwise_is_parsed(traces):
+    # 05, +6 and " 7" are the step indices 5, 6 and 7 to the row checker,
+    # which parses k only where its text is not the expected index.
     lines = _text(traces[0]).splitlines(keepends=True)
     for k, text in ((5, "05"), (6, "+6"), (7, " 7")):
         lines[k] = text + lines[k][len(str(k)):]
     text = "".join(lines)
-    expected = read_trace_csv(io.StringIO(text))
-    monkeypatch.setattr(intfunc.io, "_read_csv_rows", None)
-    assert read_trace(io.StringIO(text)) == expected == traces[0]
+    assert read_trace(io.StringIO(text)) == _read_parsed(io.StringIO(text)) == traces[0]
 
 
 # sha256 of the file `pi --x0 1000000 --trace` writes (2 569 rows), which
@@ -334,7 +338,7 @@ def test_parts_join_at_every_edge(edge_traces, size, monkeypatch):
         trace = _run(config)
         text = _text(trace)
         for built in (trace, GenerationTrace(trace.records),
-                      read_trace(io.StringIO(text)), read_trace_csv(io.StringIO(text))):
+                      read_trace(io.StringIO(text)), _read_parsed(io.StringIO(text))):
             assert built == expected
 
 
@@ -438,8 +442,9 @@ def _shift(lines, at, column):
         lines[at + 1] = f"{last},{lines[at + 1]}"
 
 
-# Changes to a trace file that csv.reader may read differently from split
-# strings, or that break a row rule: one line and one column each.
+# Changes to a trace file that csv.reader reads in its own way (a quote, a
+# carriage return, a NUL, a cell over its field size limit), or that break a
+# row rule: one line and one column each.
 _MUTATIONS = {
     "quote": _edit_cells(lambda cells, c: _set(cells, c, f'"{cells[c]}"')),
     "crlf": lambda lines, at, c: _end_line(lines, at, "\r\n"),
@@ -493,12 +498,12 @@ _EDGES = (1, 2, B - 1, B, B + 1, B + 2, 6000)
 @example(pick=-1, mutations=[(100, "token", 0), (2000, "oversized", 7)], newline="\n")
 @example(pick=0, mutations=[(3, "cr", 5)], newline="\n")
 @example(pick=0, mutations=[(3, "crlf", 0), (9, "nul", 4)], newline="")
-def test_split_reader_matches_the_csv_reader(trace_files, pick, mutations, newline):
+def test_csv_edits_read_as_the_parser_reads(trace_files, pick, mutations, newline):
     lines = list(trace_files[pick])
     for row, kind, column in mutations:
         _MUTATIONS[kind](lines, (row - 1) % (len(lines) - 1) + 1, column)
     text = "".join(lines)
-    assert _outcome(read_trace, text, newline) == _outcome(read_trace_csv, text, newline)
+    assert _outcome(read_trace, text, newline) == _outcome(_read_parsed, text, newline)
 
 
 # read_trace parses row 1 and replays the machine from it; _read_parsed
@@ -558,19 +563,19 @@ def test_replay_reads_as_the_parser_reads(replay_files, pick, edit, row, n):
     _EDITS[edit](lines, (row - 1) % (len(lines) - 1) + 1, n)
     text = "".join(lines)
     assert (_outcome(read_trace, text, "")
-            == _outcome(intfunc.io._read_parsed, text, ""))
+            == _outcome(_read_parsed, text, ""))
 
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Each _parse_cells call from here on, as its first step index."""
-    calls, parse = [], intfunc.io._parse_cells
+    """Each _parse_rows call from here on, as its first step index."""
+    calls, parse = [], intfunc.io._parse_rows
 
-    def counted(cells, k, last):
+    def counted(rows, k, last):
         calls.append(k)
-        return parse(cells, k, last)
+        return parse(rows, k, last)
 
-    monkeypatch.setattr(intfunc.io, "_parse_cells", counted)
+    monkeypatch.setattr(intfunc.io, "_parse_rows", counted)
     return calls
 
 
@@ -611,6 +616,34 @@ def test_machine_runs_are_replayed_after_row_1(parses, monkeypatch):
     assert fits[0] is False
 
 
+def _row_1_spellings(line):
+    """Row 1 of a run's file as the writer would not write it, by name."""
+    cells = line.split(",")
+    quoted = cells[:1] + [f'"{cells[1]}"'] + cells[2:]
+    spanning = cells[:4] + [f'"{cells[4]}\n"'] + cells[5:]
+    return {"01": "0" + line, "+1": "+" + line, "quoted": ",".join(quoted),
+            "quoted over lines 2-3": ",".join(spanning),
+            "crlf": line.replace("\n", "\r\n")}
+
+
+def test_a_row_1_the_writer_would_not_write_is_parsed_from_row_1(traces, parses):
+    # Row 1 opens the replay only when its line is the text write_trace
+    # writes for it; any other spelling is read as _read_parsed reads it,
+    # with row 2 intact and with a bad token.
+    lines = _text(traces[0]).splitlines(keepends=True)
+    bad = lines[2].split(",")
+    bad[1] = "up"
+    for name, line in _row_1_spellings(lines[1]).items():
+        for row_2 in (lines[2], ",".join(bad)):
+            text = "".join([lines[0], line, row_2, *lines[3:]])
+            parses.clear()
+            outcome = _outcome(read_trace, text, "")
+            assert parses[:2] == [1, 1], name
+            assert outcome == _outcome(_read_parsed, text, ""), name
+            assert (outcome == traces[0]) == (row_2 is lines[2]), name
+    assert _row_1_spellings(lines[1])["quoted over lines 2-3"].count("\n") == 2
+
+
 def _digitized(tmp_path):
     samples = tmp_path / "line.txt"
     samples.write_text("".join(f"{x}/40,{3 * x}/200\n" for x in range(4000)))
@@ -633,5 +666,5 @@ def test_other_files_are_parsed_after_a_miss(parses, tmp_path):
         assert parses[0] == 1 and len(parses) > 1
         # Once a chunk misses, every later one is parsed.
         assert parses[1:] == list(range(2, len(read) + 1, b))
-        assert read == intfunc.io._read_parsed(io.StringIO(text))
+        assert read == _read_parsed(io.StringIO(text))
     assert read_trace(io.StringIO(_text(bare))) == bare
