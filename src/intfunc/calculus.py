@@ -33,6 +33,7 @@ from .core import (
     IntegerPair,
     PreconditionError,
     _Frozen,
+    _check_positive,
 )
 
 if TYPE_CHECKING:
@@ -138,8 +139,7 @@ class DifferenceField:
 
 def _check_class(diff_class) -> None:
     """Refuse a difference class that is not a positive integer."""
-    if isinstance(diff_class, bool) or not isinstance(diff_class, int) or diff_class < 1:
-        raise PreconditionError("difference class must be a positive integer")
+    _check_positive(diff_class, "difference class")
 
 
 def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> DifferenceField:
@@ -277,8 +277,7 @@ class IntegerScale(_Frozen):
         self._set(unit)
 
     def refined(self, m: int) -> "IntegerScale":
-        if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-            raise PreconditionError("refinement factor must be a positive integer")
+        _check_positive(m, "refinement factor")
         return IntegerScale(self.unit / m)
 
     def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
@@ -301,8 +300,7 @@ def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,
     m*i <= i' < m*(i+1) and m*j <= j' < m*(j+1).  An empty list means the
     two functions belong together at scale ratio m.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise PreconditionError("refinement factor m must be a positive integer")
+    _check_positive(m, "refinement factor m")
     covered = {(i // m, j // m) for i, j in zip(fine.i, fine.j)}
     return [IntegerPair(*e) for e in zip(coarse.i, coarse.j) if e not in covered]
 

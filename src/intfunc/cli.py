@@ -103,7 +103,7 @@ def _cmd_pi(args) -> int:
         # is printed and no file is left behind.
         with output_file(args.trace) as start:
             result = pi_bounds(args.x0)
-            _, trace = generate(harmonic_config(args.x0, cap=result.step_count))
+            _, trace = generate(harmonic_config(args.x0))
             write_trace(trace, start())
     else:
         result = pi_bounds(args.x0)
@@ -147,19 +147,8 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
     return Viewport(i_min, i_max, j_min, j_max, cell_px=cell_px)
 
 
-def _output(path):
-    """io.output_file(path), or stdout when there is no path."""
-    if not path:
-        from contextlib import nullcontext
-
-        return nullcontext(lambda: sys.stdout)
-    from .io import output_file
-
-    return output_file(path)
-
-
 def _cmd_render(args) -> int:
-    from .io import function_from_trace, read_trace_file
+    from .io import function_from_trace, output_file, read_trace_file
     from .render import (Viewport, _check_cell_px, _check_grid, _check_label, render_ascii,
                          render_pbm, render_svg)
 
@@ -173,7 +162,7 @@ def _cmd_render(args) -> int:
         _check_cell_px(args.cell_px)
     if args.format == "svg":
         _check_label(args.label)
-    with _output(args.out) as start:
+    with output_file(args.out) as start:
         trace = read_trace_file(args.infile)
         f = function_from_trace(trace)
         if not args.viewport:
@@ -192,9 +181,9 @@ def _cmd_render(args) -> int:
 
 def _cmd_mech(args) -> int:
     from .curves import free_fall_config, harmonic_config, uniform_motion_config
-    from .io import format_config
+    from .io import format_config, output_file
 
-    with _output(args.out) as start:
+    with output_file(args.out) as start:
         if args.kind == "uniform":
             config = uniform_motion_config(args.il, args.jl)
         elif args.kind == "freefall":

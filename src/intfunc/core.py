@@ -227,10 +227,20 @@ def from_step_sequence(start, steps) -> IntegerFunction:
     return IntegerFunction(start, steps)
 
 
+def _overflow(context: str, value: int) -> RegisterOverflowError:
+    return RegisterOverflowError(f"register overflow in {context}: {value}")
+
+
 def _checked(value: int, context: str) -> int:
     if value > REGISTER_CAPACITY or value < -REGISTER_CAPACITY:
-        raise RegisterOverflowError(f"register overflow in {context}: {value}")
+        raise _overflow(context, value)
     return value
+
+
+def _check_positive(value, name: str) -> None:
+    """Refuse a ``value`` that is not a positive int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise PreconditionError(f"{name} must be a positive integer")
 
 
 class _Frozen:
@@ -363,8 +373,7 @@ class StepCount(_Frozen):
     __slots__ = ("count",)
 
     def __init__(self, count: int):
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise PreconditionError("step count must be a positive integer")
+        _check_positive(count, "step count")
         self._set(count)
 
 
@@ -381,8 +390,7 @@ class WhilePositive(_Frozen):
     def __init__(self, register: str, cap: int):
         if register not in ALL_REGISTERS:
             raise PreconditionError(f"unknown register name: {register}")
-        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-            raise PreconditionError("cap must be a positive integer")
+        _check_positive(cap, "cap")
         self._set(register, cap)
 
 
@@ -646,10 +654,6 @@ class _Kernel(_Frozen):
         self._set(run, sides, recorded)
 
 
-def _overflow(context: str, value: int) -> RegisterOverflowError:
-    return RegisterOverflowError(f"register overflow in {context}: {value}")
-
-
 def _indent(lines, levels=1):
     return ["    " * levels + line for line in lines]
 
@@ -687,11 +691,9 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     show that no register can overflow (see _batch_fits).  An untraced kernel,
     ``run(regs, steps)``, checks nothing and keeps one combined regulator
     r = RX - RY, so it can watch only a work register (else PreconditionError).
-    It writes back only the work registers and returns the numbers of i and
-    j steps: their sum is the pass index at the break (else ``steps``), and
-    one side's count is (target - its start) // source for a live pair whose
-    source is constant and whose target no other side feeds (for pi,
-    j = (XX - XX_0) // XXY); a shape with no such pair counts its j steps.
+    It writes back only the work registers and returns the number of steps it
+    ran: the pass index at the break, else ``steps``.  It counts neither axis;
+    its caller reads that from the work registers (see curves.pi_bounds).
 
     An untraced kernel whose watched register W has live feeds first runs
     blocks of _FREE_STEPS steps, 8 steps a pass, with no stop test.  A block
@@ -707,8 +709,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
         raise PreconditionError(f"the untraced loop cannot watch {ALL_REGISTERS[watched]}")
-    constant = _constant_registers(zeros)
-    dead = constant & zeros
+    dead = _constant_registers(zeros) & zeros
     sides = []
     for letter in "XY":
         cascade, rate = _CASCADES[letter], None
@@ -716,16 +717,12 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
             cascade, (rate, _) = cascade[:-1], cascade[-1]
             rate = None if rate in dead else rate
         sides.append((tuple(pair for pair in cascade if pair[0] not in dead), rate))
-    fed = [{target for _, target in pairs} for pairs, _ in sides]
-    recorded = tuple(sorted({0, 1} | {_SLOT[name] for name in fed[0] | fed[1]}))
-    derived = [(axis, pair) for axis, (pairs, _) in zip(Axis, sides) for pair in pairs
-               if pair[0] in constant and pair[1] in (fed[0] ^ fed[1]) - set(REGULATORS)]
-    counter = None if traced or derived else Axis.J
     cap = REGISTER_CAPACITY
     feeds = {}
     for pairs, _ in sides:
         for source, target in pairs:
             feeds.setdefault(target, []).append(source)
+    recorded = tuple(sorted({0, 1} | {_SLOT[name] for name in feeds}))
 
     def reach(names):
         # The largest magnitude any of names can reach in _FREE_STEPS steps.
@@ -745,7 +742,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
         plus, regulator = _CODE_OF_STEP[StepKind(axis, 1)], axis.regulator
 
         def move(code):
-            return [f"code({code})"] if traced else ["j += 1"] if axis is counter else []
+            return [f"code({code})"] if traced else []
 
         lines, changed = [], {target for _, target in pairs}
         for source, target in pairs:
@@ -782,9 +779,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
         body = step(["break"]) * 2
         tail = [f"    regs[:] = {', '.join(ALL_REGISTERS)}"]
     else:
-        axis, (feed, target) = derived[0] if derived else (Axis.J, (None, None))
-        head = ["def run(regs, steps):", unpack, "    r = RX - RY",
-                f"    base = {target}" if derived else "    j = 0"]
+        head = ["def run(regs, steps):", unpack, "    r = RX - RY"]
         start, name = "", None if watched is None else ALL_REGISTERS[watched]
         if name in feeds:
             guard = f"{name} > {_FREE_STEPS} * ({reach(feeds[name])})"
@@ -796,9 +791,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
             start = "done >> 1, "
         head.append(f"    for n in range({start}steps >> 1):")
         body = step(["total = 2 * n + 1", "break"]) + step(["total = 2 * n + 2", "break"])
-        tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}",
-                *([f"    {axis.value} = ({target} - base) // {feed}"] if derived else []),
-                "    return i, total - i" if axis is Axis.I else "    return total - j, j"]
+        tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}", "    return total"]
     # Two steps per pass halve the loop's own cost; an odd last step runs
     # alone unless the stop test ended the loop.
     source = "\n".join([*head, *_indent(body, 2), "    else:",

@@ -28,6 +28,7 @@ from .core import (
     RegisterOverflowError,
     StepCount,
     WhilePositive,
+    _SLOT,
     _UNTRACED,
     _Frozen,
     _compile_kernel,
@@ -178,11 +179,12 @@ def pi_bounds(x0: int) -> PiResult:
     untraced loop kind.  That loop runs the {XXY, Y} machine with X = Y = x0
     and XX = XXY = -1 under its step cap, until the watched X register stops
     being positive.  It keeps one combined regulator r = RX - RY, which is
-    all the step choice ever looks at, and no step counter: the step total
-    is its pass index at the stop, j = (XX_end - XX_0) // XXY (only j steps
-    add XXY into XX) and i is the rest.  The element [i, j] reached on that
-    step spans the quarter period, and the unit squares at the two ends give
-    the exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
+    all the step choice ever looks at, and no step counter: it returns the
+    step total, its pass index at the stop, and writes back the work
+    registers.  Only j steps add XXY into XX, so j = (XX_end - XX_0) // XXY
+    and i is the rest of the total.  The element [i, j] reached on that step
+    spans the quarter period, and the unit squares at the two ends give the
+    exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
     ``elapsed`` times the run alone, not the kernel's compile.
 
     Far from the stop the loop makes no stop test: it runs blocks of
@@ -210,16 +212,18 @@ def pi_bounds(x0: int) -> PiResult:
     kernel = _compile_kernel(zeros, harmonized, watched, _UNTRACED)
     regs = list(config.bank._values)
     started = time.perf_counter()
-    i, j = kernel.run(regs, config.stop.cap)
+    steps = kernel.run(regs, config.stop.cap)
     elapsed = time.perf_counter() - started
     if regs[watched] > 0:
-        raise CapExhaustedError(f"X still positive after {i + j} steps (cap exhausted)")
+        raise CapExhaustedError(f"X still positive after {steps} steps (cap exhausted)")
+    j = (regs[_SLOT["XX"]] - config.bank.XX) // config.bank.XXY
+    i = steps - j
     return PiResult(
         i_quarter=i,
         j_quarter=j,
         lower=Fraction(i - 1, j + 1),
         upper=Fraction(i + 1, j),
-        step_count=i + j,
+        step_count=steps,
         elapsed=elapsed,
     )
 

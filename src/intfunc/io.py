@@ -249,7 +249,7 @@ def _is_stdout(handle: IO[str]) -> bool:
 
 
 @contextmanager
-def output_file(path: str):
+def output_file(path: str | None):
     """Open ``path`` before the work that fills it, so a path that cannot be
     written fails first; yield a function that empties the file and returns
     the text stream to write it through.  The file is opened to append, so
@@ -257,7 +257,11 @@ def output_file(path: str):
     created is removed again if the block raises.  When the file is the one
     stdout writes (``/dev/stdout`` redirected to a file, say), the stream is
     sys.stdout: a second open file of it would write from an offset of its
-    own, over what stdout writes."""
+    own, over what stdout writes.  A ``path`` of None means stdout; an empty
+    one is opened like any other, and fails."""
+    if path is None:
+        yield lambda: sys.stdout
+        return
     try:
         handle, created = open(path, "x", encoding="utf-8", newline=""), True
     except FileExistsError:
@@ -358,9 +362,10 @@ def _read_header(lines) -> None:
         raise ParseError("trace header does not match the expected 20 columns")
 
 
-def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
-    """The rest of a trace after ``parts``, from line ``first`` on, tokenized
-    by csv.reader and checked by _parse_rows.
+def _read_csv_rows(lines, parts: _Parts) -> GenerationTrace:
+    """The rest of a trace after ``parts``, tokenized by csv.reader and
+    checked by _parse_rows.  Its line numbers start at len(parts) + 2: the
+    header is line 1, and each row of ``parts`` was one line.
 
     Each chunk is checked column by column; only a chunk that fails is
     rescanned row by row, so the error names the first bad row by the line it
@@ -369,7 +374,7 @@ def _read_csv_rows(lines, parts: _Parts, first: int = 2) -> GenerationTrace:
     have passed.
     """
     reader = csv.reader(lines)
-    refused = []
+    refused, first = [], len(parts) + 2
 
     def numbered_rows():
         # reader.line_num counts the lines read so far, up to the end of the
@@ -462,12 +467,11 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     # The kernels of a shape drop only registers that are zero and that no
     # live register feeds; those stay zero, so row 1's shape holds for every
     # later chunk.
-    regs, chunk, lineno = list(registers), first[1:], 3
+    regs, chunk = list(registers), first[1:]
     zeros = _zero_registers(regs)
     while True:
         if chunk and not _replayed(chunk, parts, regs, zeros):
-            return _read_csv_rows(chain(chunk, lines), parts, lineno)
-        lineno += len(chunk)
+            return _read_csv_rows(chain(chunk, lines), parts)
         if not (chunk := list(islice(lines, _CHUNK_ROWS))):
             return parts.trace()
 
@@ -504,6 +508,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _rational(text: str, fraction: type[Fraction]) -> Fraction:
+    # Fraction("1e10000000") builds 10**10000000, which takes seconds; an
+    # exponent past the integer-string limit is refused, as that many digits
+    # written out would be.  Where the limit is 0 or missing there is none.
+    _, e, exponent = text.upper().rpartition("E")
+    exponent = exponent.strip()
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    digits = digits.replace("_", "").lstrip("0")
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if e and limit and digits.isdecimal() and (len(digits) > len(str(limit)) or int(digits) > limit):
+        raise ParseError(f"invalid rational {text!r}: its exponent is beyond +/- {limit}")
     try:
         return fraction(text)
     except (ValueError, ZeroDivisionError):

@@ -6,7 +6,7 @@ import re
 from itertools import compress, repeat
 from operator import and_, sub
 
-from .core import IntegerFunction, PreconditionError, _Frozen
+from .core import REGISTER_CAPACITY, IntegerFunction, PreconditionError, _Frozen, _check_positive
 
 #: Largest viewport area, in cells, that ASCII and PBM output will fill.
 #: Their size grows with the area; SVG grows with the occupied cells and has
@@ -19,8 +19,11 @@ _XML_INVALID = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
 def _check_cell_px(cell_px) -> None:
-    if isinstance(cell_px, bool) or not isinstance(cell_px, int) or cell_px < 1:
-        raise PreconditionError("cell_px must be a positive integer")
+    """Refuse a cell size that is not a positive integer, or that is over
+    REGISTER_CAPACITY: str() of a pixel coordinate must stay short."""
+    _check_positive(cell_px, "cell_px")
+    if cell_px > REGISTER_CAPACITY:
+        raise PreconditionError(f"cell_px must be at most {REGISTER_CAPACITY}")
 
 
 def _check_grid(columns: int, rows: int) -> None:
@@ -47,6 +50,9 @@ class Viewport(_Frozen):
             raise PreconditionError("viewport bounds must be integers")
         if i_min > i_max or j_min > j_max:
             raise PreconditionError("viewport bounds must satisfy min <= max")
+        # Every path position lies within +/- REGISTER_CAPACITY too.
+        if max(-i_min, i_max, -j_min, j_max) > REGISTER_CAPACITY:
+            raise PreconditionError(f"viewport bounds must lie within +/- {REGISTER_CAPACITY}")
         _check_cell_px(cell_px)
         self._set(i_min, i_max, j_min, j_max, cell_px)
 
@@ -69,8 +75,11 @@ class Viewport(_Frozen):
 def occupancy(f: IntegerFunction, viewport: Viewport) -> list[list[bool]]:
     """Cell occupancy grid, rows top (j_max) to bottom (j_min).
 
-    Duplicate cells of a composite path count once.
+    Duplicate cells of a composite path count once.  One bool per viewport
+    cell: over MAX_GRID_CELLS cells is a PreconditionError, as in ASCII and
+    PBM output.
     """
+    _check_grid(viewport.columns, viewport.rows)
     cells = set(zip(f.i, f.j))
     return [
         [(i, j) in cells for i in range(viewport.i_min, viewport.i_max + 1)]

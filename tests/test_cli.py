@@ -440,6 +440,15 @@ class TestOutputPaths:
         assert run_cli(*argv, capsys=capsys)[:2] == (0, "")
         assert run_cli(*argv[:-2], capsys=capsys)[:2] == (0, out.read_text())
 
+    @pytest.mark.parametrize("command", ["generate", "digitize", "render", "mech"])
+    def test_empty_output_path_fails(self, command, tmp_path, capsys):
+        # An empty --out is opened like any other path, and cannot be;
+        # render and mech write to stdout only when --out is not given.
+        code, stdout, err = run_cli(*self._argv(self.COMMANDS[command], tmp_path, ""),
+                                    capsys=capsys)
+        assert (code, stdout) == (3, "")
+        assert err.startswith("file error: ")
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     @pytest.mark.parametrize("template", [["pi", "--x0", "100", "--trace"],
                                           COMMANDS["render"], COMMANDS["mech"]],
@@ -748,6 +757,11 @@ class TestGridLimit:
     (["--format", "ascii", "--viewport", "0:100000:0:999"], 5, "grid limit"),
     (["--format", "pbm", "--viewport", "0:100000:0:999"], 5, "grid limit"),
     (["--format", "svg", "--label", "a\x01b"], 5, "XML 1.0"),
+    # 4 300 digits, which int() still takes: str() of a pixel coordinate
+    # would be over Python's integer-string limit.
+    (["--format", "svg", "--cell-px", "9" * 4300], 5, f"cell_px must be at most {2**63 - 1}"),
+    (["--format", "svg", f"--viewport=0:{'9' * 4300}:0:1"], 5,
+     f"viewport bounds must lie within +/- {2**63 - 1}"),
 ])
 def test_bad_render_argument_wins_over_a_missing_trace(tmp_path, capsys, args, code, message):
     # The missing --in file would exit 3; the argument is refused before it is read.

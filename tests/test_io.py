@@ -15,6 +15,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,7 @@ from intfunc.curves import (
 from intfunc.io import (
     TRACE_COLUMNS,
     _read_parsed,
+    parse_rational,
     read_trace,
     trace_for_function,
     write_trace,
@@ -176,6 +178,48 @@ def test_samples_name_the_bad_token(tmp_path, capsys):
     err = _one_line_error(capsys, 3, ["digitize", "--unit", "1", "--samples", str(path),
                                       "--out", str(tmp_path / "out.csv")])
     assert err.startswith("parse error: line 2: invalid rational 'zero'")
+
+
+# Fraction builds 10**exponent exactly, which takes seconds once the exponent
+# is in the millions; one past the integer-string limit is refused at once.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+needs_limit = pytest.mark.skipif(not _INT_DIGITS, reason="no integer-string limit")
+
+
+@needs_limit
+def test_exponent_limit_is_the_integer_string_limit():
+    limit = _INT_DIGITS
+    assert parse_rational(f"1e{limit}") == 10**limit
+    assert parse_rational(f"-1E-{limit}") == Fraction(-1, 10**limit)
+    assert parse_rational(f"1e{'0' * 9}5") == 10**5
+    for token in (f"1e{limit + 1}", f"1E-{limit + 1}", f"2.5e+{limit + 1}", " 1e99_999_999 ",
+                  "1e" + "9" * (limit + 1)):
+        with pytest.raises(ParseError) as info:
+            parse_rational(token)
+        assert str(info.value) == f"invalid rational {token!r}: its exponent is beyond +/- {limit}"
+
+
+@needs_limit
+@pytest.mark.parametrize("unit", ["1e999999999", "1E-99999999"])
+def test_huge_exponent_unit_is_refused(tmp_path, capsys, unit):
+    path, out = tmp_path / "line.txt", tmp_path / "out.csv"
+    path.write_text("0,0\n1/4,1/4\n")
+    err = _one_line_error(capsys, 3, ["digitize", "--unit", unit, "--samples", str(path),
+                                      "--out", str(out)])
+    assert err == (f"parse error: invalid rational {unit!r}: its exponent is beyond "
+                   f"+/- {_INT_DIGITS}\n")
+    assert not out.exists()
+
+
+@needs_limit
+def test_huge_exponent_sample_names_its_line(tmp_path, capsys):
+    path, out = tmp_path / "line.txt", tmp_path / "out.csv"
+    path.write_text("0,0\n1/4,1e10000000\n")
+    err = _one_line_error(capsys, 3, ["digitize", "--unit", "1/4", "--samples", str(path),
+                                      "--out", str(out)])
+    assert err == (f"parse error: line 2: invalid rational '1e10000000': its exponent is "
+                   f"beyond +/- {_INT_DIGITS}\n")
+    assert not out.exists()
 
 
 # A trace of 6 000 rows spans several chunks of rows; each defect kind below

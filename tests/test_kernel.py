@@ -309,13 +309,13 @@ def test_overflow_at_batch_edges(mode, step, steps):
 
 
 def _untraced_run(config):
-    """(i steps, j steps, work registers) after the untraced kernel runs
-    ``config``, which watches a work register that starts positive, or none."""
+    """(steps run, work registers) after the untraced kernel runs ``config``,
+    which watches a work register that starts positive, or none."""
     stop = config.stop
     kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
     regs = list(config.bank._values)
-    i, j = kernel.run(regs, stop.cap if isinstance(stop, WhilePositive) else stop.count)
-    return i, j, regs[2:]
+    steps = kernel.run(regs, stop.cap if isinstance(stop, WhilePositive) else stop.count)
+    return steps, regs[2:]
 
 
 def _traced_counts(config):
@@ -326,8 +326,7 @@ def _traced_counts(config):
     except CapExhaustedError:
         _, trace = _run(GeneratorConfig(start=config.start, bank=config.bank,
                                         stop=StepCount(config.stop.cap), mode=config.mode))
-    j = sum(code & 1 for code in trace.codes)
-    return len(trace) - j, j, [trace.column(name)[-1] for name in WORK_REGISTERS]
+    return len(trace), [trace.column(name)[-1] for name in WORK_REGISTERS]
 
 
 @st.composite
@@ -349,10 +348,9 @@ def test_untraced_kernel_matches_the_traced_run(config):
     assert _untraced_run(config) == _traced_counts(config)
 
 
-# Shapes by the pair whose target gives the untraced kernel one side's count:
-# none ({X, Y}, where both feeds are regulators, and {XX, XY, Y}, where X is
-# fed on both sides), the j side ({XXY, Y}: XX = XX_0 + j XXY), the i side
-# ({XX, Y}: X = X_0 + i XX), either side ({XX, YY}).
+# Shapes whose cascades differ: {X, Y}, where both feeds are regulators,
+# {XX, XY, Y}, where X is fed on both sides, {XXY, Y}, fed only on j steps,
+# {XX, Y}, fed only on i steps, and {XX, YY}, fed on either side alone.
 _SHAPES = {
     "line": RegisterBank(X=3, Y=5),
     "two-sided": RegisterBank(X=30, Y=7, XX=-1, XY=-1),
@@ -378,10 +376,10 @@ def test_untraced_stop_in_either_half_of_a_pass(shape):
     for x in range(1, 60):
         bank = RegisterBank(**{**_SHAPES[shape].as_dict(), "X": x})
         config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive("X", 999))
-        i, j, registers = _untraced_run(config)
-        assert (i, j, registers) == _traced_counts(config)
+        steps, registers = _untraced_run(config)
+        assert (steps, registers) == _traced_counts(config)
         assert registers[0] <= 0
-        parities.add((i + j) % 2)
+        parities.add(steps % 2)
     assert parities == {0, 1}
 
 
@@ -413,7 +411,7 @@ def _guard_threshold(values, name):
 
 
 def _untraced_blocks(config, steps):
-    """(i steps, j steps, work registers, blocks run) of the untraced kernel
+    """(steps run, work registers, blocks run) of the untraced kernel
     of ``config`` run for ``steps`` steps.  A block runs its _FREE_STEPS
     steps 8 a pass, as one repeat(None, _FREE_STEPS >> 3) loop, so a spy on
     the kernel's repeat counts the blocks."""
@@ -426,8 +424,8 @@ def _untraced_blocks(config, steps):
 
     regs = list(config.bank._values)
     with mock.patch.dict(kernel.run.__globals__, repeat=spy):
-        i, j = kernel.run(regs, steps)
-    return i, j, regs[2:], calls.count(_BLOCK >> 3)
+        ran = kernel.run(regs, steps)
+    return ran, regs[2:], calls.count(_BLOCK >> 3)
 
 
 # The registers a block can watch: each has feeds (rank 3 has none).
@@ -453,8 +451,8 @@ def block_configs(draw):
 @settings(max_examples=120, deadline=None)
 @given(block_configs())
 def test_blocks_match_the_traced_run(config):
-    i, j, registers, _ = _untraced_blocks(config, config.stop.cap)
-    assert (i, j, registers) == _traced_counts(config)
+    steps, registers, _ = _untraced_blocks(config, config.stop.cap)
+    assert (steps, registers) == _traced_counts(config)
 
 
 @pytest.mark.parametrize("mode", list(GenerationMode))
@@ -466,8 +464,8 @@ def test_blocks_run_at_every_watched_register(register, mode):
     for cap in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1):
         config = GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
                                  stop=WhilePositive(register, cap), mode=mode)
-        i, j, registers, blocks = _untraced_blocks(config, cap)
-        assert (i, j, registers) == _traced_counts(config)
+        steps, registers, blocks = _untraced_blocks(config, cap)
+        assert (steps, registers) == _traced_counts(config)
         assert blocks == cap // _BLOCK
 
 
@@ -494,7 +492,7 @@ def test_guard_keeps_the_watched_register_positive(config, offset):
     bank = RegisterBank(**values)
     config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive(register, _BLOCK),
                              mode=config.mode)
-    blocks = _untraced_blocks(config, _BLOCK)[3]
+    blocks = _untraced_blocks(config, _BLOCK)[2]
     assert blocks == (values[register] > _guard_threshold(values, register))
     if blocks:
         assert min(b.value(register) for b in _replay(bank, config.mode, _BLOCK)) > 0
@@ -516,13 +514,15 @@ def test_pi_seeds_around_the_first_block():
     past = set()
     for x0 in seeds:
         config = harmonic_config(x0)
-        i, j, _, blocks = _untraced_blocks(config, config.stop.cap)
+        steps, registers, blocks = _untraced_blocks(config, config.stop.cap)
         if x0 in _BLOCK_EDGES:
             assert blocks == _BLOCK_EDGES[x0], x0
         elif x0 < 1_100_000:
             assert blocks == (x0 > 1_049_600), x0
+        # Only j steps add XXY = -1 into XX, which starts at -1.
+        j = -1 - registers[WORK_REGISTERS.index("XX")]
         result = pi_bounds(x0)
-        assert (i, j, i + j) == (result.i_quarter, result.j_quarter, result.step_count) \
+        assert (steps - j, j, steps) == (result.i_quarter, result.j_quarter, result.step_count) \
             == quarter_wave(x0), x0
         assert result.lower < pi_half_low and pi_half_high < result.upper, x0
         past.add(result.step_count % _BLOCK)
@@ -597,7 +597,7 @@ class TestHarmonicMachine:
         kernel = _kernel_of(config.bank, stop=config.stop, loop=loop)
         regs, codes, snaps = list(config.bank._values), bytearray(), []
         if loop == core._UNTRACED:
-            assert kernel.run(regs, config.stop.cap) == tuple(f.end)
+            assert kernel.run(regs, config.stop.cap) == f.length
         else:
             kernel.run(regs, config.stop.cap, codes.append, snaps)
             assert codes == f.codes
@@ -619,11 +619,13 @@ class TestHarmonicMachine:
         assert per_step == 1 + 6 * 8
 
     def test_traced_run_agrees_with_pi_bounds(self):
-        # pi --trace runs this machine with pi_bounds' step count as its cap.
+        # pi --trace runs this machine under its default cap after pi_bounds,
+        # and relies on it stopping on the same step.
         for x0 in [*range(2, 3001), 10**4, 10**7]:
             result = pi_bounds(x0)
-            f, _ = generate(harmonic_config(x0, cap=result.step_count))
-            assert tuple(f.end) == (result.i_quarter, result.j_quarter), x0
+            f, _ = generate(harmonic_config(x0))
+            assert (f.length, *f.end) == (result.step_count, result.i_quarter,
+                                          result.j_quarter), x0
 
 
 class TestTraceViews:

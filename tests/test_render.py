@@ -4,6 +4,8 @@ from xml.etree import ElementTree
 import pytest
 
 from intfunc import (
+    MAX_GRID_CELLS,
+    REGISTER_CAPACITY,
     IntegerFunction,
     PreconditionError,
     Viewport,
@@ -124,6 +126,18 @@ class TestSvg:
         root = ElementTree.fromstring(doc)
         assert root.findall("{http://www.w3.org/2000/svg}text") == []
 
+    def test_widest_viewport_and_cell(self, elbow):
+        # cell_px and every bound at REGISTER_CAPACITY: each pixel coordinate
+        # is at most 2**128, whose text str() writes at once.
+        cap = REGISTER_CAPACITY
+        doc = render_svg(elbow, Viewport(-cap, cap, -cap, cap, cell_px=cap))
+        root = ElementTree.fromstring(doc)
+        assert root.get("width") == str((2 * cap + 1) * cap)
+        rects = root.findall("{http://www.w3.org/2000/svg}rect")
+        x, y = cap * cap, cap * cap  # cell (0, 0)
+        assert [(r.get("x"), r.get("y")) for r in rects] == [
+            (str(x), str(y)), (str(x + cap), str(y)), (str(x + cap), str(y - cap))]
+
 
 class TestOccupancy:
     def test_clipping(self, sample_if):
@@ -132,3 +146,14 @@ class TestOccupancy:
             [False, True, True, False],
             [True, True, False, False],
         ]
+
+    def test_grid_limit_before_any_cell(self, elbow):
+        # One bool per cell: 10**10 cells are refused before any is built,
+        # with the ASCII and PBM grid limit and text.
+        viewport = Viewport(0, 10**5 - 1, 0, 10**5 - 1)
+        with pytest.raises(PreconditionError) as info:
+            occupancy(elbow, viewport)
+        assert str(info.value) == (f"viewport of 100000 x 100000 = {10**10} cells is over "
+                                   f"the ASCII/PBM grid limit of {MAX_GRID_CELLS} cells")
+        with pytest.raises(PreconditionError, match=f"^{info.value}$"):
+            render_ascii(elbow, viewport)

@@ -4,10 +4,12 @@ copying, construction and validation messages."""
 import copy
 import pickle
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
 from intfunc import (
+    Axis,
     GenerationMode,
     GeneratorConfig,
     IntegerPair,
@@ -21,6 +23,9 @@ from intfunc import (
     StepCount,
     Viewport,
     WhilePositive,
+    difference_field,
+    from_step_sequence,
+    refinement_compatible,
 )
 from intfunc.curves import egg_figure_config, harmonic_config
 
@@ -249,7 +254,32 @@ VALIDATION = [
     (lambda: Viewport(0, 1, False, 1), PreconditionError, "viewport bounds must be integers"),
     (lambda: Viewport(0, 1, 0, True), PreconditionError, "viewport bounds must be integers"),
     (lambda: Viewport(0, 1.0, 0, 1), PreconditionError, "viewport bounds must be integers"),
+    # A pixel coordinate's text must stay short: cell_px and every bound lie
+    # within +/- CAP, as every path position does.
+    (lambda: Viewport(0, 1, 0, 1, cell_px=CAP + 1), PreconditionError,
+     f"cell_px must be at most {CAP}"),
+    (lambda: Viewport(-CAP - 1, 0, 0, 1), PreconditionError,
+     f"viewport bounds must lie within +/- {CAP}"),
+    (lambda: Viewport(0, CAP + 1, 0, 1), PreconditionError,
+     f"viewport bounds must lie within +/- {CAP}"),
+    (lambda: Viewport(0, 1, -CAP - 1, 1), PreconditionError,
+     f"viewport bounds must lie within +/- {CAP}"),
+    (lambda: Viewport(0, 1, 0, CAP + 1), PreconditionError,
+     f"viewport bounds must lie within +/- {CAP}"),
 ]
+
+_PATH = from_step_sequence((0, 0), "i j")
+# Every positive-integer refusal, each with zero, a bool and a float.
+POSITIVE = [
+    (StepCount, "step count"),
+    (partial(WhilePositive, "X"), "cap"),
+    (partial(difference_field, _PATH, Axis.I), "difference class"),
+    (IntegerScale(1).refined, "refinement factor"),
+    (partial(refinement_compatible, _PATH, _PATH), "refinement factor m"),
+    (partial(Viewport, 0, 1, 0, 1), "cell_px"),
+]
+VALIDATION += [(partial(build, value), PreconditionError, f"{name} must be a positive integer")
+               for build, name in POSITIVE for value in (0, True, 2.0)]
 
 
 @pytest.mark.parametrize("build, error, message", VALIDATION,
