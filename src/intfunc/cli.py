@@ -94,7 +94,7 @@ def _cmd_derive(args) -> int:
 def _cmd_pi(args) -> int:
     from .curves import format_bound, pi_bounds
 
-    if args.trace:
+    if args.trace is not None:
         from .core import generate
         from .curves import harmonic_config
         from .io import output_file, write_trace
@@ -111,7 +111,7 @@ def _cmd_pi(args) -> int:
           f"lower={format_bound(result.lower, round_up=False)} "
           f"upper={format_bound(result.upper, round_up=True)} "
           f"steps={result.step_count} elapsed={result.elapsed:.3f}s")
-    if args.trace:
+    if args.trace is not None:
         print(f"wrote {args.trace}: {len(trace)} steps")
     return EXIT_OK
 

@@ -692,8 +692,9 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     ``run(regs, steps)``, checks nothing and keeps one combined regulator
     r = RX - RY, so it can watch only a work register (else PreconditionError).
     It writes back only the work registers and returns the number of steps it
-    ran: the pass index at the break, else ``steps``.  It counts neither axis;
-    its caller reads that from the work registers (see curves.pi_bounds).
+    ran: worked out from its loop index at the break, else ``steps``.  It
+    counts neither axis; its caller reads that from the work registers (see
+    curves.pi_bounds).
 
     An untraced kernel whose watched register W has live feeds first runs
     blocks of _FREE_STEPS steps, 8 steps a pass, with no stop test.  A block
@@ -703,8 +704,28 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     to a register, as in _batch_fits, so bound(R) bounds |R| over the block,
     W falls by less than W in it, and the stop test could not have fired.
     For pi the guard is X > 1024 * (abs(XX) + 1024 * abs(XXY)).  The tested
-    loop then runs the remaining steps, its pass index carrying on from the
+    loop then runs the remaining steps, its loop index carrying on from the
     blocks, so the step total is unchanged.
+
+    A monotone shape with a count pair runs a block fused when it can.  The
+    count pair is a live j-side pair whose source is structurally constant
+    and whose target, a work register, no other pair feeds (for pi XXY ->
+    XX), so the j steps of a stretch are the target's change divided by the
+    source.  A fused block is _FREE_STEPS // 2 units, each ``if r > 0: <j
+    side> <i side> else: <i side>``, so at most _FREE_STEPS steps and the
+    guard and cap room above still hold; it adds the units plus its j steps
+    to the count.  It runs when r <= Ylow and Xhigh <= Ylow, where Xhigh =
+    X + _FREE_STEPS * bound(the feeds of X) is at least X through the
+    block, and Ylow = Y - _FREE_STEPS * bound(the feeds of Y) at most Y (X
+    or Y alone when it has no live feed).  Then r <= Ylow before every step:
+    an i step runs at r <= 0 and leaves r + X <= Xhigh <= Ylow, and a j step
+    runs at 0 < r <= Ylow <= Y and leaves r - Y <= 0.  So every j step is
+    followed by an i step, which the unit takes without testing r.  For pi
+    the test is r <= Y and X + 1024 * (abs(XX) + 1024 * abs(XXY)) <= Y.  A
+    fused block runs the very steps a plain one does, so every register
+    takes the same values; the tested loop counts on from a total that may
+    be odd.  Sign-harmonized shapes and shapes with no count pair get the
+    plain blocks alone.
     """
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
@@ -773,6 +794,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                 "else:", *_indent(side(Axis.I, *sides[0], stop))]
 
     unpack = f"    {', '.join(ALL_REGISTERS)} = regs"
+    odd = "steps & 1"
     if traced:
         head = ["def run(regs, steps, code, snaps):", unpack,
                 "    for _ in repeat(None, steps >> 1):"]
@@ -780,23 +802,44 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
         tail = [f"    regs[:] = {', '.join(ALL_REGISTERS)}"]
     else:
         head = ["def run(regs, steps):", unpack, "    r = RX - RY"]
-        start, name = "", None if watched is None else ALL_REGISTERS[watched]
+        name = None if watched is None else ALL_REGISTERS[watched]
+        passes, totals = "steps >> 1", ("2 * n + 1", "2 * n + 2")
         if name in feeds:
             guard = f"{name} > {_FREE_STEPS} * ({reach(feeds[name])})"
+            block = [f"for _ in repeat(None, {_FREE_STEPS >> 3}):", *_indent(step([]) * 8),
+                     f"done += {_FREE_STEPS}"]
+            passes = "done >> 1, steps >> 1"
+            count_pair = None if harmonized else next(
+                ((source, target) for source, target in sides[1][0]
+                 if source in _constant_registers(zeros) and feeds[target] == [source]
+                 and target not in REGULATORS), None)
+            if count_pair:
+                def bound(register, sign):
+                    if register not in feeds:
+                        return register
+                    return f"{register} {sign} {_FREE_STEPS} * ({reach(feeds[register])})"
+
+                low, i_side = bound("Y", "-"), side(Axis.I, *sides[0], [])
+                unit = ["if r > 0:", *_indent(side(Axis.J, *sides[1], []) + i_side),
+                        "else:", *_indent(i_side)]
+                feed, counted = count_pair
+                block = [f"if r <= {low} and {bound('X', '+')} <= {low}:",
+                         f"    entry = {counted}",
+                         f"    for _ in repeat(None, {_FREE_STEPS >> 4}):",
+                         *_indent(unit * 8, 2),
+                         f"    done += {_FREE_STEPS >> 1} + ({counted} - entry) // {feed}",
+                         "else:", *_indent(block)]
+                passes, totals, odd = "done, steps - 1, 2", ("n + 1", "n + 2"), "(steps - done) & 1"
             head += ["    done = 0",
-                     f"    while steps - done >= {_FREE_STEPS} and {guard}:",
-                     f"        for _ in repeat(None, {_FREE_STEPS >> 3}):",
-                     *_indent(step([]) * 8, 3),
-                     f"        done += {_FREE_STEPS}"]
-            start = "done >> 1, "
-        head.append(f"    for n in range({start}steps >> 1):")
-        body = step(["total = 2 * n + 1", "break"]) + step(["total = 2 * n + 2", "break"])
+                     f"    while steps - done >= {_FREE_STEPS} and {guard}:", *_indent(block, 2)]
+        head.append(f"    for n in range({passes}):")
+        body = step([f"total = {totals[0]}", "break"]) + step([f"total = {totals[1]}", "break"])
         tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}", "    return total"]
     # Two steps per pass halve the loop's own cost; an odd last step runs
     # alone unless the stop test ended the loop.
     source = "\n".join([*head, *_indent(body, 2), "    else:",
                         *([] if traced else ["        total = steps"]),
-                        "        for _ in repeat(None, steps & 1):",
+                        f"        for _ in repeat(None, {odd}):",
                         *_indent(step(["break"]), 3), *tail])
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)

@@ -180,9 +180,9 @@ def pi_bounds(x0: int) -> PiResult:
     and XX = XXY = -1 under its step cap, until the watched X register stops
     being positive.  It keeps one combined regulator r = RX - RY, which is
     all the step choice ever looks at, and no step counter: it returns the
-    step total, its pass index at the stop, and writes back the work
-    registers.  Only j steps add XXY into XX, so j = (XX_end - XX_0) // XXY
-    and i is the rest of the total.  The element [i, j] reached on that step
+    step total, worked out from its loop index at the stop, and writes back
+    the work registers.  Only j steps add XXY into XX, so j = (XX_end -
+    XX_0) // XXY and i is the rest of the total.  The element [i, j] reached on that step
     spans the quarter period, and the unit squares at the two ends give the
     exact rational bounds (i - 1)/(j + 1) < pi/2 < (i + 1)/j.
     ``elapsed`` times the run alone, not the kernel's compile.
@@ -194,6 +194,17 @@ def pi_bounds(x0: int) -> PiResult:
     run, from the first block the guard refuses, tests X after every i step.
     Seeds below about 1.05e6 fail the guard at once and run tested
     throughout.
+
+    A block is fused when r <= Y and X + 1024 * (|XX| + 1024 * |XXY|) <= Y:
+    X, the i rate, then stays at most the j rate Y = x0 through the block,
+    and r <= Y holds before every step, so every j step leaves r <= 0 and
+    forces the next step to be an i step.  The fused block runs 512 units,
+    each a j step and the i step it forces when r > 0, else an i step, and
+    counts its steps as 512 plus its j steps, which XXY -> XX counts: the
+    change in XX divided by XXY.  X first falls that far below x0 after
+    five plain blocks, so seeds below about 7.0e6 run no fused block.  A fused
+    block takes the same steps as a plain one, so every register takes the
+    same values, and the ranges below, and so PI_SEED_LIMIT, do not change.
 
     The kernel checks no addition, because none can leave +/- 2**63 for
     x0 <= PI_SEED_LIMIT.  XX = -1 - j, and j is at most the cap, about

@@ -440,10 +440,11 @@ class TestOutputPaths:
         assert run_cli(*argv, capsys=capsys)[:2] == (0, "")
         assert run_cli(*argv[:-2], capsys=capsys)[:2] == (0, out.read_text())
 
-    @pytest.mark.parametrize("command", ["generate", "digitize", "render", "mech"])
+    @pytest.mark.parametrize("command", ["generate", "digitize", "pi", "render", "mech"])
     def test_empty_output_path_fails(self, command, tmp_path, capsys):
-        # An empty --out is opened like any other path, and cannot be;
-        # render and mech write to stdout only when --out is not given.
+        # An empty --out or --trace is opened like any other path, and
+        # cannot be; render and mech write to stdout only when --out is not
+        # given, and pi writes no trace only when --trace is not given.
         code, stdout, err = run_cli(*self._argv(self.COMMANDS[command], tmp_path, ""),
                                     capsys=capsys)
         assert (code, stdout) == (3, "")

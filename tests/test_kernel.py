@@ -411,21 +411,31 @@ def _guard_threshold(values, name):
 
 
 def _untraced_blocks(config, steps):
-    """(steps run, work registers, blocks run) of the untraced kernel
-    of ``config`` run for ``steps`` steps.  A block runs its _FREE_STEPS
-    steps 8 a pass, as one repeat(None, _FREE_STEPS >> 3) loop, so a spy on
-    the kernel's repeat counts the blocks."""
+    """(steps run, work registers, plain blocks, fused blocks, steps run in
+    blocks) of the untraced kernel of ``config`` run for ``steps`` steps.  A
+    plain block runs its _FREE_STEPS steps 8 a pass, as one repeat(None,
+    _FREE_STEPS >> 3) loop, and a fused block its _FREE_STEPS // 2 units 8 a
+    pass, as one repeat(None, _FREE_STEPS >> 4) loop, so a spy on the
+    kernel's repeat counts each kind.  The tested loop after the blocks is
+    one range call, which starts at the steps run in blocks, or at half of
+    them when no block can be fused."""
     kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
-    calls = []
+    calls, ranges = [], []
 
     def spy(value, times):
         calls.append(times)
         return repeat(value, times)
 
+    def range_spy(*args):
+        ranges.append(args)
+        return range(*args)
+
     regs = list(config.bank._values)
-    with mock.patch.dict(kernel.run.__globals__, repeat=spy):
+    with mock.patch.dict(kernel.run.__globals__, repeat=spy, range=range_spy):
         ran = kernel.run(regs, steps)
-    return ran, regs[2:], calls.count(_BLOCK >> 3)
+    (first, *rest), = ranges
+    done = first if len(rest) == 2 else 2 * first if rest else 0
+    return ran, regs[2:], calls.count(_BLOCK >> 3), calls.count(_BLOCK >> 4), done
 
 
 # The registers a block can watch: each has feeds (rank 3 has none).
@@ -451,22 +461,26 @@ def block_configs(draw):
 @settings(max_examples=120, deadline=None)
 @given(block_configs())
 def test_blocks_match_the_traced_run(config):
-    steps, registers, _ = _untraced_blocks(config, config.stop.cap)
-    assert (steps, registers) == _traced_counts(config)
+    assert _untraced_blocks(config, config.stop.cap)[:2] == _traced_counts(config)
 
 
 @pytest.mark.parametrize("mode", list(GenerationMode))
 @pytest.mark.parametrize("register", _FED)
 def test_blocks_run_at_every_watched_register(register, mode):
-    # Far above the guard, every whole block of the cap runs.
+    # Far above the guard, blocks run while the cap leaves a whole one.
+    # Monotone, Y (count pair YY -> Y) fuses every block and YX (YXY -> YX)
+    # fuses once Y has grown past its bound; X and r stay 0 there, so a
+    # fused block is _FREE_STEPS // 2 single i steps.
     values = {name: 0 for name in ALL_REGISTERS}
     values.update({register: 2**40, register + "Y": -1})
     for cap in (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 1):
         config = GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
                                  stop=WhilePositive(register, cap), mode=mode)
-        steps, registers, blocks = _untraced_blocks(config, cap)
+        steps, registers, plain, fused, done = _untraced_blocks(config, cap)
         assert (steps, registers) == _traced_counts(config)
-        assert blocks == cap // _BLOCK
+        assert 0 <= cap - done < _BLOCK
+        assert plain * _BLOCK + fused * (_BLOCK >> 1) == done
+        assert not (fused and mode is GenerationMode.SIGN_HARMONIZED)
 
 
 def _replay(bank, mode, steps):
@@ -492,10 +506,136 @@ def test_guard_keeps_the_watched_register_positive(config, offset):
     bank = RegisterBank(**values)
     config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive(register, _BLOCK),
                              mode=config.mode)
-    blocks = _untraced_blocks(config, _BLOCK)[2]
+    blocks = sum(_untraced_blocks(config, _BLOCK)[2:4])
     assert blocks == (values[register] > _guard_threshold(values, register))
     if blocks:
         assert min(b.value(register) for b in _replay(bank, config.mode, _BLOCK)) > 0
+
+
+# A monotone shape with a j-side count pair fuses a block when r <= Ylow
+# and Xhigh <= Ylow: Xhigh = X + B * max(reach of X's feeds) and Ylow = Y -
+# B * max(reach of Y's feeds).  The count pairs: a source ending in Y feeds
+# the name without that letter.
+_COUNT_PAIRS = [(name, name[:-1]) for name in WORK_REGISTERS if len(name) > 1 and name[-1] == "Y"]
+
+
+def _feeding(name):
+    """The work registers that feed ``name``, directly or through others."""
+    return [other for other in WORK_REGISTERS if other != name and other.startswith(name)]
+
+
+def _fused_guard(values):
+    """(r - Ylow, Xhigh - Ylow): a block can be fused when both are <= 0."""
+    low = values["Y"] - _guard_threshold(values, "Y")
+    return values["RX"] - values["RY"] - low, values["X"] + _guard_threshold(values, "X") - low
+
+
+@st.composite
+def fused_configs(draw):
+    """A monotone bank with a count pair: nothing feeds its source and only
+    the source feeds its target.  The watched register W is fed, above its
+    guard by a little (it stops after a block or two) or by far (the run
+    ends at its cap).  Y is large, and r and Xhigh sit at Ylow - 1, Ylow or
+    Ylow + 1.  The cap ends around the edge of a block of _FREE_STEPS or of
+    _FREE_STEPS // 2 single steps."""
+    source, target = draw(st.sampled_from(_COUNT_PAIRS))
+    values = {name: draw(_SMALL) for name in ALL_REGISTERS}
+    values.update(dict.fromkeys(_feeding(target), 0))
+    values[source] = draw(st.sampled_from([-3, -1, 1, 2]))
+    register = draw(st.sampled_from([name for name in _FED if name not in _feeding(target)]))
+    if target not in (register, register + "X", register + "Y"):
+        values[register + draw(st.sampled_from("XY"))] = draw(st.sampled_from([-3, -1, 1, 2]))
+    values[register] = _guard_threshold(values, register) + draw(
+        st.one_of(st.integers(1, 2**12), st.integers(2**20, 2**24)))
+    values["Y"] = draw(st.integers(2**36, 2**40))
+    low = values["Y"] - _guard_threshold(values, "Y")
+    values["X"] = low - _guard_threshold(values, "X") + draw(st.sampled_from([-1, 0, 1]))
+    values["RX"] = values["RY"] + low + draw(st.sampled_from([-1, 0, 1]))
+    cap = draw(st.integers(2, 6)) * (_BLOCK >> 1) + draw(st.sampled_from([-1, 0, 1]))
+    return GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
+                           stop=WhilePositive(register, cap))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fused_configs())
+def test_fused_blocks_match_the_traced_run(config):
+    assert _untraced_blocks(config, config.stop.cap)[:2] == _traced_counts(config)
+
+
+def _reference_blocks(config):
+    """(plain blocks, fused blocks, steps run in blocks) by the block rule,
+    walked over the single-step reference, which must never take two j
+    steps in a row within a fused block."""
+    register, cap = config.stop.register, config.stop.cap
+    banks = [config.bank, *_replay(config.bank, config.mode, cap)]
+    plain = fused = done = 0
+    while cap - done >= _BLOCK:
+        values = banks[done].as_dict()
+        if values[register] <= _guard_threshold(values, register):
+            break
+        if max(_fused_guard(values)) > 0:
+            plain, done = plain + 1, done + _BLOCK
+            continue
+        fused, units, after_j = fused + 1, 0, False
+        while units < _BLOCK >> 1:
+            j = choose_step(banks[done]) is Axis.J
+            assert not (j and after_j), done
+            units, done, after_j = units + (not j), done + 1, j
+    return plain, fused, done
+
+
+@settings(max_examples=40, deadline=None)
+@given(fused_configs())
+def test_fused_blocks_run_exactly_when_their_guard_holds(config):
+    assert tuple(_untraced_blocks(config, config.stop.cap)[2:]) == _reference_blocks(config)
+
+
+def _fusing_bank(r=0, high=0):
+    """{XY, Y} with the count pair XY -> X, watched at X far above its guard:
+    Ylow = Y = 2**30, r = Ylow + ``r`` and Xhigh = X + B = Ylow + ``high``."""
+    return RegisterBank(RX=2**30 + r, Y=2**30, X=2**30 - _BLOCK + high, XY=1)
+
+
+@pytest.mark.parametrize("mode", list(GenerationMode))
+@pytest.mark.parametrize("r", [-1, 0, 1])
+@pytest.mark.parametrize("high", [-1, 0, 1])
+def test_fused_exactly_at_the_guard(r, high, mode):
+    # At r = Ylow + 1 a j step leaves r = 1, so the next step is a j step.
+    config = GeneratorConfig(start=(0, 0), bank=_fusing_bank(r, high),
+                             stop=WhilePositive("X", _BLOCK), mode=mode)
+    steps, registers, *blocks = _untraced_blocks(config, _BLOCK)
+    assert (steps, registers) == _traced_counts(config)
+    fused = r <= 0 and high <= 0 and mode is GenerationMode.MONOTONE
+    assert blocks[:2] == [not fused, fused]
+
+
+@pytest.mark.parametrize("mode", list(GenerationMode))
+@pytest.mark.parametrize("feeds", [
+    {"XYX": 1},             # XY -> X: the source is fed
+    {"XX": 1},              # XY -> X: the target has another feed
+    {"XY": 0, "XX": 1},     # no j-side pair at all
+])
+def test_no_fused_block_without_a_count_pair(feeds, mode):
+    values = {**_fusing_bank().as_dict(), **feeds}
+    values["X"] -= _fused_guard(values)[1]
+    config = GeneratorConfig(start=(0, 0), bank=RegisterBank(**values),
+                             stop=WhilePositive("X", _BLOCK), mode=mode)
+    steps, registers, *blocks = _untraced_blocks(config, _BLOCK)
+    assert (steps, registers) == _traced_counts(config)
+    assert blocks == [1, 0, _BLOCK]
+
+
+@pytest.mark.parametrize("r, size", [
+    # X stays below Y - B, so from r = Y - 1 every unit is a j step and the
+    # i step it forces; from r = 1 the second unit is an i step alone.
+    (2**30 - 1, _BLOCK), (1, _BLOCK - 1)])
+@pytest.mark.parametrize("past", [1, 2])
+def test_run_ends_just_past_a_fused_block(r, size, past):
+    bank = RegisterBank(RX=r, Y=2**30, X=2**30 - 2 * _BLOCK, XY=1)
+    config = GeneratorConfig(start=(0, 0), bank=bank, stop=WhilePositive("X", size + past))
+    steps, registers, *blocks = _untraced_blocks(config, size + past)
+    assert blocks == [0, 1, size]
+    assert (steps, registers) == _traced_counts(config)
 
 
 # 1 049 601 is the first seed the pi guard X > 1024 * (1 + 1024) passes at the
@@ -507,26 +647,54 @@ _PAST_A_BLOCK = [1_429_392, 1_429_393, 2_541_142, 2_541_143,
                  3_969_899, 3_969_900, 10_159_929, 10_159_930]
 
 
-def test_pi_seeds_around_the_first_block():
+# 7 007 503 is the first seed whose run has a fused block: after five plain
+# blocks, at step 5 120, X + 1024 * (|XX| + 1024) <= x0 holds for the first
+# time.  Each value is (plain blocks, fused blocks, steps run in blocks).  The
+# tested loop counts on from an even total after 7 009 060 and 7 009 061, and
+# from an odd one after 7 410 287 and 7 410 288; in each pair the second run
+# stops one step later.  A pi run never ends right after a fused block: the
+# watched-register guard fails with more than 500 steps to go.
+_FUSED_EDGES = {7_007_502: (5, 0, 5120), 7_007_503: (5, 1, 5836),
+                7_009_060: (5, 1, 5836), 7_009_061: (5, 1, 5836),
+                7_410_287: (5, 1, 5855), 7_410_288: (5, 1, 5855)}
+
+
+def _assert_pi_seed(x0, steps, registers):
+    """The untraced run of seed x0 gives pi_bounds and quarter_wave's corner,
+    which brackets pi/2."""
     low, high = machin_pi(40)
-    pi_half_low, pi_half_high = Fraction(low, 2 * 10**40), Fraction(high, 2 * 10**40)
+    # Only j steps add XXY = -1 into XX, which starts at -1.
+    j = -1 - registers[WORK_REGISTERS.index("XX")]
+    result = pi_bounds(x0)
+    assert (steps - j, j, steps) == (result.i_quarter, result.j_quarter, result.step_count) \
+        == quarter_wave(x0), x0
+    assert result.lower < Fraction(low, 2 * 10**40), x0
+    assert Fraction(high, 2 * 10**40) < result.upper, x0
+
+
+def test_pi_seeds_around_the_first_block():
     seeds = [*range(1_049_600 - 32, 1_049_600 + 33), *_BLOCK_EDGES, *_PAST_A_BLOCK]
     past = set()
     for x0 in seeds:
         config = harmonic_config(x0)
-        steps, registers, blocks = _untraced_blocks(config, config.stop.cap)
+        steps, registers, plain, fused, _ = _untraced_blocks(config, config.stop.cap)
         if x0 in _BLOCK_EDGES:
-            assert blocks == _BLOCK_EDGES[x0], x0
+            assert (plain, fused) == (_BLOCK_EDGES[x0], 0), x0
         elif x0 < 1_100_000:
-            assert blocks == (x0 > 1_049_600), x0
-        # Only j steps add XXY = -1 into XX, which starts at -1.
-        j = -1 - registers[WORK_REGISTERS.index("XX")]
-        result = pi_bounds(x0)
-        assert (steps - j, j, steps) == (result.i_quarter, result.j_quarter, result.step_count) \
-            == quarter_wave(x0), x0
-        assert result.lower < pi_half_low and pi_half_high < result.upper, x0
-        past.add(result.step_count % _BLOCK)
+            assert (plain, fused) == (x0 > 1_049_600, 0), x0
+        _assert_pi_seed(x0, steps, registers)
+        past.add(steps % _BLOCK)
     assert past >= {0, 1}
+
+
+def test_pi_seeds_around_the_first_fused_block():
+    for x0 in _FUSED_EDGES:
+        config = harmonic_config(x0)
+        steps, registers, *blocks = _untraced_blocks(config, config.stop.cap)
+        assert tuple(blocks) == _FUSED_EDGES[x0], x0
+        _assert_pi_seed(x0, steps, registers)
+    ends = [quarter_wave(x0)[2] for x0 in _FUSED_EDGES]
+    assert ends[3] == ends[2] + 1 and ends[5] == ends[4] + 1
 
 
 def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), loop=core._TRACED):
