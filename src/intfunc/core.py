@@ -231,6 +231,10 @@ def _overflow(context: str, value: int) -> RegisterOverflowError:
     return RegisterOverflowError(f"register overflow in {context}: {value}")
 
 
+def _cap_exhausted(register: str, steps: int) -> CapExhaustedError:
+    return CapExhaustedError(f"{register} still positive after {steps} steps (cap exhausted)")
+
+
 def _checked(value: int, context: str) -> int:
     if value > REGISTER_CAPACITY or value < -REGISTER_CAPACITY:
         raise _overflow(context, value)
@@ -640,18 +644,12 @@ def designation_violations(designation, initial_bank: RegisterBank,
 
 
 class _Kernel(_Frozen):
-    """A compiled step loop with the analysis of its shape.
+    """A compiled step loop and ``recorded``, the slots a traced step snapshots."""
 
-    ``sides`` holds, for the i and then the j axis, the live cascade pairs
-    ((source, target) names in firing order) and the sign-harmonized rate
-    register (None in monotone mode, or for a rate that is always zero), and
-    ``recorded`` the slots a traced step snapshots.
-    """
+    __slots__ = ("run", "recorded")
 
-    __slots__ = ("run", "sides", "recorded")
-
-    def __init__(self, run, sides, recorded):
-        self._set(run, sides, recorded)
+    def __init__(self, run, recorded):
+        self._set(run, recorded)
 
 
 def _indent(lines, levels=1):
@@ -692,9 +690,12 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     ``run(regs, steps)``, checks nothing and keeps one combined regulator
     r = RX - RY, so it can watch only a work register (else PreconditionError).
     It writes back only the work registers and returns the number of steps it
-    ran: worked out from its loop index at the break, else ``steps``.  It
-    counts neither axis; its caller reads that from the work registers (see
-    curves.pi_bounds).
+    ran.  ``done`` counts the steps its blocks ran (below; 0 when it has
+    none), and every untraced kernel then runs the same tested loop:
+    range(done, steps - 1, 2) at two steps a pass, and a last step when
+    steps - done is odd.  So the total is worked out from the loop index at
+    the break, else it is ``steps``.  It counts neither axis; its caller
+    reads that from the work registers (see curves.pi_bounds).
 
     An untraced kernel whose watched register W has live feeds first runs
     blocks of _FREE_STEPS steps, 8 steps a pass, with no stop test.  A block
@@ -704,8 +705,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     to a register, as in _batch_fits, so bound(R) bounds |R| over the block,
     W falls by less than W in it, and the stop test could not have fired.
     For pi the guard is X > 1024 * (abs(XX) + 1024 * abs(XXY)).  The tested
-    loop then runs the remaining steps, its loop index carrying on from the
-    blocks, so the step total is unchanged.
+    loop then runs the remaining steps.
 
     A monotone shape with a count pair runs a block fused when it can.  The
     count pair is a live j-side pair whose source is structurally constant
@@ -723,9 +723,8 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     followed by an i step, which the unit takes without testing r.  For pi
     the test is r <= Y and X + 1024 * (abs(XX) + 1024 * abs(XXY)) <= Y.  A
     fused block runs the very steps a plain one does, so every register
-    takes the same values; the tested loop counts on from a total that may
-    be odd.  Sign-harmonized shapes and shapes with no count pair get the
-    plain blocks alone.
+    takes the same values; ``done`` may end odd.  Sign-harmonized shapes and
+    shapes with no count pair get the plain blocks alone.
     """
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
@@ -794,21 +793,19 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                 "else:", *_indent(side(Axis.I, *sides[0], stop))]
 
     unpack = f"    {', '.join(ALL_REGISTERS)} = regs"
-    odd = "steps & 1"
     if traced:
         head = ["def run(regs, steps, code, snaps):", unpack,
                 "    for _ in repeat(None, steps >> 1):"]
         body = step(["break"]) * 2
         tail = [f"    regs[:] = {', '.join(ALL_REGISTERS)}"]
+        odd = "steps & 1"
     else:
-        head = ["def run(regs, steps):", unpack, "    r = RX - RY"]
+        head = ["def run(regs, steps):", unpack, "    r = RX - RY", "    done = 0"]
         name = None if watched is None else ALL_REGISTERS[watched]
-        passes, totals = "steps >> 1", ("2 * n + 1", "2 * n + 2")
         if name in feeds:
             guard = f"{name} > {_FREE_STEPS} * ({reach(feeds[name])})"
             block = [f"for _ in repeat(None, {_FREE_STEPS >> 3}):", *_indent(step([]) * 8),
                      f"done += {_FREE_STEPS}"]
-            passes = "done >> 1, steps >> 1"
             count_pair = None if harmonized else next(
                 ((source, target) for source, target in sides[1][0]
                  if source in _constant_registers(zeros) and feeds[target] == [source]
@@ -829,12 +826,11 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                          *_indent(unit * 8, 2),
                          f"    done += {_FREE_STEPS >> 1} + ({counted} - entry) // {feed}",
                          "else:", *_indent(block)]
-                passes, totals, odd = "done, steps - 1, 2", ("n + 1", "n + 2"), "(steps - done) & 1"
-            head += ["    done = 0",
-                     f"    while steps - done >= {_FREE_STEPS} and {guard}:", *_indent(block, 2)]
-        head.append(f"    for n in range({passes}):")
-        body = step([f"total = {totals[0]}", "break"]) + step([f"total = {totals[1]}", "break"])
+            head += [f"    while steps - done >= {_FREE_STEPS} and {guard}:", *_indent(block, 2)]
+        head.append("    for n in range(done, steps - 1, 2):")
+        body = step(["total = n + 1", "break"]) + step(["total = n + 2", "break"])
         tail = [f"    regs[2:] = {', '.join(WORK_REGISTERS)}", "    return total"]
+        odd = "(steps - done) & 1"
     # Two steps per pass halve the loop's own cost; an odd last step runs
     # alone unless the stop test ended the loop.
     source = "\n".join([*head, *_indent(body, 2), "    else:",
@@ -843,7 +839,7 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                         *_indent(step(["break"]), 3), *tail])
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
-    return _Kernel(namespace["run"], tuple(sides), recorded)
+    return _Kernel(namespace["run"], recorded)
 
 
 _BATCH_STEPS = 1 << 12
@@ -910,8 +906,7 @@ def _run(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
         batch = _BATCH_STEPS
     else:
         if watched is not None:
-            raise CapExhaustedError(
-                f"{stop.register} still positive after {limit} steps (cap exhausted)")
+            raise _cap_exhausted(stop.register, limit)
     trace = parts.trace()
     changed = designation_violations(implied_designation(bank), bank, trace)
     if changed:

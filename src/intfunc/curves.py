@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import operator
 import time
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from itertools import repeat
 from typing import TYPE_CHECKING, Iterable
 
 from .core import (
-    CapExhaustedError,
     GenerationMode,
     GenerationTrace,
     GeneratorConfig,
@@ -31,6 +31,8 @@ from .core import (
     _SLOT,
     _UNTRACED,
     _Frozen,
+    _cap_exhausted,
+    _check_positive,
     _compile_kernel,
     _run,
     _shape,
@@ -226,7 +228,7 @@ def pi_bounds(x0: int) -> PiResult:
     steps = kernel.run(regs, config.stop.cap)
     elapsed = time.perf_counter() - started
     if regs[watched] > 0:
-        raise CapExhaustedError(f"X still positive after {steps} steps (cap exhausted)")
+        raise _cap_exhausted("X", steps)
     j = (regs[_SLOT["XX"]] - config.bank.XX) // config.bank.XXY
     i = steps - j
     return PiResult(
@@ -241,37 +243,24 @@ def pi_bounds(x0: int) -> PiResult:
 
 def format_bound(value: Fraction, round_up: bool, digits: int = 7) -> str:
     """Render a positive rational at ``digits`` significant digits, rounded
-    outward (down for lower bounds, up for upper bounds), trailing zeros
-    trimmed.  Rounding is exact rational arithmetic throughout.
+    outward (down for lower bounds, up for upper bounds), with no exponent
+    and trailing zeros trimmed.
+
+    The text is one division of the exact numerator by the exact
+    denominator in a decimal context of ``digits`` digits, rounded once
+    toward the asked side (ROUND_FLOOR or ROUND_CEILING), so it is outward
+    by construction.  The context's exponent range is decimal's widest, so a
+    huge or tiny value still rounds at its own leading digit.  A float is
+    refused: its exact binary value is not the decimal it prints as.
     """
+    if isinstance(value, float):
+        raise PreconditionError("bound must be exact; pass a Fraction, not a float")
+    _check_positive(digits, "digits")
     if value <= 0:
         raise PreconditionError("bound formatting expects a positive value")
-    exponent = 0
-    v = value
-    while v >= 10:
-        v /= 10
-        exponent += 1
-    while v < 1:
-        v *= 10
-        exponent -= 1
-    scaled = value * Fraction(10) ** (digits - 1 - exponent)
-    mantissa = math.ceil(scaled) if round_up else math.floor(scaled)
-    if mantissa >= 10**digits:  # rounding up crossed a power of ten
-        mantissa //= 10
-        exponent += 1
-    return _decimal_string(mantissa, exponent - digits + 1)
-
-
-def _decimal_string(mantissa: int, power: int) -> str:
-    text = str(mantissa)
-    if power >= 0:
-        return text + "0" * power
-    point = len(text) + power
-    if point <= 0:
-        text = "0." + "0" * (-point) + text
-    else:
-        text = text[:point] + "." + text[point:]
-    return text.rstrip("0").rstrip(".")
+    context = Context(prec=digits, rounding=ROUND_CEILING if round_up else ROUND_FLOOR,
+                      Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return f"{context.divide(value.numerator, value.denominator).normalize(context):f}"
 
 
 def _exact_pairs(points) -> bool:

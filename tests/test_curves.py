@@ -1,10 +1,14 @@
 import random
+import re
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from intfunc import (
+    CapExhaustedError,
     GenerationMode,
     GeneratorConfig,
     IntegerPair,
@@ -157,6 +161,12 @@ class TestPiBounds:
         monkeypatch.setattr(curves, "_compile_kernel", slow_compile)
         assert pi_bounds(2).elapsed < 0.05
 
+    def test_cap_exhausted(self, monkeypatch):
+        monkeypatch.setattr(curves, "harmonic_config", lambda x0: harmonic_config(x0, cap=10))
+        with pytest.raises(CapExhaustedError,
+                           match=r"^X still positive after 10 steps \(cap exhausted\)$"):
+            pi_bounds(100)
+
     def test_bad_seeds(self):
         with pytest.raises(PreconditionError):
             pi_bounds(1)
@@ -198,6 +208,56 @@ class TestFormatBound:
     def test_rejects_nonpositive(self):
         with pytest.raises(PreconditionError):
             format_bound(Fraction(0), round_up=True)
+
+    @pytest.mark.parametrize("digits", [0, -1, True])
+    def test_rejects_digits_that_are_not_positive_ints(self, digits):
+        with pytest.raises(PreconditionError, match="digits must be a positive integer"):
+            format_bound(Fraction(157, 100), round_up=True, digits=digits)
+
+    def test_rejects_a_float(self):
+        # 1.57 is exactly 1.5700000000000000621..., so "1.57" is no upper bound.
+        with pytest.raises(PreconditionError, match="bound must be exact"):
+            format_bound(1.57, round_up=True)
+
+    def test_far_exponents(self):
+        # Rounding happens at the value's own leading digit, however far it is.
+        assert format_bound(Fraction(10**20000 + 1), round_up=True) == "1000001" + "0" * 19994
+        assert format_bound(Fraction(10**20000 + 1), round_up=False) == "1" + "0" * 20000
+        tiny = Fraction(1, 10**20000 - 1)  # 1.000...0001...e-20000
+        assert format_bound(tiny, round_up=False) == "0." + "0" * 19999 + "1"
+        assert format_bound(tiny, round_up=True) == "0." + "0" * 19999 + "1000001"
+
+
+_RATIOS = st.builds(Fraction, st.integers(1, 10**15), st.integers(1, 10**15))
+# Ratios scaled by 10**k, and values a few parts in 10**m from a power of ten.
+_BOUND_VALUES = (
+    st.builds(lambda ratio, k: ratio * Fraction(10) ** k, _RATIOS, st.integers(-25, 25))
+    | st.builds(lambda s, m, k: (1 + Fraction(s, 10**m)) * Fraction(10) ** k,
+                st.integers(-9, 9), st.integers(1, 20), st.integers(-40, 40)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=_BOUND_VALUES, round_up=st.booleans(), digits=st.integers(1, 15))
+def test_bound_text_is_outward_and_tight(value, round_up, digits):
+    text = format_bound(value, round_up, digits)
+    # Plain decimal: no exponent, no trailing zero after the point, no bare point.
+    assert re.fullmatch(r"[1-9][0-9]*(\.[0-9]*[1-9])?|0\.[0-9]*[1-9]", text), text
+    whole, _, part = text.partition(".")
+    significant = (whole + part).strip("0")
+    assert len(significant) <= digits
+    # The leading digit sits at 10**lead, so the last of ``digits`` places at
+    # 10**lead * unit.
+    lead = len(whole) - 1 if whole != "0" else len(part.lstrip("0")) - len(part) - 1
+    unit = Fraction(10) ** (lead - digits + 1)
+    bound = Fraction(text)
+    if round_up:
+        # The next text below is one unit down, or a tenth of one below a
+        # power of ten; it must lie below the value.
+        assert value <= bound
+        assert bound - (unit / 10 if significant == "1" else unit) < value
+    else:
+        assert bound <= value
+        assert value < bound + unit
 
 
 class TestRealSampleSeries:

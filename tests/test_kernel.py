@@ -417,8 +417,7 @@ def _untraced_blocks(config, steps):
     _FREE_STEPS >> 3) loop, and a fused block its _FREE_STEPS // 2 units 8 a
     pass, as one repeat(None, _FREE_STEPS >> 4) loop, so a spy on the
     kernel's repeat counts each kind.  The tested loop after the blocks is
-    one range call, which starts at the steps run in blocks, or at half of
-    them when no block can be fused."""
+    one range call, which starts at the steps run in blocks."""
     kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
     calls, ranges = [], []
 
@@ -433,8 +432,7 @@ def _untraced_blocks(config, steps):
     regs = list(config.bank._values)
     with mock.patch.dict(kernel.run.__globals__, repeat=spy, range=range_spy):
         ran = kernel.run(regs, steps)
-    (first, *rest), = ranges
-    done = first if len(rest) == 2 else 2 * first if rest else 0
+    done = ranges[0][0]
     return ran, regs[2:], calls.count(_BLOCK >> 3), calls.count(_BLOCK >> 4), done
 
 
@@ -747,14 +745,11 @@ def test_line_machine_walks_bresenham(x, y, n, start):
 class TestHarmonicMachine:
     @pytest.mark.parametrize("mode", list(GenerationMode))
     def test_cascade_prunes_to_two_additions(self, mode):
-        # The cached analysis of the harmonic shape, sides in i, j order.
+        # A traced step snapshots the regulators and the targets of the live
+        # cascade pairs.  In the harmonic shape only XX -> X and XXY -> XX
+        # are live besides the rates, which feed the regulators alone.
         kernel = _kernel_of(harmonic_config(100).bank, mode=mode)
-        harmonized = mode is GenerationMode.SIGN_HARMONIZED
-        for (pairs, rate), names in zip(kernel.sides, (["XX", "X"], ["XXY", "Y"])):
-            sources = [source for source, _ in pairs]
-            if harmonized:
-                sources.append(rate)
-            assert sources == names
+        assert kernel.recorded == tuple(core._SLOT[name] for name in ("RX", "RY", "X", "XX"))
 
     @pytest.mark.parametrize("loop", list(core._LOOPS))
     def test_each_loop_kind_agrees_with_the_run(self, loop):

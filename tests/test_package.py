@@ -76,6 +76,20 @@ def test_loading_is_lazy():
     ]
 
 
+def test_curves_loads_no_stdlib_module_of_its_own():
+    # Importing intfunc.curves loads nothing outside intfunc beyond what the
+    # stdlib modules that intfunc.core and intfunc.curves name load.  decimal
+    # is left out of that list on purpose: format_bound's decimal is free at
+    # start-up only because fractions already loads it.
+    probe = ("import sys\n"
+             "import __future__, array, enum, fractions, functools, itertools, math, "
+             "operator, time, typing\n"
+             "before = set(sys.modules)\n"
+             "import intfunc.curves\n"
+             "print(*sorted(m for m in set(sys.modules) - before if not m.startswith('intfunc')))\n")
+    assert _fresh(probe).split() == []
+
+
 def _module_bindings(body):
     """Names bound by module-level statements, inside if, try and with
     blocks too (a TYPE_CHECKING block among them), but not inside defs."""
