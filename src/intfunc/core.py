@@ -7,13 +7,14 @@ regulators (RX, RY) whose comparison picks the next step axis, and 14 ranked
 work registers that feed each other in a fixed cascade.
 
 choose_step and apply_step run one step on a RegisterBank; they are the
-readable reference.  Runs go through one step loop, generated as Python
-source per kernel key with the live registers as locals, compiled when first
-needed and cached: generate, curves.composite_generate, curves.pi_bounds and
-io.read_trace, which replays the machine over a trace file, all run it.  The
-key is a machine shape (the bank's zero pattern, the mode and the watched
-register; see _shape) plus one of three loop kinds: untraced, traced or
-checked (see _compile_kernel).
+readable reference.  Runs go through one step loop, which _kernel_source
+writes as Python source per kernel key with the live registers as locals
+and _compile_kernel compiles when first needed and caches: generate,
+curves.composite_generate, curves.pi_bounds and io.read_trace, which replays
+the machine over a trace file, all run it.  The key is a machine shape (the
+bank's zero pattern, the mode and the watched register; see _shape) plus one
+of three loop kinds: untraced, traced or checked.  tests/kernel_sources.sha256
+pins the source of every key.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ REGULATORS = ("RX", "RY")
 ALL_REGISTERS = REGULATORS + WORK_REGISTERS
 _SLOT = {name: n for n, name in enumerate(ALL_REGISTERS)}
 _UNTRACED, _TRACED, _CHECKED = "untraced", "traced", "checked"
-#: The step loop kinds of _compile_kernel, each with whether it is traced and checked.
+#: The step loop kinds of _kernel_source, each with whether it is traced and checked.
 _LOOPS = {_UNTRACED: (False, False), _TRACED: (True, False), _CHECKED: (True, True)}
 
 
@@ -660,13 +661,14 @@ def _indent(lines, levels=1):
 _FREE_STEPS = 1 << 10
 
 
-@lru_cache(maxsize=256)
-def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
-                    loop: str) -> _Kernel:
-    """The step loop of one kernel key, generated as Python source.
+def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
+                   loop: str) -> tuple[str, tuple[int, ...]]:
+    """The step loop of one kernel key as Python source, and ``recorded``.
 
     The key is a machine shape, as _shape gives it, plus a ``loop`` kind from
-    _LOOPS; every bank of a shape shares its kernels.
+    _LOOPS; every bank of a shape shares its kernels.  The source defines one
+    function, ``run``; _compile_kernel executes it.  tests/kernel_sources.py
+    enumerates every key, and tests/kernel_sources.sha256 pins the sources.
 
     A work register that is structurally constant and starts at zero only
     ever adds zero, so the cascade pairs it feeds are dropped.  In
@@ -704,27 +706,25 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
     * the largest bound of R's live feeds.  A step adds a feed at most once
     to a register, as in _batch_fits, so bound(R) bounds |R| over the block,
     W falls by less than W in it, and the stop test could not have fired.
-    For pi the guard is X > 1024 * (abs(XX) + 1024 * abs(XXY)).  The tested
-    loop then runs the remaining steps.
+    The tested loop then runs the remaining steps.
 
     A monotone shape with a count pair runs a block fused when it can.  The
     count pair is a live j-side pair whose source is structurally constant
-    and whose target, a work register, no other pair feeds (for pi XXY ->
-    XX), so the j steps of a stretch are the target's change divided by the
-    source.  A fused block is _FREE_STEPS // 2 units, each ``if r > 0: <j
-    side> <i side> else: <i side>``, so at most _FREE_STEPS steps and the
-    guard and cap room above still hold; it adds the units plus its j steps
-    to the count.  It runs when r <= Ylow and Xhigh <= Ylow, where Xhigh =
-    X + _FREE_STEPS * bound(the feeds of X) is at least X through the
-    block, and Ylow = Y - _FREE_STEPS * bound(the feeds of Y) at most Y (X
-    or Y alone when it has no live feed).  Then r <= Ylow before every step:
-    an i step runs at r <= 0 and leaves r + X <= Xhigh <= Ylow, and a j step
-    runs at 0 < r <= Ylow <= Y and leaves r - Y <= 0.  So every j step is
-    followed by an i step, which the unit takes without testing r.  For pi
-    the test is r <= Y and X + 1024 * (abs(XX) + 1024 * abs(XXY)) <= Y.  A
-    fused block runs the very steps a plain one does, so every register
-    takes the same values; ``done`` may end odd.  Sign-harmonized shapes and
-    shapes with no count pair get the plain blocks alone.
+    and whose target, a work register, no other pair feeds, so the j steps
+    of a stretch are the target's change divided by the source.  A fused
+    block is _FREE_STEPS // 2 units, each ``if r > 0: <j side> <i side>
+    else: <i side>``, so at most _FREE_STEPS steps and the guard and cap room
+    above still hold; it adds the units plus its j steps to the count.  It
+    runs when r <= Ylow and Xhigh <= Ylow, where Xhigh = X + _FREE_STEPS *
+    bound(the feeds of X) is at least X through the block, and Ylow = Y -
+    _FREE_STEPS * bound(the feeds of Y) at most Y (X or Y alone when it has
+    no live feed).  Then r <= Ylow before every step: an i step runs at r <=
+    0 and leaves r + X <= Xhigh <= Ylow, and a j step runs at 0 < r <= Ylow
+    <= Y and leaves r - Y <= 0.  So every j step is followed by an i step,
+    which the unit takes without testing r.  A fused block runs the very
+    steps a plain one does, so every register takes the same values;
+    ``done`` may end odd.  Sign-harmonized shapes and shapes with no count
+    pair get the plain blocks alone.
     """
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
@@ -837,6 +837,15 @@ def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None
                         *([] if traced else ["        total = steps"]),
                         f"        for _ in repeat(None, {odd}):",
                         *_indent(step(["break"]), 3), *tail])
+    return source, recorded
+
+
+@lru_cache(maxsize=256)
+def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
+                    loop: str) -> _Kernel:
+    """The step loop of one kernel key, compiled from _kernel_source when
+    first needed and cached."""
+    source, recorded = _kernel_source(zeros, harmonized, watched, loop)
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
     return _Kernel(namespace["run"], recorded)

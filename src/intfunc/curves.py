@@ -45,6 +45,10 @@ if TYPE_CHECKING:
 #: that run can overflow.  Larger seeds are rejected up front.
 PI_SEED_LIMIT = 10**17
 
+#: The most significant digits format_bound writes: Python's default limit
+#: on the digits of an integer's text.  More digits are refused up front.
+BOUND_DIGITS_LIMIT = 4300
+
 
 def _require_nonzero(**params) -> None:
     zeros = sorted(name for name, value in params.items() if value == 0)
@@ -252,10 +256,13 @@ def format_bound(value: Fraction, round_up: bool, digits: int = 7) -> str:
     by construction.  The context's exponent range is decimal's widest, so a
     huge or tiny value still rounds at its own leading digit.  A float is
     refused: its exact binary value is not the decimal it prints as.
+    ``digits`` above BOUND_DIGITS_LIMIT is refused.
     """
     if isinstance(value, float):
         raise PreconditionError("bound must be exact; pass a Fraction, not a float")
     _check_positive(digits, "digits")
+    if digits > BOUND_DIGITS_LIMIT:
+        raise PreconditionError(f"digits must be at most {BOUND_DIGITS_LIMIT}")
     if value <= 0:
         raise PreconditionError("bound formatting expects a positive value")
     context = Context(prec=digits, rounding=ROUND_CEILING if round_up else ROUND_FLOOR,

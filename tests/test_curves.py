@@ -23,6 +23,7 @@ from intfunc import (
 from intfunc import curves
 from intfunc.calculus import IntegerScale
 from intfunc.curves import (
+    BOUND_DIGITS_LIMIT,
     PI_SEED_LIMIT,
     RealSampleSeries,
     composite_generate,
@@ -213,6 +214,19 @@ class TestFormatBound:
     def test_rejects_digits_that_are_not_positive_ints(self, digits):
         with pytest.raises(PreconditionError, match="digits must be a positive integer"):
             format_bound(Fraction(157, 100), round_up=True, digits=digits)
+
+    @pytest.mark.parametrize("digits", [10**18, BOUND_DIGITS_LIMIT + 1])
+    def test_rejects_digits_past_the_limit(self, digits):
+        started = time.perf_counter()
+        with pytest.raises(PreconditionError, match=f"digits must be at most {BOUND_DIGITS_LIMIT}"):
+            format_bound(Fraction(1, 3), round_up=True, digits=digits)
+        assert time.perf_counter() - started < 0.1
+
+    def test_formats_at_the_digit_limit(self):
+        assert format_bound(Fraction(1, 3), round_up=True,
+                            digits=BOUND_DIGITS_LIMIT) == "0." + "3" * 4299 + "4"
+        assert format_bound(Fraction(1, 3), round_up=False,
+                            digits=BOUND_DIGITS_LIMIT) == "0." + "3" * 4300
 
     def test_rejects_a_float(self):
         # 1.57 is exactly 1.5700000000000000621..., so "1.57" is no upper bound.
