@@ -282,7 +282,15 @@ class IntegerScale(_Frozen):
 
     def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
         """(floor(x / unit), floor(y / unit)), floored on numerators and
-        denominators; unit > 0 keeps the divisor positive."""
+        denominators; unit > 0 keeps the divisor positive.  ``x`` and ``y``
+        must be Fractions or ints: a float is refused, as IntegerScale
+        refuses one."""
+        from fractions import Fraction
+
+        for value in (x, y):
+            if not isinstance(value, (int, Fraction)):
+                raise PreconditionError("cell coordinates must be exact; pass a Fraction "
+                                        f"or an int, not {type(value).__name__}")
         # curves.digitize applies the same floor to every sample, on the
         # _numerator and _denominator slots of the exact Fractions a
         # RealSampleSeries stores.  Here x and y may be ints, which have no

@@ -149,7 +149,7 @@ def _parse_viewport(text: str, cell_px: int) -> Viewport:
 
 def _cmd_render(args) -> int:
     from .io import function_from_trace, output_file, read_trace_file
-    from .render import (Viewport, _check_cell_px, _check_grid, _check_label, render_ascii,
+    from .render import (Viewport, _ascii_grid, _check_cell_px, _check_grid, _check_label,
                          render_pbm, render_svg)
 
     # The arguments are refused before --out is opened or the trace is read;
@@ -168,7 +168,8 @@ def _cmd_render(args) -> int:
         if not args.viewport:
             viewport = Viewport.around(f, cell_px=args.cell_px)
         if args.format == "ascii":
-            payload = render_ascii(f, viewport).encode("utf-8")
+            # The grid's bytes are its ASCII text: no str copy is made.
+            payload = _ascii_grid(f, viewport)
         elif args.format == "pbm":
             payload = render_pbm(f, viewport)
         else:

@@ -12,9 +12,11 @@ writes as Python source per kernel key with the live registers as locals
 and _compile_kernel compiles when first needed and caches: generate,
 curves.composite_generate, curves.pi_bounds and io.read_trace, which replays
 the machine over a trace file, all run it.  The key is a machine shape (the
-bank's zero pattern, the mode and the watched register; see _shape) plus one
-of three loop kinds: untraced, traced or checked.  tests/kernel_sources.sha256
-pins the source of every key.
+bank's dead registers, the mode and the watched register; see _shape) plus
+one of three loop kinds: untraced, traced or checked.  The dead registers
+(see _dead_registers) are all of a bank that the source reads, so banks that
+differ only in a live zero register share a kernel.
+tests/kernel_sources.sha256 pins the source of every key.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ class IntegerFunction:
         if bad := codes.translate(None, b"\0\1\2\3"):
             raise PreconditionError(
                 f"step {codes.index(bad[0]) + 1} is not a unit step (i+, j+, i- or j-)")
-        self.start, self.codes = IntegerPair(*start), codes
+        self.start, self.codes = _start(start), codes
         self.i, self.j = _walk(self.start.i, codes, _I_MOVES), _walk(self.start.j, codes, _J_MOVES)
 
     @property
@@ -242,10 +244,23 @@ def _checked(value: int, context: str) -> int:
     return value
 
 
+def _is_int(value) -> bool:
+    """Whether ``value`` is an int; a bool is never a count, value or bound."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_positive(value, name: str) -> None:
-    """Refuse a ``value`` that is not a positive int; a bool is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    """Refuse a ``value`` that is not a positive int."""
+    if not _is_int(value) or value < 1:
         raise PreconditionError(f"{name} must be a positive integer")
+
+
+def _start(start) -> IntegerPair:
+    """``start`` as an IntegerPair; anything but a tuple or list of two ints
+    is refused."""
+    if not (isinstance(start, (tuple, list)) and len(start) == 2 and all(map(_is_int, start))):
+        raise PreconditionError("start must be a pair of integers")
+    return IntegerPair(*start)
 
 
 class _Frozen:
@@ -307,7 +322,7 @@ class RegisterBank(_Frozen):
                  XXX=0, XXY=0, XYX=0, XYY=0, YXX=0, YXY=0, YYX=0, YYY=0):
         values = (RX, RY, X, Y, XX, XY, YX, YY, XXX, XXY, XYX, XYY, YXX, YXY, YYX, YYY)
         for name, value in zip(ALL_REGISTERS, values):
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not _is_int(value):
                 raise PreconditionError(
                     f"register {name} must be an integer, got {type(value).__name__}")
             _checked(value, f"initial value of {name}")
@@ -414,9 +429,13 @@ class GeneratorConfig(_Frozen):
 
     def __init__(self, start: IntegerPair, bank: RegisterBank, stop: StopRule,
                  mode: GenerationMode = GenerationMode.MONOTONE):
-        start = IntegerPair(*start)
+        start = _start(start)
+        if not isinstance(bank, RegisterBank):
+            raise PreconditionError("bank must be a RegisterBank")
         if not isinstance(stop, (StepCount, WhilePositive)):
             raise PreconditionError("stop must be a StepCount or WhilePositive rule")
+        if not isinstance(mode, GenerationMode):
+            raise PreconditionError("mode must be a GenerationMode")
         self._set(start, bank, stop, mode)
 
 
@@ -595,31 +614,39 @@ class _Parts:
         return trace
 
 
-@lru_cache(maxsize=256)
-def _constant_registers(zeros: frozenset[str]) -> frozenset[str]:
-    """Work registers no cascade addition can change, given the set ``zeros``
-    of work registers that start at zero.
+@lru_cache(maxsize=None)
+def _constant_registers(dead: frozenset[str]) -> frozenset[str]:
+    """Work registers no cascade addition can change, given the ``dead`` set
+    of a bank (see _dead_registers).
 
-    A register is structurally constant when every higher-rank register that
-    could feed it starts at zero and is itself constant; rank-3 registers are
-    always constant.
+    A register is structurally constant when it is rank 3, or when both
+    registers that could feed it are dead: zero, and constant themselves.
+    Only dead sets are passed here, and there are 676 of them, so the cache
+    has no bound.
     """
-    def constant(name):
-        return len(name) == 3 or all(f in zeros and constant(f) for f in (name + "X", name + "Y"))
-
-    return frozenset(name for name in WORK_REGISTERS if constant(name))
+    return frozenset(n for n in WORK_REGISTERS if len(n) == 3 or {n + "X", n + "Y"} <= dead)
 
 
-def _zero_registers(values) -> frozenset[str]:
-    """The zero pattern of the 16 register ``values``: the work registers at zero."""
-    return frozenset(compress(WORK_REGISTERS, map(not_, values[2:])))
+def _dead_registers(values) -> frozenset[str]:
+    """The dead registers of the 16 register ``values``: the work registers
+    that are zero and structurally constant, so they stay zero for good.
+
+    Each pass, from the highest rank down, adds the zero registers of one
+    rank whose feeds the passes before found dead, so every set it passes to
+    _constant_registers is a dead set.
+    """
+    zeros, dead = frozenset(compress(WORK_REGISTERS, map(not_, values[2:]))), frozenset()
+    for _ in (3, 2, 1):
+        dead = _constant_registers(dead) & zeros
+    return dead
 
 
 def _shape(config: GeneratorConfig) -> tuple[frozenset[str], bool, int | None]:
-    """The machine shape of ``config``: its bank's zero pattern, whether it is
-    sign-harmonized, and its watched register's slot (None under a step count)."""
+    """The machine shape of ``config``: its bank's dead registers (see
+    _dead_registers), whether it is sign-harmonized, and its watched
+    register's slot (None under a step count)."""
     stop = config.stop
-    return (_zero_registers(config.bank._values), config.mode is GenerationMode.SIGN_HARMONIZED,
+    return (_dead_registers(config.bank._values), config.mode is GenerationMode.SIGN_HARMONIZED,
             _SLOT[stop.register] if isinstance(stop, WhilePositive) else None)
 
 
@@ -627,10 +654,11 @@ def implied_designation(bank: RegisterBank) -> frozenset[str]:
     """Work registers that are non-zero and provably constant for this bank.
 
     The non-zero structurally constant registers form the IF's type
-    designation (written {X, Y}, {XXY, Y}, ...).
+    designation (written {X, Y}, {XXY, Y}, ...); the zero ones are its dead
+    registers.
     """
-    zeros = _zero_registers(bank._values)
-    return _constant_registers(zeros) - zeros
+    dead = _dead_registers(bank._values)
+    return _constant_registers(dead) - dead
 
 
 def designation_violations(designation, initial_bank: RegisterBank,
@@ -661,7 +689,7 @@ def _indent(lines, levels=1):
 _FREE_STEPS = 1 << 10
 
 
-def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
+def _kernel_source(dead: frozenset[str], harmonized: bool, watched: int | None,
                    loop: str) -> tuple[str, tuple[int, ...]]:
     """The step loop of one kernel key as Python source, and ``recorded``.
 
@@ -670,8 +698,8 @@ def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
     function, ``run``; _compile_kernel executes it.  tests/kernel_sources.py
     enumerates every key, and tests/kernel_sources.sha256 pins the sources.
 
-    A work register that is structurally constant and starts at zero only
-    ever adds zero, so the cascade pairs it feeds are dropped.  In
+    A ``dead`` register only ever adds zero, so the cascade pairs it feeds
+    are dropped; that set is all of a bank the source reads.  In
     sign-harmonized mode each axis' rank-1 pair is taken out of the cascade
     as its rate: the regulator gains the rate's magnitude and the rate's sign
     picks the step's direction; a dropped rate moves by +1 as in monotone
@@ -729,7 +757,6 @@ def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
     traced, checked = _LOOPS[loop]
     if not traced and watched in (_SLOT["RX"], _SLOT["RY"]):
         raise PreconditionError(f"the untraced loop cannot watch {ALL_REGISTERS[watched]}")
-    dead = _constant_registers(zeros) & zeros
     sides = []
     for letter in "XY":
         cascade, rate = _CASCADES[letter], None
@@ -808,7 +835,7 @@ def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
                      f"done += {_FREE_STEPS}"]
             count_pair = None if harmonized else next(
                 ((source, target) for source, target in sides[1][0]
-                 if source in _constant_registers(zeros) and feeds[target] == [source]
+                 if source in _constant_registers(dead) and feeds[target] == [source]
                  and target not in REGULATORS), None)
             if count_pair:
                 def bound(register, sign):
@@ -841,11 +868,11 @@ def _kernel_source(zeros: frozenset[str], harmonized: bool, watched: int | None,
 
 
 @lru_cache(maxsize=256)
-def _compile_kernel(zeros: frozenset[str], harmonized: bool, watched: int | None,
+def _compile_kernel(dead: frozenset[str], harmonized: bool, watched: int | None,
                     loop: str) -> _Kernel:
-    """The step loop of one kernel key, compiled from _kernel_source when
+    """The step loop of one kernel key (see _kernel_source), compiled when
     first needed and cached."""
-    source, recorded = _kernel_source(zeros, harmonized, watched, loop)
+    source, recorded = _kernel_source(dead, harmonized, watched, loop)
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
     return _Kernel(namespace["run"], recorded)

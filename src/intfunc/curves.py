@@ -225,8 +225,8 @@ def pi_bounds(x0: int) -> PiResult:
         raise RegisterOverflowError(
             f"x0 = {x0} would push registers past 2**63; limit is {PI_SEED_LIMIT}")
     config = harmonic_config(x0)
-    zeros, harmonized, watched = _shape(config)
-    kernel = _compile_kernel(zeros, harmonized, watched, _UNTRACED)
+    dead, harmonized, watched = _shape(config)
+    kernel = _compile_kernel(dead, harmonized, watched, _UNTRACED)
     regs = list(config.bank._values)
     started = time.perf_counter()
     steps = kernel.run(regs, config.stop.cap)

@@ -69,8 +69,8 @@ from .core import (
     WhilePositive,
     _Parts,
     _batch,
+    _dead_registers,
     _path_through,
-    _zero_registers,
 )
 
 if TYPE_CHECKING:
@@ -411,10 +411,11 @@ def _read_parsed(stream: IO[str]) -> GenerationTrace:
     return _read_csv_rows(lines, _Parts())
 
 
-def _replayed(chunk: list[str], parts: _Parts, regs: list[int], zeros) -> bool:
-    """Whether the machine with the zero pattern ``zeros``, run from the
-    registers ``regs`` (updated in place) at the end of ``parts``, writes
-    exactly the lines ``chunk``; if so, the part it ran joins ``parts``.
+def _replayed(chunk: list[str], parts: _Parts, regs: list[int], dead) -> bool:
+    """Whether the machine with the dead registers ``dead`` (see
+    core._dead_registers), run from the registers ``regs`` (updated in place) at the
+    end of ``parts``, writes exactly the lines ``chunk``; if so, the part it
+    ran joins ``parts``.
 
     A register cell's "-" is always followed by a digit, so "-," follows
     only an i- or j- token: a chunk with one replays sign-harmonized, any
@@ -425,7 +426,7 @@ def _replayed(chunk: list[str], parts: _Parts, regs: list[int], zeros) -> bool:
     and each replayed row is compared with its line, one at a time, up to the
     first row that differs.
     """
-    shape = (zeros, any(map(contains, chunk, repeat("-,"))), None)
+    shape = (dead, any(map(contains, chunk, repeat("-,"))), None)
     try:
         path, entries = _batch(regs, shape, len(chunk), parts.path.end)
     except IntegerFunctionError:
@@ -464,13 +465,14 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     if not written:
         return _read_csv_rows(chain(first, lines), parts)
     parts.add(path, registers)
-    # The kernels of a shape drop only registers that are zero and that no
-    # live register feeds; those stay zero, so row 1's shape holds for every
-    # later chunk.
+    # A register whose feeds are dead never changes, so every row of a run
+    # has the dead set of the bank that started it.  Row 1's dead set keys
+    # the kernel of every later chunk: the replay of a file that a run under
+    # a step count wrote runs on that run's kernels.
     regs, chunk = list(registers), first[1:]
-    zeros = _zero_registers(regs)
+    dead = _dead_registers(regs)
     while True:
-        if chunk and not _replayed(chunk, parts, regs, zeros):
+        if chunk and not _replayed(chunk, parts, regs, dead):
             return _read_csv_rows(chain(chunk, lines), parts)
         if not (chunk := list(islice(lines, _CHUNK_ROWS))):
             return parts.trace()

@@ -6,7 +6,8 @@ import re
 from itertools import compress, repeat
 from operator import and_, sub
 
-from .core import REGISTER_CAPACITY, IntegerFunction, PreconditionError, _Frozen, _check_positive
+from .core import (REGISTER_CAPACITY, IntegerFunction, PreconditionError, _Frozen,
+                   _check_positive, _is_int)
 
 #: Largest viewport area, in cells, that ASCII and PBM output will fill.
 #: Their size grows with the area; SVG grows with the occupied cells and has
@@ -46,7 +47,7 @@ class Viewport(_Frozen):
     __slots__ = ("i_min", "i_max", "j_min", "j_max", "cell_px")
 
     def __init__(self, i_min: int, i_max: int, j_min: int, j_max: int, cell_px: int = 16):
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in (i_min, i_max, j_min, j_max)):
+        if not all(map(_is_int, (i_min, i_max, j_min, j_max))):
             raise PreconditionError("viewport bounds must be integers")
         if i_min > i_max or j_min > j_max:
             raise PreconditionError("viewport bounds must satisfy min <= max")

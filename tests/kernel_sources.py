@@ -1,13 +1,13 @@
 """Every kernel key of intfunc.core, and the source core._kernel_source writes
 for it.
 
-A key is a zero set, a mode, a watched register and a loop kind (see
-core._shape and core._LOOPS).  A key's source depends on its zero set only
-through the dead registers (structurally constant and zero) and the
-constant ones, so the first zero set, by bit mask, of each distinct (dead,
-constant) pair stands for all of them: 676 of the 2**14 zero sets.  With 2
-modes and the watched choices of each loop kind (none or a work register,
-and RX or RY for the traced and checked kinds) that makes 66 248 keys.
+A key is a dead set, a mode, a watched register and a loop kind (see
+core._shape and core._LOOPS).  A dead set is the set of work registers that
+are zero and structurally constant (see core._dead_registers); 676 of the
+2**14 zero sets are their own dead set, and every bank has one of those.
+With 2 modes and the watched choices of each loop kind (none or a work
+register, and RX or RY for the traced and checked kinds) that makes 66 248
+keys.
 
 tests/kernel_sources.sha256 pins one sha256 per class of keys (see
 ``kind``); tests/test_kernel_sources.py checks it without compiling a source.
@@ -36,19 +36,15 @@ def zero_sets():
         yield frozenset(name for n, name in enumerate(names) if mask >> n & 1)
 
 
-def pair(zeros):
-    """The (dead, constant) pair of a zero set."""
-    constant = core._constant_registers(zeros)
-    return constant & zeros, constant
+def dead(zeros):
+    """The dead set of a bank whose zero work registers are ``zeros``."""
+    return core._dead_registers([0, 0, *(int(name not in zeros) for name in core.WORK_REGISTERS)])
 
 
 @cache
-def representatives():
-    """The first zero set of each distinct (dead, constant) pair."""
-    first = {}
-    for zeros in zero_sets():
-        first.setdefault(pair(zeros), zeros)
-    return tuple(first.values())
+def dead_sets():
+    """The zero sets that are their own dead set, in the order of their bit masks."""
+    return tuple(zeros for zeros in zero_sets() if dead(zeros) == zeros)
 
 
 def watched_choices(loop):
@@ -59,29 +55,29 @@ def watched_choices(loop):
 
 
 def keys():
-    """Every key, in order: zero set, mode, loop kind, watched choice."""
-    for zeros in representatives():
+    """Every key, in order: dead set, mode, loop kind, watched choice."""
+    for dead_set in dead_sets():
         for harmonized in (False, True):
             for loop in core._LOOPS:
                 for watched in watched_choices(loop):
-                    yield zeros, harmonized, watched, loop
+                    yield dead_set, harmonized, watched, loop
 
 
 def name(key):
-    """A key as a file name: loop-mode-watched-zeros."""
-    zeros, harmonized, watched, loop = key
+    """A key as a file name: loop-mode-watched-dead."""
+    dead_set, harmonized, watched, loop = key
     return "-".join([loop, "harmonized" if harmonized else "monotone",
                      "none" if watched is None else core.ALL_REGISTERS[watched],
-                     "_".join(n for n in core.WORK_REGISTERS if n in zeros) or "none"])
+                     "_".join(n for n in core.WORK_REGISTERS if n in dead_set) or "none"])
 
 
 @cache
-def has_count_pair(zeros):
-    """Whether a monotone shape with these zeros has a count pair: a live
+def has_count_pair(dead_set):
+    """Whether a monotone shape with this dead set has a count pair: a live
     j-side pair whose source is constant and whose target, a work register,
     no other live pair feeds."""
-    dead, constant = pair(zeros)
-    live = [p for letter in "XY" for p in core._CASCADES[letter] if p[0] not in dead]
+    constant = core._constant_registers(dead_set)
+    live = [p for letter in "XY" for p in core._CASCADES[letter] if p[0] not in dead_set]
     return any(source in constant and target not in core.REGULATORS
                and [s for s, t in live if t == target] == [source]
                for source, target in live if source.endswith("Y"))
@@ -90,10 +86,10 @@ def has_count_pair(zeros):
 def kind(key):
     """The class of a key: its loop kind, its mode and, when monotone,
     whether it has a count pair."""
-    zeros, harmonized, _, loop = key
+    dead_set, harmonized, _, loop = key
     if harmonized:
         return f"{loop}/sign-harmonized"
-    return f"{loop}/monotone/{'' if has_count_pair(zeros) else 'no-'}count-pair"
+    return f"{loop}/monotone/{'' if has_count_pair(dead_set) else 'no-'}count-pair"
 
 
 def digests():

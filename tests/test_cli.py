@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -516,6 +517,23 @@ class TestDigitizeAndRender:
                              capsys=capsys)
         assert code == 0
         assert out_path.read_bytes() == b"P1\n2 2\n01\n11\n"
+
+    def test_render_ascii_holds_one_copy_of_its_output(self, tmp_path):
+        # The grid's bytes are written as they are: no str or bytes copy.
+        trace_path, out_path = tmp_path / "elbow.csv", tmp_path / "elbow.txt"
+        write_trace_file(trace_for_function(from_step_sequence((0, 0), "i j")),
+                         str(trace_path))
+        tracemalloc.start()
+        try:
+            code = main(["render", "--in", str(trace_path), "--format", "ascii",
+                         "--viewport", "0:1999:0:999", "--out", str(out_path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        size = out_path.stat().st_size
+        assert size == 2001 * 1000
+        assert peak <= 1.2 * size
 
     def test_viewport_with_negative_bounds(self, tmp_path, capsys):
         # argparse reads "-1:1:-1:1" as an option, so a negative first bound

@@ -660,6 +660,19 @@ def test_machine_runs_are_replayed_after_row_1(parses, monkeypatch):
     assert fits[0] is False
 
 
+def test_a_run_is_replayed_on_the_kernel_it_ran_on():
+    # X starts at zero and is not at row 1, but it is live in both: the
+    # replay's key is the run's dead set, so it compiles nothing new.
+    config = parabola_config(3, 7, 5000)
+    assert config.bank.X == 0
+    core._compile_kernel.cache_clear()
+    trace = generate(config)[1]
+    compiled = core._compile_kernel.cache_info().misses
+    assert trace.column("X")[0] != 0
+    assert read_trace(io.StringIO(_text(trace))) == trace
+    assert core._compile_kernel.cache_info().misses == compiled
+
+
 def _row_1_spellings(line):
     """Row 1 of a run's file as the writer would not write it, by name."""
     cells = line.split(",")

@@ -717,13 +717,28 @@ def test_kernels_are_compiled_once_per_shape():
     assert core._compile_kernel.cache_info().misses == 2
     kernel = _kernel_of(RegisterBank(**first))
     assert _kernel_of(RegisterBank(X=1, Y=1, XX=1, RY=-3), stop=StepCount(40)) is kernel
-    # A new zero pattern, mode or stop register compiles another.
+    # A zero register that XX feeds is live: it is not part of the key.
+    assert _kernel_of(RegisterBank(Y=5, XX=-1)) is _kernel_of(RegisterBank(X=3, Y=5, XX=-1))
+    # A new dead set, mode or stop register compiles another.
     assert _kernel_of(RegisterBank(X=3, Y=5)) is not kernel
     assert _kernel_of(RegisterBank(X=3, Y=5, XX=-1, XXY=1)) is not kernel
     assert _kernel_of(RegisterBank(**first), mode=GenerationMode.SIGN_HARMONIZED) is not kernel
     assert _kernel_of(RegisterBank(**first), stop=WhilePositive("X", 5)) is not kernel
     assert _kernel_of(RegisterBank(**first), stop=WhilePositive("XX", 5)) \
         is not _kernel_of(RegisterBank(**first), stop=WhilePositive("X", 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries({name: _SMALL for name in ALL_REGISTERS}),
+       mode=st.sampled_from(list(GenerationMode)), steps=st.integers(1, 60))
+def test_dead_registers_stay_zero(values, mode, steps):
+    # The kernels drop every pair a dead register feeds, so a dead register
+    # must hold 0 throughout; the trace then keeps it as one int.
+    bank = RegisterBank(**values)
+    trace = _run(GeneratorConfig(start=(0, 0), bank=bank, stop=StepCount(steps), mode=mode))[1]
+    for name in core._dead_registers(bank._values):
+        entry = trace.registers[core._SLOT[name]]
+        assert type(entry) is int and entry == 0, name
 
 
 @settings(max_examples=200, deadline=None)

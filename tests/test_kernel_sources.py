@@ -4,15 +4,13 @@ No source is compiled here; tests/kernel_sources.py says how the keys are
 enumerated and how to dump their sources for review.
 """
 
-import random
-
 import kernel_sources
 from intfunc import core
 from intfunc.curves import egg_figure_config, harmonic_config
 
 
 def test_the_key_space():
-    assert len(kernel_sources.representatives()) == 676
+    assert len(kernel_sources.dead_sets()) == 676
     assert sum(1 for _ in kernel_sources.keys()) == 66248
 
 
@@ -24,19 +22,24 @@ def test_sources_match_the_pin():
     assert not changed, f"kernel sources changed in: {', '.join(changed)}"
 
 
-def test_a_zero_set_writes_the_sources_of_its_representative():
-    representative = {kernel_sources.pair(zeros): zeros
-                      for zeros in kernel_sources.representatives()}
-    chosen = set(representative.values())
-    others = [zeros for zeros in kernel_sources.zero_sets() if zeros not in chosen]
-    rng = random.Random(26)
-    for zeros in rng.sample(others, 300):
-        stand_in = representative[kernel_sources.pair(zeros)]
-        for harmonized in (False, True):
-            for loop in core._LOOPS:
-                watched = rng.choice(kernel_sources.watched_choices(loop))
-                assert (core._kernel_source(zeros, harmonized, watched, loop)
-                        == core._kernel_source(stand_in, harmonized, watched, loop))
+def _constant(zeros):
+    """Work registers no cascade addition can change when ``zeros`` start at
+    zero: rank 3, or both feeds zero and constant themselves."""
+    def constant(name):
+        return len(name) == 3 or all(f in zeros and constant(f) for f in (name + "X", name + "Y"))
+
+    return frozenset(filter(constant, core.WORK_REGISTERS))
+
+
+def test_every_zero_set_keys_its_dead_set():
+    # A zero set's dead set is one of dead_sets() and gives its constant
+    # registers, so the pinned keys cover every bank.
+    for zeros in kernel_sources.zero_sets():
+        dead, constant = kernel_sources.dead(zeros), _constant(zeros)
+        assert dead <= zeros
+        assert dead == constant & zeros
+        assert kernel_sources.dead(dead) == dead
+        assert core._constant_registers(dead) == constant
 
 
 def test_the_dump_writes_each_keys_source(tmp_path):

@@ -12,6 +12,7 @@ from intfunc import (
     Axis,
     GenerationMode,
     GeneratorConfig,
+    IntegerFunction,
     IntegerPair,
     IntegerScale,
     PiResult,
@@ -25,6 +26,7 @@ from intfunc import (
     WhilePositive,
     difference_field,
     from_step_sequence,
+    generate,
     refinement_compatible,
 )
 from intfunc.curves import egg_figure_config, harmonic_config
@@ -288,4 +290,36 @@ def test_validation_message(build, error, message):
     with pytest.raises(error) as info:
         build()
     assert type(info.value) is error
+    assert str(info.value) == message
+
+
+_BANK, _STOP = RegisterBank(X=1, Y=1), StepCount(3)
+_START = "start must be a pair of integers"
+# Malformed input is refused when the value is built, not by a raw error
+# from a later call.
+MALFORMED = [
+    (lambda: generate(GeneratorConfig((0.5, 0), _BANK, _STOP)), _START),
+    (lambda: GeneratorConfig((0, True), _BANK, _STOP), _START),
+    (lambda: GeneratorConfig((0, 0, 0), _BANK, _STOP), _START),
+    (lambda: GeneratorConfig(0, _BANK, _STOP), _START),
+    (lambda: IntegerFunction((0.5, 0)), _START),
+    (lambda: IntegerFunction((0, 0, 0)), _START),
+    (lambda: IntegerFunction((False, 0)), _START),
+    (lambda: from_step_sequence(("a", 0), "i j"), _START),
+    (lambda: GeneratorConfig((0, 0), {"X": 1, "Y": 1}, _STOP), "bank must be a RegisterBank"),
+    (lambda: GeneratorConfig((0, 0), _BANK, _STOP, mode="MONOTONE"),
+     "mode must be a GenerationMode"),
+    (lambda: IntegerScale(Fraction(1)).cell_of(0.5, 0.5),
+     "cell coordinates must be exact; pass a Fraction or an int, not float"),
+    (lambda: IntegerScale(Fraction(1)).cell_of(1, 0.5),
+     "cell coordinates must be exact; pass a Fraction or an int, not float"),
+    (lambda: IntegerScale(Fraction(1)).cell_of("1", 0),
+     "cell coordinates must be exact; pass a Fraction or an int, not str"),
+]
+
+
+@pytest.mark.parametrize("build, message", MALFORMED, ids=[str(n) for n in range(len(MALFORMED))])
+def test_malformed_input_is_refused(build, message):
+    with pytest.raises(PreconditionError) as info:
+        build()
     assert str(info.value) == message
