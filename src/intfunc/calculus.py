@@ -137,11 +137,6 @@ class DifferenceField:
                 f"first={self.first}, values={self._values})")
 
 
-def _check_class(diff_class) -> None:
-    """Refuse a difference class that is not a positive integer."""
-    _check_positive(diff_class, "difference class")
-
-
 def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> DifferenceField:
     """Differences of the cross coordinate over spans of ``diff_class``.
 
@@ -150,7 +145,7 @@ def difference_field(f: IntegerFunction, axis: Axis, diff_class: int) -> Differe
     Coordinates without a partner are omitted; a class at or beyond the
     coordinate span yields an empty field.
     """
-    _check_class(diff_class)
+    _check_positive(diff_class, "difference class")
     first, cross = _cross_coordinates(f, axis)
     return DifferenceField.from_values(axis, diff_class, first, _differences(cross, diff_class))
 
@@ -271,7 +266,10 @@ class IntegerScale(_Frozen):
 
         if isinstance(unit, float):
             raise PreconditionError("scale unit must be exact; pass a Fraction, not a float")
-        unit = Fraction(unit)
+        try:
+            unit = Fraction(unit)
+        except (TypeError, ValueError, ArithmeticError):
+            raise PreconditionError(f"scale unit must be a rational number, got {unit!r}") from None
         if unit <= 0:
             raise PreconditionError("scale unit must be positive")
         self._set(unit)

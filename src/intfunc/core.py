@@ -197,6 +197,8 @@ class IntegerFunction:
 
     def axis_mask(self, axis: Axis) -> bytes:
         """One byte per step: 1 where the step moved ``axis``, else 0."""
+        if not isinstance(axis, Axis):
+            raise PreconditionError("axis must be an Axis")
         return self.codes.translate(_AXIS_MASKS[axis])
 
     def transposed(self) -> "IntegerFunction":
@@ -330,10 +332,16 @@ class RegisterBank(_Frozen):
 
     @classmethod
     def from_mapping(cls, mapping) -> "RegisterBank":
-        unknown = sorted(set(mapping) - set(ALL_REGISTERS))
+        """A bank from a mapping, or pairs, of register names to values."""
+        try:
+            values = dict(mapping)
+        except (TypeError, ValueError):
+            raise PreconditionError("registers must be a mapping of names to values") from None
+        # A name that is not a str is unknown too; names are listed by their text.
+        unknown = sorted(map(str, set(values) - set(ALL_REGISTERS)))
         if unknown:
             raise PreconditionError(f"unknown register name(s): {', '.join(unknown)}")
-        return cls(**dict(mapping))
+        return cls(**values)
 
     def value(self, name: str) -> int:
         if name not in ALL_REGISTERS:
@@ -546,7 +554,8 @@ class GenerationTrace:
 
     def regulator_series(self, axis: Axis) -> list[int]:
         """Values the axis' regulator took, one per step of that axis."""
-        return list(compress(self.column(axis.regulator), self.path.axis_mask(axis)))
+        mask = self.path.axis_mask(axis)  # refuses a non-Axis before axis.regulator
+        return list(compress(self.column(axis.regulator), mask))
 
     def register_series(self, name: str) -> list[int]:
         return list(self.column(name))

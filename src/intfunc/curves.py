@@ -120,6 +120,8 @@ def harmonic_config(resolution: int, cap: int | None = None) -> GeneratorConfig:
     watches the X register: the quarter period ends on the step where X
     stops being positive.
     """
+    if not isinstance(resolution, int):  # a bool is refused just below
+        raise PreconditionError("resolution must be an integer")
     if resolution < 2:
         raise PreconditionError("resolution must be at least 2")
     if cap is None:
@@ -295,16 +297,19 @@ class RealSampleSeries(_Frozen):
     def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
         # A tuple of (Fraction, Fraction) tuples is kept as given; any other
         # input is rebuilt pair by pair.
-        if not _exact_pairs(points):
-            converted = []
-            for x, y in points:
-                if type(x) is not Fraction or type(y) is not Fraction:
-                    if isinstance(x, float) or isinstance(y, float):
-                        raise PreconditionError(
-                            "samples must be exact rationals; convert floats explicitly")
-                    x, y = Fraction(x), Fraction(y)
-                converted.append((x, y))
-            points = tuple(converted)
+        try:
+            if not _exact_pairs(points):
+                converted = []
+                for x, y in points:
+                    if type(x) is not Fraction or type(y) is not Fraction:
+                        if isinstance(x, float) or isinstance(y, float):
+                            raise PreconditionError(
+                                "samples must be exact rationals; convert floats explicitly")
+                        x, y = Fraction(x), Fraction(y)
+                    converted.append((x, y))
+                points = tuple(converted)
+        except (TypeError, ValueError, ArithmeticError):
+            raise PreconditionError("samples must be (x, y) pairs of rationals") from None
         # x1 > x0, compared on numerators and denominators.  Every coordinate
         # is now exactly a Fraction, so its _numerator and _denominator slots
         # hold what the numerator and denominator properties would return.
@@ -317,7 +322,7 @@ class RealSampleSeries(_Frozen):
 
     @classmethod
     def from_pairs(cls, pairs: Iterable) -> "RealSampleSeries":
-        return cls(tuple((x, y) for x, y in pairs))
+        return cls(pairs)
 
     def __len__(self) -> int:
         return len(self.points)

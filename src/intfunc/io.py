@@ -310,11 +310,8 @@ def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, l
     if set(map(len, rows)) != {_WIDTH}:
         raise ParseError(f"expected {_WIDTH} columns, got {len(rows[0])}")
     cells = list(chain.from_iterable(rows))
-    # k is a step index, not a register: it has no range, only an order.  Its
-    # text is parsed only when it is not the plain text of the expected index.
-    expected = range(k, k + len(rows))
-    if (cells[::_WIDTH] != list(map(str, expected))
-            and _parse_ints(cells[::_WIDTH], "k") != list(expected)):
+    # k is a step index, not a register: it has no range, only an order.
+    if _parse_ints(cells[::_WIDTH], "k") != list(range(k, k + len(rows))):
         raise ParseError(f"step index {cells[0]} out of order")
     try:
         codes = bytes(map(_CODE_OF_TOKEN.__getitem__, cells[1::_WIDTH]))

@@ -90,7 +90,8 @@ def occupancy(f: IntegerFunction, viewport: Viewport) -> list[list[bool]]:
 
 def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
     """The ASCII text as one buffer, rows top to bottom, each ending in a
-    newline, filled from the set of occupied cells.
+    newline, with '#' written at every path position in the viewport.  A
+    cell that the path visits twice is written twice, to the same '#'.
 
     One buffer rather than one object per row keeps memory at the output
     size for any viewport shape.  Raises PreconditionError, before
@@ -102,7 +103,7 @@ def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
     width = columns + 1
     grid = bytearray(b"." * columns + b"\n") * rows
-    for i, j in set(zip(f.i, f.j)):
+    for i, j in zip(f.i, f.j):
         if i_min <= i <= i_max and j_min <= j <= j_max:
             grid[(j_max - j) * width + i - i_min] = 0x23  # '#'
     return grid

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from xml.etree import ElementTree
 
 import pytest
@@ -15,6 +16,9 @@ from intfunc import (
     render_pbm,
     render_svg,
 )
+from intfunc.core import generate
+from intfunc.curves import line_config
+from intfunc.render import _ascii_grid
 
 from helpers import random_steps
 
@@ -53,6 +57,20 @@ class TestAscii:
         # Top row holds the tail of the staircase, bottom row its head.
         assert rows[0] == "...........#####"
         assert rows[-1] == "##.............."
+
+    def test_grid_memory_follows_the_viewport(self):
+        # A 200 000-step path drawn in a 10 x 10 viewport: the fill walks the
+        # path's positions and keeps none of them, so its peak is about the
+        # 110-byte grid, not a set of every position (about 32 MB).
+        f, _ = generate(line_config(1, 1, 200000))
+        tracemalloc.start()
+        try:
+            grid = _ascii_grid(f, Viewport(0, 9, 0, 9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.count(b"#") == 19
+        assert peak < 64 * 1024
 
 
 class TestPbm:

@@ -3,6 +3,7 @@ copying, construction and validation messages."""
 
 import copy
 import pickle
+from decimal import Decimal
 from fractions import Fraction
 from functools import partial
 
@@ -24,8 +25,11 @@ from intfunc import (
     StepCount,
     Viewport,
     WhilePositive,
+    characteristic_indices,
+    class_derivative,
     difference_field,
     from_step_sequence,
+    full_derivative,
     generate,
     refinement_compatible,
 )
@@ -323,3 +327,44 @@ def test_malformed_input_is_refused(build, message):
     with pytest.raises(PreconditionError) as info:
         build()
     assert str(info.value) == message
+
+
+_UNKNOWN, _AXIS = "unknown register name(s): ", "axis must be an Axis"
+_SAMPLES, _UNIT = "samples must be (x, y) pairs of rationals", "scale unit must be a rational number"
+# Each of these used to escape as a raw TypeError, ValueError, KeyError or
+# AttributeError from inside the call.
+RAW = [
+    (lambda: RegisterBank.from_mapping({1: 2}), _UNKNOWN + "1"),
+    (lambda: RegisterBank.from_mapping({"Q": 1, 2: 3}), _UNKNOWN + "2, Q"),
+    (lambda: RegisterBank.from_mapping([("X", 1), (2, 3)]), _UNKNOWN + "2"),
+    (lambda: RegisterBank.from_mapping(5), "registers must be a mapping of names to values"),
+    (lambda: _PATH.axis_mask("i"), _AXIS),
+    (lambda: characteristic_indices(_PATH, "i"), _AXIS),
+    (lambda: difference_field(_PATH, "i", 1), _AXIS),
+    (lambda: full_derivative(_PATH, "j"), _AXIS),
+    (lambda: class_derivative(_PATH, "i", 1), _AXIS),
+    (lambda: generate(harmonic_config(100))[1].regulator_series("i"), _AXIS),
+    (lambda: IntegerScale(None), f"{_UNIT}, got None"),
+    (lambda: IntegerScale("a"), f"{_UNIT}, got 'a'"),
+    (lambda: IntegerScale(Decimal("NaN")), f"{_UNIT}, got Decimal('NaN')"),
+    (lambda: RealSampleSeries(((0, None),)), _SAMPLES),
+    (lambda: RealSampleSeries(((0, "x"),)), _SAMPLES),
+    (lambda: RealSampleSeries(((0,),)), _SAMPLES),
+    (lambda: RealSampleSeries(((0, 1, 2),)), _SAMPLES),
+    (lambda: RealSampleSeries.from_pairs([(0, 1, 2)]), _SAMPLES),
+    (lambda: harmonic_config(2.5), "resolution must be an integer"),
+]
+
+
+@pytest.mark.parametrize("build, message", RAW, ids=[str(n) for n in range(len(RAW))])
+def test_raw_error_is_refused(build, message):
+    with pytest.raises(PreconditionError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_exact_input_is_still_taken():
+    assert RegisterBank.from_mapping([("X", 1)]) == RegisterBank(X=1)
+    assert IntegerScale(Decimal("0.25")).unit == Fraction(1, 4)
+    series = RealSampleSeries((("0", "1/2"), (1, Decimal("1.5"))))
+    assert series.points == ((0, Fraction(1, 2)), (1, Fraction(3, 2)))
