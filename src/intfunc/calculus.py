@@ -34,6 +34,7 @@ from .core import (
     PreconditionError,
     _Frozen,
     _check_positive,
+    _check_type,
 )
 
 if TYPE_CHECKING:
@@ -49,6 +50,7 @@ class CharacteristicIndex(NamedTuple):
 
 def characteristic_indices(f: IntegerFunction, axis: Axis) -> list[CharacteristicIndex]:
     """All step indices k >= 1 whose step moved the given axis, in order."""
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
     return [CharacteristicIndex(k, axis)
             for k in compress(range(1, f.length + 1), f.axis_mask(axis))]
 
@@ -64,6 +66,7 @@ def _cross_coordinates(f: IntegerFunction, axis: Axis) -> tuple[int, list[int]]:
     is what allows differentiating derivatives whose cross coordinate goes
     back down.
     """
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
     study, other = (f.i, f.j) if axis is Axis.I else (f.j, f.i)
     cross = list(compress(islice(other, 1, None), f.axis_mask(axis)))
     # The study coordinate moves by (+ steps) - (- steps), and len(cross) is
@@ -306,6 +309,8 @@ def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,
     m*i <= i' < m*(i+1) and m*j <= j' < m*(j+1).  An empty list means the
     two functions belong together at scale ratio m.
     """
+    _check_type(coarse, IntegerFunction, "coarse path must be an IntegerFunction")
+    _check_type(fine, IntegerFunction, "fine path must be an IntegerFunction")
     _check_positive(m, "refinement factor m")
     covered = {(i // m, j // m) for i, j in zip(fine.i, fine.j)}
     return [IntegerPair(*e) for e in zip(coarse.i, coarse.j) if e not in covered]

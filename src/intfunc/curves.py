@@ -33,7 +33,9 @@ from .core import (
     _Frozen,
     _cap_exhausted,
     _check_positive,
+    _check_type,
     _compile_kernel,
+    _is_int,
     _run,
     _shape,
 )
@@ -262,6 +264,8 @@ def format_bound(value: Fraction, round_up: bool, digits: int = 7) -> str:
     """
     if isinstance(value, float):
         raise PreconditionError("bound must be exact; pass a Fraction, not a float")
+    if not (_is_int(value) or isinstance(value, Fraction)):
+        raise PreconditionError("bound must be an int or a Fraction")
     _check_positive(digits, "digits")
     if digits > BOUND_DIGITS_LIMIT:
         raise PreconditionError(f"digits must be at most {BOUND_DIGITS_LIMIT}")
@@ -352,6 +356,10 @@ def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
     and interleaved i first; deleting the no-step bytes leaves the path.  A
     jump that no byte holds, or that a table maps to 0xFE, is too sparse.
     """
+    from .calculus import IntegerScale
+
+    _check_type(samples, RealSampleSeries, "samples must be a RealSampleSeries")
+    _check_type(scale, IntegerScale, "scale must be an IntegerScale")
     points = samples.points
     if not points:
         raise PreconditionError("at least one sample is required")
@@ -391,6 +399,5 @@ def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, Genera
     """
     if config.mode is not GenerationMode.SIGN_HARMONIZED:
         raise PreconditionError("composite_generate requires SIGN_HARMONIZED mode")
-    if not isinstance(config.stop, StepCount):
-        raise PreconditionError("composite runs must use a StepCount stop rule")
+    _check_type(config.stop, StepCount, "composite runs must use a StepCount stop rule")
     return _run(config)

@@ -13,20 +13,21 @@ columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
 bare integer functions (register columns all zero).  write_trace fills one
-row template per trace and writes it 1 024 rows at a time, and output_file
-opens an output file before the work that fills it.
+row template per trace and writes it a chunk of rows at a time, and
+output_file opens an output file before the work that fills it.  A chunk
+is core._BATCH_STEPS (1 024) rows, the steps of one batch of a run.
 
-read_trace takes 1 024 lines at a time.  A file that a run wrote is fixed
-by its first row, so read_trace parses that row and, when its line is the
-text write_trace writes for it, replays the register machine from it, a
-chunk at a time; a chunk whose lines are the replayed rows, text for text,
-is taken with nothing parsed.  Anything else (a file that is not a machine
-run, an edited row, CRLF line ends, a missing final newline) is parsed from
-the first row or chunk that differs, as _read_parsed parses a whole file,
-so it gives the same trace or the same error.  The parser is csv.reader and
-one row checker.  Like a run's batches, each replayed or checked chunk
-joins the trace as one part (core._Parts): a register stays one int while
-every part holds it at one value.
+A file that a run wrote is fixed by its first row, so read_trace reads that
+row alone, parses it and, when its line is the text write_trace writes for
+it, replays the register machine from it, a chunk at a time; a chunk whose
+lines are the replayed rows, text for text, is taken with nothing parsed.
+Anything else (a file that is not a machine run, an edited row, CRLF line
+ends, a missing final newline) is parsed from the first row or chunk that
+differs, as _read_parsed parses a whole file, so it gives the same trace or
+the same error.  The parser is csv.reader and one row checker.  Like a
+run's batches, each replayed or checked chunk joins the trace as one part
+(core._Parts): a register stays one int while every part holds it at one
+value.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
@@ -50,6 +51,7 @@ from itertools import chain, islice, repeat
 from operator import contains, eq
 from typing import IO, TYPE_CHECKING
 
+from . import core
 from .core import (
     ALL_REGISTERS,
     Axis,
@@ -210,10 +212,6 @@ _TOKENS = tuple(step.token for step in STEP_CODES)
 _CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
 _WIDTH = len(TRACE_COLUMNS)
 _HEADER = ",".join(TRACE_COLUMNS) + "\n"
-# Rows per chunk that read_trace checks and write_trace joins: a harmonic
-# row parses into about 1.1 KB of cells, so a chunk's cells, lines and text
-# come to about 1 MiB, one pymalloc arena.
-_CHUNK_ROWS = 1024
 
 
 def _rows(k: int, codes, i, j, registers):
@@ -236,7 +234,7 @@ def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
     """Write the header, then the rows (see _rows) a chunk at a time."""
     rows = _rows(1, trace.codes, trace.i, trace.j, trace.registers)
     stream.write(_HEADER)
-    while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+    while chunk := "".join(islice(rows, core._BATCH_STEPS)):
         stream.write(chunk)
 
 
@@ -385,7 +383,7 @@ def _read_csv_rows(lines, parts: _Parts) -> GenerationTrace:
             refused.append(ParseError(f"line {first - 1 + reader.line_num}: {exc}"))
 
     numbered = numbered_rows()
-    while chunk := list(islice(numbered, _CHUNK_ROWS)):
+    while chunk := list(islice(numbered, core._BATCH_STEPS)):
         k, last = len(parts) + 1, parts.path.end
         if nonblank := [row for _, row in chunk if row]:
             try:
@@ -438,41 +436,39 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     """Read a trace CSV into columns, a chunk of lines at a time.
 
     Every trace that a run writes is fixed by its first row, so that row is
-    parsed, and when its line is the text write_trace writes for it, the
-    machine is replayed from its registers and position for each chunk after
-    it (the rest of the first chunk, then _CHUNK_ROWS lines at a time).  A
-    chunk whose replayed rows are its lines, text for text, joins the trace
-    with nothing parsed: the parser would have read those lines as the same
-    part.  Any other row 1, or the first chunk that misses and the rest of
-    the stream after it, go to _read_csv_rows, which _read_parsed runs on a
-    whole file, so a file that is not a machine run gives the same trace or
-    the same error.
+    read alone and parsed, and when its line is the text write_trace writes
+    for it, the machine is replayed from its registers and position for each
+    chunk of core._BATCH_STEPS lines after it.  A chunk whose replayed rows
+    are its lines, text for text, joins the trace with nothing parsed: the
+    parser would have read those lines as the same part.  Any other row 1,
+    or the first chunk that misses and the rest of the stream after it, go
+    to _read_csv_rows, which _read_parsed runs on a whole file, so a file
+    that is not a machine run gives the same trace or the same error.
     """
     lines = iter(stream)
     _read_header(lines)
     parts = _Parts()
-    if not (first := list(islice(lines, _CHUNK_ROWS))):
+    if (first := next(lines, None)) is None:
         return parts.trace()
     try:
-        path, registers = _parse_rows(list(csv.reader(first[:1])), 1, None)
+        path, registers = _parse_rows(list(csv.reader([first])), 1, None)
     except (IntegerFunctionError, csv.Error):
         written = False
     else:
-        written = next(_rows(1, path.codes, path.i[1:], path.j[1:], registers)) == first[0]
+        written = next(_rows(1, path.codes, path.i[1:], path.j[1:], registers)) == first
     if not written:
-        return _read_csv_rows(chain(first, lines), parts)
+        return _read_csv_rows(chain([first], lines), parts)
     parts.add(path, registers)
     # A register whose feeds are dead never changes, so every row of a run
     # has the dead set of the bank that started it.  Row 1's dead set keys
     # the kernel of every later chunk: the replay of a file that a run under
     # a step count wrote runs on that run's kernels.
-    regs, chunk = list(registers), first[1:]
+    regs = list(registers)
     dead = _dead_registers(regs)
-    while True:
-        if chunk and not _replayed(chunk, parts, regs, dead):
+    while chunk := list(islice(lines, core._BATCH_STEPS)):
+        if not _replayed(chunk, parts, regs, dead):
             return _read_csv_rows(chain(chunk, lines), parts)
-        if not (chunk := list(islice(lines, _CHUNK_ROWS))):
-            return parts.trace()
+    return parts.trace()
 
 
 def read_trace_file(path: str) -> GenerationTrace:

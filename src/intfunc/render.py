@@ -7,7 +7,7 @@ from itertools import compress, repeat
 from operator import and_, sub
 
 from .core import (REGISTER_CAPACITY, IntegerFunction, PreconditionError, _Frozen,
-                   _check_positive, _is_int)
+                   _check_positive, _check_type, _is_int)
 
 #: Largest viewport area, in cells, that ASCII and PBM output will fill.
 #: Their size grows with the area; SVG grows with the occupied cells and has
@@ -59,6 +59,7 @@ class Viewport(_Frozen):
 
     @classmethod
     def around(cls, f: IntegerFunction, cell_px: int = 16) -> "Viewport":
+        _check_type(f, IntegerFunction, "path must be an IntegerFunction")
         i, j = f.i, f.j
         if f.is_monotone():  # both columns climb: the end points bound the path
             return cls(i[0], i[-1], j[0], j[-1], cell_px=cell_px)
@@ -80,6 +81,8 @@ def occupancy(f: IntegerFunction, viewport: Viewport) -> list[list[bool]]:
     cell: over MAX_GRID_CELLS cells is a PreconditionError, as in ASCII and
     PBM output.
     """
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
+    _check_type(viewport, Viewport, "viewport must be a Viewport")
     _check_grid(viewport.columns, viewport.rows)
     cells = set(zip(f.i, f.j))
     return [
@@ -98,6 +101,8 @@ def _ascii_grid(f: IntegerFunction, viewport: Viewport) -> bytearray:
     allocating anything, when the viewport holds more than MAX_GRID_CELLS
     cells.
     """
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
+    _check_type(viewport, Viewport, "viewport must be a Viewport")
     columns, rows = viewport.columns, viewport.rows
     _check_grid(columns, rows)
     i_min, i_max, j_min, j_max = viewport.i_min, viewport.i_max, viewport.j_min, viewport.j_max
@@ -127,8 +132,9 @@ def render_pbm(f: IntegerFunction, viewport: Viewport) -> bytes:
     Same cells as ``occupancy``; over MAX_GRID_CELLS cells is a
     PreconditionError.
     """
+    grid = _ascii_grid(f, viewport)
     header = f"P1\n{viewport.columns} {viewport.rows}\n".encode("ascii")
-    return header + _ascii_grid(f, viewport).translate(_ASCII_TO_PBM)
+    return header + grid.translate(_ASCII_TO_PBM)
 
 
 def _run_edge(column, value: int) -> int:
@@ -171,6 +177,8 @@ def render_svg(f: IntegerFunction, viewport: Viewport,
     not allow raises PreconditionError.
     """
     _check_label(scale_label)
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
+    _check_type(viewport, Viewport, "viewport must be a Viewport")
     px = viewport.cell_px
     width = viewport.columns * px
     height = viewport.rows * px

@@ -17,6 +17,7 @@ import tracemalloc
 from array import array
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -264,7 +265,7 @@ def test_error_is_that_of_the_first_bad_line(long_trace_lines, defects):
 def test_refused_line_waits_for_an_earlier_bad_row():
     # Line 101 has a bad token and the line of the chunk's last row a cell
     # over the CSV field size limit: the earlier line is the one named.
-    last = intfunc.io._CHUNK_ROWS
+    last = core._BATCH_STEPS
     lines = [HEADER] + [_row(k, "i+", k, 0) for k in range(1, last + 1)]
     lines[100] = _row(100, "up", 100, 0)
     lines[last] = _row(last, "i+", "2" * 200_000, 0)
@@ -377,13 +378,35 @@ def test_parts_join_at_every_edge(edge_traces, size, monkeypatch):
     # == compares the paths and the registers, and so whether each register
     # is kept as an int or as an array.
     monkeypatch.setattr(core, "_BATCH_STEPS", size)
-    monkeypatch.setattr(intfunc.io, "_CHUNK_ROWS", size)
     for config, expected in zip(_EDGE_CONFIGS, edge_traces):
         trace = _run(config)
         text = _text(trace)
         for built in (trace, GenerationTrace(trace.records),
                       read_trace(io.StringIO(text)), _read_parsed(io.StringIO(text))):
             assert built == expected
+
+
+def test_one_part_size_for_runs_writes_and_replays(monkeypatch):
+    # core._BATCH_STEPS alone sets the part size: a run's batches, the
+    # chunks write_trace writes after the header and the chunks read_trace
+    # replays after row 1, which it reads alone.
+    monkeypatch.setattr(core, "_BATCH_STEPS", 3)
+    batches, batch = [], core._batch
+
+    def counted(regs, shape, steps, start):
+        batches.append(steps)
+        return batch(regs, shape, steps, start)
+
+    monkeypatch.setattr(core, "_batch", counted)
+    monkeypatch.setattr(intfunc.io, "_batch", counted)
+    trace = generate(line_config(7, 11, 10))[1]
+    assert batches == [3, 3, 3, 1]
+    writes = []
+    write_trace(trace, SimpleNamespace(write=writes.append))
+    assert [text.count("\n") for text in writes] == [1, 3, 3, 3, 1]
+    batches.clear()
+    assert read_trace(io.StringIO("".join(writes))) == trace
+    assert batches == [3, 3, 3]
 
 
 def test_parts_keep_an_int_until_a_part_differs():
@@ -523,9 +546,11 @@ def _outcome(reader, text, newline):
         return type(exc), str(exc)
 
 
-# Rows 1 and B open and close the first chunk of B lines, and B + 1 opens
-# the second; the long file has 6 000 rows.
-B = intfunc.io._CHUNK_ROWS
+# Rows 1 and B open and close the first chunk of B lines that the parser
+# reads, and B + 1 opens its second; a replay reads row 1 alone, so rows
+# B + 1 and B + 2 close its first chunk and open its second.  The long file
+# has 6 000 rows.
+B = core._BATCH_STEPS
 _EDGES = (1, 2, B - 1, B, B + 1, B + 2, 6000)
 
 
@@ -556,12 +581,13 @@ def test_csv_edits_read_as_the_parser_reads(trace_files, pick, mutations, newlin
 
 @pytest.fixture(scope="module")
 def replay_files(traces):
-    """The preset files, and the pi file cut to 1, 2 and 3 chunks of rows,
-    one row short of, at and one row past each chunk edge."""
-    b = intfunc.io._CHUNK_ROWS
+    """The preset files, and the pi file cut to row 1 and 1, 2 and 3 replayed
+    chunks of rows after it, one row short of, at and one row past each
+    chunk edge."""
+    b = core._BATCH_STEPS
     pi = _text(_pi_trace(10**7)).splitlines(keepends=True)
-    assert len(pi) > 3 * b + 1
-    cuts = [1, 2] + [n * b + d for n in (1, 2, 3) for d in (-1, 0, 1)]
+    assert len(pi) > 3 * b + 2
+    cuts = [1, 2] + [n * b + d for n in (1, 2, 3) for d in (0, 1, 2)]
     return [_text(trace).splitlines(keepends=True) for trace in traces[:-1]] + [
         pi[:1 + rows] for rows in cuts]
 
@@ -594,13 +620,13 @@ _EDITS = {
 @settings(max_examples=120, deadline=None)
 @given(pick=st.integers(0, 10**3), edit=st.sampled_from(sorted(_EDITS)),
        row=st.integers(1, 10**4), n=st.integers(0, 10**6))
-@example(pick=-1, edit="register", row=3073, n=5)
-@example(pick=-2, edit="i", row=2048, n=0)
-@example(pick=-6, edit="delete", row=1024, n=0)
+@example(pick=-1, edit="register", row=3074, n=5)
+@example(pick=-2, edit="i", row=2049, n=0)
+@example(pick=-6, edit="delete", row=1025, n=0)
 @example(pick=-7, edit="duplicate", row=2, n=0)
-@example(pick=-8, edit="crlf", row=1023, n=0)
+@example(pick=-8, edit="crlf", row=1024, n=0)
 @example(pick=-4, edit="no final newline", row=1, n=0)
-@example(pick=-5, edit="blank", row=1025, n=0)
+@example(pick=-5, edit="blank", row=1026, n=0)
 @example(pick=-3, edit="k", row=1, n=3)
 def test_replay_reads_as_the_parser_reads(replay_files, pick, edit, row, n):
     lines = list(replay_files[pick % len(replay_files)])
@@ -624,7 +650,7 @@ def parses(monkeypatch):
 
 
 def _machine_traces():
-    b = intfunc.io._CHUNK_ROWS
+    b = core._BATCH_STEPS
     harmonized = GenerationMode.SIGN_HARMONIZED
     late_minus = composite_generate(GeneratorConfig(
         (0, 0), RegisterBank(X=b, Y=b, XX=-1), StepCount(3 * b), harmonized))[1]
@@ -710,7 +736,7 @@ def _digitized(tmp_path):
 
 
 def test_other_files_are_parsed_after_a_miss(parses, tmp_path):
-    b = intfunc.io._CHUNK_ROWS
+    b = core._BATCH_STEPS
     bare = trace_for_function(from_step_sequence((-3, 2), "i j i- j- j- i i " * b))
     zeros = ",0" * 11
     overflow = "".join([

@@ -274,7 +274,9 @@ def test_overflow_text_per_addition(mode, bank, step, message):
     assert str(info.value) == message
 
 
-_B = core._BATCH_STEPS
+# The last step of the fourth batch: the run reaches it through three
+# whole batches, each of which runs unchecked.
+_B = 4 * core._BATCH_STEPS
 
 
 @pytest.mark.parametrize("step, steps", [

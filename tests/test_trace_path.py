@@ -141,8 +141,9 @@ class TestPositionsFollowSteps:
 
     @pytest.fixture(scope="class")
     def long_lines(self):
-        # 10 000 rows: ten chunks of rows for read_trace.  Lines 4097 and 4098
-        # hold rows 4 096 and 4 097, the last of one chunk and the first of the next.
+        # 10 000 rows: row 1, then ten chunks of rows for read_trace.  Lines
+        # 4098 and 4099 hold rows 4 097 and 4 098, the last of one chunk and
+        # the first of the next.
         return trace_lines(generate(line_config(7, 11, 10000))[1])
 
     @pytest.mark.parametrize("lineno", [3, 4097, 4098, 4099, 8194, 10001])

@@ -10,6 +10,7 @@ from functools import partial
 import pytest
 
 from intfunc import (
+    I_PLUS,
     Axis,
     GenerationMode,
     GeneratorConfig,
@@ -28,10 +29,16 @@ from intfunc import (
     characteristic_indices,
     class_derivative,
     difference_field,
+    digitize,
+    format_bound,
     from_step_sequence,
     full_derivative,
     generate,
+    occupancy,
     refinement_compatible,
+    render_ascii,
+    render_pbm,
+    render_svg,
 )
 from intfunc.curves import egg_figure_config, harmonic_config
 
@@ -319,6 +326,8 @@ MALFORMED = [
      "cell coordinates must be exact; pass a Fraction or an int, not float"),
     (lambda: IntegerScale(Fraction(1)).cell_of("1", 0),
      "cell coordinates must be exact; pass a Fraction or an int, not str"),
+    (lambda: IntegerFunction((0, 0), [I_PLUS, object()]),
+     "step 2 is not a unit step (i+, j+, i- or j-)"),
 ]
 
 
@@ -331,6 +340,8 @@ def test_malformed_input_is_refused(build, message):
 
 _UNKNOWN, _AXIS = "unknown register name(s): ", "axis must be an Axis"
 _SAMPLES, _UNIT = "samples must be (x, y) pairs of rationals", "scale unit must be a rational number"
+_BOUND, _F = "bound must be an int or a Fraction", "path must be an IntegerFunction"
+_SERIES, _VIEW = RealSampleSeries(((0, 0), (1, 1))), Viewport(0, 1, 0, 1)
 # Each of these used to escape as a raw TypeError, ValueError, KeyError or
 # AttributeError from inside the call.
 RAW = [
@@ -353,6 +364,28 @@ RAW = [
     (lambda: RealSampleSeries(((0, 1, 2),)), _SAMPLES),
     (lambda: RealSampleSeries.from_pairs([(0, 1, 2)]), _SAMPLES),
     (lambda: harmonic_config(2.5), "resolution must be an integer"),
+    (lambda: format_bound("x", True), _BOUND),
+    (lambda: format_bound(None, True), _BOUND),
+    (lambda: format_bound(Decimal("0.5"), True), _BOUND),
+    # bool is an int subclass, but never a bound.
+    (lambda: format_bound(True, True), _BOUND),
+    (lambda: IntegerFunction((0, 0), 5), "steps must be an iterable of unit steps"),
+    (lambda: from_step_sequence((0, 0), 5), "steps must be an iterable of unit steps"),
+    (lambda: digitize(_SERIES, "x"), "scale must be an IntegerScale"),
+    (lambda: digitize("x", IntegerScale(1)), "samples must be a RealSampleSeries"),
+    (lambda: render_ascii("x", _VIEW), _F),
+    (lambda: render_pbm("x", _VIEW), _F),
+    (lambda: render_svg("x", _VIEW), _F),
+    (lambda: occupancy("x", _VIEW), _F),
+    (lambda: Viewport.around("x"), _F),
+    (lambda: render_ascii(_PATH, "x"), "viewport must be a Viewport"),
+    (lambda: render_pbm(_PATH, "x"), "viewport must be a Viewport"),
+    (lambda: characteristic_indices("x", Axis.I), _F),
+    (lambda: refinement_compatible(_PATH, "x", 2), "fine path must be an IntegerFunction"),
+    (lambda: refinement_compatible("x", _PATH, 2), "coarse path must be an IntegerFunction"),
+    (lambda: difference_field("x", Axis.I, 1), _F),
+    (lambda: full_derivative("x", Axis.I), _F),
+    (lambda: class_derivative("x", Axis.I, 1), _F),
 ]
 
 
@@ -368,3 +401,5 @@ def test_exact_input_is_still_taken():
     assert IntegerScale(Decimal("0.25")).unit == Fraction(1, 4)
     series = RealSampleSeries((("0", "1/2"), (1, Decimal("1.5"))))
     assert series.points == ((0, Fraction(1, 2)), (1, Fraction(3, 2)))
+    assert format_bound(2, True) == "2"
+    assert format_bound(Fraction(1, 3), False) == "0.3333333"
