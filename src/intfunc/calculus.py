@@ -13,7 +13,8 @@ cross coordinates span less than 2**15 they pack them once into the 16-bit
 lanes of one int and build each class from a few big-int operations: every
 lane holds its coordinate's offset from the minimum, below 2**15, so a lane
 difference plus 2**15 stays within 0 .. 2**16 - 1 and no borrow crosses a
-lane.  A wider span keeps the subtraction per entry.  Fraction is bound
+lane.  struct writes and reads the lanes as little-endian shorts on every
+platform.  A wider span keeps the subtraction per entry.  Fraction is bound
 only under TYPE_CHECKING, so typing.get_type_hints of IntegerScale's
 methods raises NameError unless localns binds it.
 """
@@ -21,8 +22,7 @@ methods raises NameError unless localns binds it.
 from __future__ import annotations
 
 import operator
-import sys
-from array import array
+import struct
 from itertools import compress, islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -90,9 +90,14 @@ class DifferenceField:
     __slots__ = ("axis", "diff_class", "first", "_values")
 
     def __init__(self, axis: Axis, diff_class: int, entries):
-        entries = tuple(entries)
-        first = entries[0][0] if entries else 0
-        if tuple(c for c, _ in entries) != tuple(range(first, first + len(entries))):
+        try:
+            entries = tuple((c, d) for c, d in entries)
+            first = entries[0][0] if entries else 0
+            coordinates = tuple(range(first, first + len(entries)))
+        except (TypeError, ValueError):
+            raise PreconditionError(
+                "difference field entries must be (coordinate, d) pairs") from None
+        if tuple(c for c, _ in entries) != coordinates:
             raise PreconditionError("difference field coordinates must be consecutive")
         self.axis, self.diff_class, self.first = axis, diff_class, first
         self._values = tuple(d for _, d in entries)
@@ -179,23 +184,18 @@ def _packed_values(cross: list[int]) -> Iterator[tuple[int, ...]]:
     Lane k of (packed >> 16 D) + high - packed is then v[k + D] + 2**15 -
     v[k] (v[k + D] read as 0 past the end), within 1 .. 2**16 - 1, so no
     lane borrows from the next.  The xor with ``high`` turns each lane into
-    the 16-bit two's complement of the difference, read back as signed
-    shorts; the top D lanes have no partner and are dropped.  Packing costs
-    about two passes of subtraction, so it pays only over many classes.
+    the 16-bit two's complement of the difference.  struct writes and reads
+    the lanes as little-endian shorts on every platform; the top D lanes
+    have no partner and are left unread.  Packing costs about two passes of
+    subtraction, so it pays only over many classes.
     """
     n, lo = len(cross), min(cross, default=0)
-    lanes = array("H", [c - lo for c in cross])
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    packed = int.from_bytes(lanes.tobytes(), "little")
+    packed = int.from_bytes(struct.pack(f"<{n}H", *[c - lo for c in cross]), "little")
     high = int.from_bytes(b"\0\x80" * n, "little")
     base = packed - high
     for diff_class in range(1, n):
-        values = array("h", (((packed >> 16 * diff_class) - base) ^ high).to_bytes(2 * n, "little"))
-        del values[n - diff_class:]
-        if sys.byteorder == "big":
-            values.byteswap()
-        yield tuple(values.tolist())
+        lanes = ((packed >> 16 * diff_class) - base) ^ high
+        yield struct.unpack_from(f"<{n - diff_class}h", lanes.to_bytes(2 * n, "little"))
 
 
 def _class_fields(f: IntegerFunction, axis: Axis) -> Iterator[DifferenceField]:
@@ -330,6 +330,7 @@ def regulator_monotone_check(trace: GenerationTrace, axis_restricted: bool = Fal
     restriction exists to support one axis' characteristic study, and which
     axis that is depends on which step kind is sparser).
     """
+    _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
     if not axis_restricted:
         return all(_non_decreasing(trace.regulator_series(axis)) for axis in (Axis.I, Axis.J))
 

@@ -109,6 +109,7 @@ _SIGN_SUFFIXES = {"": 1, "+": 1, "⁺": 1, "-": -1, "−": -1, "⁻": -1}
 
 def parse_steps(text: str) -> tuple[StepKind, ...]:
     """Parse a whitespace- or comma-separated step string like "i j i j i-"."""
+    _check_type(text, str, "step text must be a str")
     steps = []
     for token in text.replace(",", " ").split():
         axis_char, suffix = token[0], token[1:]
@@ -130,7 +131,13 @@ _J_MOVES = bytes([0, 1, 0, 0xFF]) + bytes(252)
 _AXIS_MASKS = {Axis.I: bytes([1, 0, 1, 0]) + bytes(252),
                Axis.J: bytes([0, 1, 0, 1]) + bytes(252)}
 _TRANSPOSED = bytes([1, 0, 3, 2]) + bytes(252)
-_CODE_OF_STEP = {step: code for code, step in enumerate(STEP_CODES)}
+
+
+def _step_codes(steps) -> bytes:
+    """The code of each of ``steps``: its index in STEP_CODES, or 4, which
+    IntegerFunction.from_codes refuses, for anything else.  The steps are
+    found by equality, not hashed, so an unhashable item is refused too."""
+    return bytes(STEP_CODES.index(step) if step in STEP_CODES else 4 for step in steps)
 
 
 def _walk(origin: int, codes: bytes, moves: bytes) -> array:
@@ -158,8 +165,7 @@ class IntegerFunction:
 
     def __init__(self, start, steps=()):
         _check_type(steps, Iterable, "steps must be an iterable of unit steps")
-        # Anything not in STEP_CODES gets code 4, which _fill rejects.
-        self._fill(start, bytes(_CODE_OF_STEP.get(step, 4) for step in steps))
+        self._fill(start, _step_codes(steps))
 
     @classmethod
     def from_codes(cls, start, codes: bytes) -> "IntegerFunction":
@@ -388,6 +394,7 @@ def choose_step(bank: RegisterBank) -> Axis:
     A j step is taken only when RX - RY is strictly positive; ties fall to
     the i side.
     """
+    _check_type(bank, RegisterBank, "bank must be a RegisterBank")
     return Axis.J if _checked(bank.RX - bank.RY, "RX - RY") > 0 else Axis.I
 
 
@@ -396,6 +403,8 @@ def apply_step(bank: RegisterBank, axis: Axis) -> RegisterBank:
 
     Pure: returns a new bank, leaving the input untouched.
     """
+    _check_type(bank, RegisterBank, "bank must be a RegisterBank")
+    _check_type(axis, Axis, "axis must be an Axis")
     values = bank.as_dict()
     for source, target in _CASCADES[axis.letter]:
         values[target] = _checked(values[target] + values[source],
@@ -501,13 +510,15 @@ class GenerationTrace:
     __slots__ = ("path", "registers")
 
     def __init__(self, records=()):
+        _check_type(records, Iterable, "records must be an iterable of TraceRecords")
         records = tuple(records)
         for k, record in enumerate(records, start=1):
+            _check_type(record, TraceRecord, "records must be an iterable of TraceRecords")
+            _check_type(record.bank, RegisterBank, "bank must be a RegisterBank")
             if record.k != k:
                 raise PreconditionError(
                     f"trace record {k} carries step index {record.k}")
-        # Anything not in STEP_CODES gets code 4, which from_codes rejects.
-        codes = bytes(_CODE_OF_STEP.get(r.step, 4) for r in records)
+        codes = _step_codes(r.step for r in records)
         trace = self.from_columns(codes, [r.i for r in records], [r.j for r in records], [
             array("q", [r.bank.value(name) for r in records]) for name in ALL_REGISTERS])
         self.path, self.registers = trace.path, trace.registers
@@ -672,6 +683,7 @@ def implied_designation(bank: RegisterBank) -> frozenset[str]:
     designation (written {X, Y}, {XXY, Y}, ...); the zero ones are its dead
     registers.
     """
+    _check_type(bank, RegisterBank, "bank must be a RegisterBank")
     dead = _dead_registers(bank._values)
     return _constant_registers(dead) - dead
 
@@ -679,21 +691,18 @@ def implied_designation(bank: RegisterBank) -> frozenset[str]:
 def designation_violations(designation, initial_bank: RegisterBank,
                            trace: GenerationTrace) -> list[str]:
     """Names from ``designation`` whose value changed anywhere in the trace."""
-    unknown = sorted(set(designation) - set(WORK_REGISTERS))
+    try:
+        names = set(designation)
+    except TypeError:
+        raise PreconditionError("designation must be an iterable of register names") from None
+    _check_type(initial_bank, RegisterBank, "bank must be a RegisterBank")
+    _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
+    unknown = sorted(names - set(WORK_REGISTERS))
     if unknown:
         raise PreconditionError(f"designation contains non-work registers: {unknown}")
     # A register kept as a column is never constant, so it changed.
-    return [name for name in sorted(set(designation))
+    return [name for name in sorted(names)
             if len(trace) and trace.registers[_SLOT[name]] != initial_bank.value(name)]
-
-
-class _Kernel(_Frozen):
-    """A compiled step loop and ``recorded``, the slots a traced step snapshots."""
-
-    __slots__ = ("run", "recorded")
-
-    def __init__(self, run, recorded):
-        self._set(run, recorded)
 
 
 def _indent(lines, levels=1):
@@ -801,7 +810,7 @@ def _kernel_source(dead: frozenset[str], harmonized: bool, watched: int | None,
                 f"if not -{cap} <= {target} <= {cap}: raise _overflow({context!r}, {target})"]
 
     def side(axis, pairs, rate, stop):
-        plus, regulator = _CODE_OF_STEP[StepKind(axis, 1)], axis.regulator
+        plus, regulator = STEP_CODES.index(StepKind(axis, 1)), axis.regulator
 
         def move(code):
             return [f"code({code})"] if traced else []
@@ -884,13 +893,14 @@ def _kernel_source(dead: frozenset[str], harmonized: bool, watched: int | None,
 
 @lru_cache(maxsize=256)
 def _compile_kernel(dead: frozenset[str], harmonized: bool, watched: int | None,
-                    loop: str) -> _Kernel:
-    """The step loop of one kernel key (see _kernel_source), compiled when
-    first needed and cached."""
+                    loop: str) -> tuple:
+    """``(run, recorded)`` for one kernel key (see _kernel_source): its step
+    loop, compiled when first needed and cached, and the slots a traced
+    step snapshots."""
     source, recorded = _kernel_source(dead, harmonized, watched, loop)
     namespace = {"_overflow": _overflow, "repeat": repeat}
     exec(source, namespace)
-    return _Kernel(namespace["run"], recorded)
+    return namespace["run"], recorded
 
 
 #: Steps or rows in one part of a trace: a run's batch (_run), and a chunk
@@ -928,10 +938,10 @@ def _batch(regs: list[int], shape, steps: int, start) -> tuple[IntegerFunction, 
     _batch_fits shows it cannot overflow, and checked otherwise, so an
     overflow raises apply_step's text at the same step."""
     codes, snaps = bytearray(), []
-    kernel = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
-    kernel.run(regs, steps, codes.append, snaps)
-    flat, width = array("q", snaps), len(kernel.recorded)
-    columns = {slot: flat[n::width] for n, slot in enumerate(kernel.recorded)}
+    run, recorded = _compile_kernel(*shape, _TRACED if _batch_fits(regs, steps) else _CHECKED)
+    run(regs, steps, codes.append, snaps)
+    flat, width = array("q", snaps), len(recorded)
+    columns = {slot: flat[n::width] for n, slot in enumerate(recorded)}
     return (IntegerFunction.from_codes(start, codes),
             [columns.get(slot, value) for slot, value in enumerate(regs)])
 
@@ -980,6 +990,7 @@ def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]
     per-step trace.  Registers in the bank's implied type designation are
     audited for constancy after the run.
     """
+    _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
     if config.mode is not GenerationMode.MONOTONE:
         raise PreconditionError(
             "generate handles monotone mode only; use curves.composite_generate")

@@ -71,7 +71,7 @@ def uniform_motion_config(i_total: int, j_total: int) -> GeneratorConfig:
     Runs i_total + j_total steps from the origin, distributing the two step
     kinds as uniformly as possible.
     """
-    if i_total < 1 or j_total < 1:
+    if not (_is_int(i_total) and _is_int(j_total) and i_total > 0 and j_total > 0):
         raise PreconditionError("uniform motion needs positive step totals")
     return line_config(x=j_total, y=i_total, steps=i_total + j_total)
 
@@ -230,10 +230,10 @@ def pi_bounds(x0: int) -> PiResult:
             f"x0 = {x0} would push registers past 2**63; limit is {PI_SEED_LIMIT}")
     config = harmonic_config(x0)
     dead, harmonized, watched = _shape(config)
-    kernel = _compile_kernel(dead, harmonized, watched, _UNTRACED)
+    run, _ = _compile_kernel(dead, harmonized, watched, _UNTRACED)
     regs = list(config.bank._values)
     started = time.perf_counter()
-    steps = kernel.run(regs, config.stop.cap)
+    steps = run(regs, config.stop.cap)
     elapsed = time.perf_counter() - started
     if regs[watched] > 0:
         raise _cap_exhausted("X", steps)
@@ -397,6 +397,7 @@ def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, Genera
     steps and Y).  With rates that stay positive this coincides with
     core.generate step for step.
     """
+    _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
     if config.mode is not GenerationMode.SIGN_HARMONIZED:
         raise PreconditionError("composite_generate requires SIGN_HARMONIZED mode")
     _check_type(config.stop, StepCount, "composite runs must use a StepCount stop rule")

@@ -71,6 +71,7 @@ from .core import (
     WhilePositive,
     _Parts,
     _batch,
+    _check_type,
     _dead_registers,
     _path_through,
 )
@@ -232,6 +233,7 @@ def _rows(k: int, codes, i, j, registers):
 
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
     """Write the header, then the rows (see _rows) a chunk at a time."""
+    _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
     rows = _rows(1, trace.codes, trace.i, trace.j, trace.registers)
     stream.write(_HEADER)
     while chunk := "".join(islice(rows, core._BATCH_STEPS)):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import intfunc
+from intfunc import core
 from intfunc import (
     ALL_REGISTERS,
     Axis,
@@ -48,6 +49,10 @@ from intfunc.io import (
     write_trace,
     write_trace_file,
 )
+
+# Rows of one chunk that read_trace replays after row 1.
+B = core._BATCH_STEPS
+
 
 def run_cli(*argv, capsys=None):
     code = main(list(argv))
@@ -207,10 +212,11 @@ class TestTraceFiles:
         with pytest.raises(ParseError, match="line 2"):
             read_trace(io.StringIO(text))
 
-    @pytest.mark.parametrize("first, second", [(3, 5), (5000, 9000), (4098, 4099)])
+    @pytest.mark.parametrize("first, second", [(3, 5), (5000, 9000), (4 * B + 2, 4 * B + 3)])
     def test_earlier_of_two_defects_is_reported(self, first, second):
         # Line numbers count the header as line 1; the defects may fall in
-        # one chunk of rows or in two.
+        # one chunk of rows or in two: lines 4B + 2 and 4B + 3 hold the last
+        # row of the fourth replayed chunk and the first of the fifth.
         _, trace = generate(line_config(7, 11, 10000))
         buffer = io.StringIO()
         write_trace(trace, buffer)

@@ -314,9 +314,9 @@ def _untraced_run(config):
     """(steps run, work registers) after the untraced kernel runs ``config``,
     which watches a work register that starts positive, or none."""
     stop = config.stop
-    kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
+    run, _ = core._compile_kernel(*core._shape(config), core._UNTRACED)
     regs = list(config.bank._values)
-    steps = kernel.run(regs, stop.cap if isinstance(stop, WhilePositive) else stop.count)
+    steps = run(regs, stop.cap if isinstance(stop, WhilePositive) else stop.count)
     return steps, regs[2:]
 
 
@@ -420,7 +420,7 @@ def _untraced_blocks(config, steps):
     pass, as one repeat(None, _FREE_STEPS >> 4) loop, so a spy on the
     kernel's repeat counts each kind.  The tested loop after the blocks is
     one range call, which starts at the steps run in blocks."""
-    kernel = core._compile_kernel(*core._shape(config), core._UNTRACED)
+    run, _ = core._compile_kernel(*core._shape(config), core._UNTRACED)
     calls, ranges = [], []
 
     def spy(value, times):
@@ -432,8 +432,8 @@ def _untraced_blocks(config, steps):
         return range(*args)
 
     regs = list(config.bank._values)
-    with mock.patch.dict(kernel.run.__globals__, repeat=spy, range=range_spy):
-        ran = kernel.run(regs, steps)
+    with mock.patch.dict(run.__globals__, repeat=spy, range=range_spy):
+        ran = run(regs, steps)
     done = ranges[0][0]
     return ran, regs[2:], calls.count(_BLOCK >> 3), calls.count(_BLOCK >> 4), done
 
@@ -698,7 +698,8 @@ def test_pi_seeds_around_the_first_fused_block():
 
 
 def _kernel_of(bank, mode=GenerationMode.MONOTONE, stop=StepCount(5), loop=core._TRACED):
-    """The ``loop`` kernel of the shape of this bank, mode and stop rule."""
+    """``(run, recorded)`` of the ``loop`` kernel of the shape of this bank,
+    mode and stop rule."""
     config = GeneratorConfig(start=(0, 0), bank=bank, stop=stop, mode=mode)
     return core._compile_kernel(*core._shape(config), loop)
 
@@ -765,8 +766,8 @@ class TestHarmonicMachine:
         # A traced step snapshots the regulators and the targets of the live
         # cascade pairs.  In the harmonic shape only XX -> X and XXY -> XX
         # are live besides the rates, which feed the regulators alone.
-        kernel = _kernel_of(harmonic_config(100).bank, mode=mode)
-        assert kernel.recorded == tuple(core._SLOT[name] for name in ("RX", "RY", "X", "XX"))
+        _, recorded = _kernel_of(harmonic_config(100).bank, mode=mode)
+        assert recorded == tuple(core._SLOT[name] for name in ("RX", "RY", "X", "XX"))
 
     @pytest.mark.parametrize("loop", list(core._LOOPS))
     def test_each_loop_kind_agrees_with_the_run(self, loop):
@@ -774,15 +775,15 @@ class TestHarmonicMachine:
         # wave, which _run takes in one batch.
         config = harmonic_config(100)
         f, trace = _run(config)
-        kernel = _kernel_of(config.bank, stop=config.stop, loop=loop)
+        run, recorded = _kernel_of(config.bank, stop=config.stop, loop=loop)
         regs, codes, snaps = list(config.bank._values), bytearray(), []
         if loop == core._UNTRACED:
-            assert kernel.run(regs, config.stop.cap) == f.length
+            assert run(regs, config.stop.cap) == f.length
         else:
-            kernel.run(regs, config.stop.cap, codes.append, snaps)
+            run(regs, config.stop.cap, codes.append, snaps)
             assert codes == f.codes
             assert snaps == [trace.column(ALL_REGISTERS[slot])[t]
-                             for t in range(len(trace)) for slot in kernel.recorded]
+                             for t in range(len(trace)) for slot in recorded]
         assert regs[2:] == [trace.column(name)[-1] for name in WORK_REGISTERS]
 
     def test_constant_registers_are_stored_once(self):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from intfunc import core
 from intfunc import (
     Axis,
     GenerationTrace,
@@ -43,6 +44,9 @@ from intfunc.io import (
 )
 
 CAP = REGISTER_CAPACITY
+# read_trace reads row 1 alone, then replays chunks of B rows: rows kB + 1
+# and kB + 2 close chunk k and open chunk k + 1, on lines kB + 2 and kB + 3.
+B = core._BATCH_STEPS
 I_COLUMN, J_COLUMN = TRACE_COLUMNS.index("i"), TRACE_COLUMNS.index("j")
 
 
@@ -141,17 +145,20 @@ class TestPositionsFollowSteps:
 
     @pytest.fixture(scope="class")
     def long_lines(self):
-        # 10 000 rows: row 1, then ten chunks of rows for read_trace.  Lines
-        # 4098 and 4099 hold rows 4 097 and 4 098, the last of one chunk and
-        # the first of the next.
-        return trace_lines(generate(line_config(7, 11, 10000))[1])
+        # 10 000 rows: row 1, then the chunks of B rows that read_trace
+        # replays, at least eight of them.  Lines 4B + 2 and 4B + 3 hold the
+        # last row of the fourth chunk and the first of the fifth, and line
+        # 8B + 2 the last row of the eighth.
+        lines = trace_lines(generate(line_config(7, 11, 10000))[1])
+        assert len(lines) >= 8 * B + 2
+        return lines
 
-    @pytest.mark.parametrize("lineno", [3, 4097, 4098, 4099, 8194, 10001])
+    @pytest.mark.parametrize("lineno", [3, 4 * B + 1, 4 * B + 2, 4 * B + 3, 8 * B + 2, 10001])
     def test_nudged_row_in_any_chunk(self, long_lines, lineno):
         with pytest.raises(ParseError, match=f"^line {lineno}: position"):
             read_lines(nudged(long_lines, lineno, J_COLUMN, 1))
 
-    @pytest.mark.parametrize("lineno", [3, 4098, 8194])
+    @pytest.mark.parametrize("lineno", [3, 4 * B + 2, 8 * B + 2])
     def test_shifted_rest_of_file(self, long_lines, lineno):
         # Every row from ``lineno`` on moves alike, so only that row breaks
         # from the one before, across a chunk boundary too.

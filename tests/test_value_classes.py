@@ -2,6 +2,7 @@
 copying, construction and validation messages."""
 
 import copy
+import io
 import pickle
 from decimal import Decimal
 from fractions import Fraction
@@ -12,7 +13,9 @@ import pytest
 from intfunc import (
     I_PLUS,
     Axis,
+    DifferenceField,
     GenerationMode,
+    GenerationTrace,
     GeneratorConfig,
     IntegerFunction,
     IntegerPair,
@@ -24,23 +27,32 @@ from intfunc import (
     RegisterOverflowError,
     ScaledDifference,
     StepCount,
+    TraceRecord,
     Viewport,
     WhilePositive,
+    apply_step,
     characteristic_indices,
+    choose_step,
     class_derivative,
+    composite_generate,
+    designation_violations,
     difference_field,
     digitize,
     format_bound,
     from_step_sequence,
     full_derivative,
     generate,
+    implied_designation,
     occupancy,
+    parse_steps,
     refinement_compatible,
+    regulator_monotone_check,
     render_ascii,
     render_pbm,
     render_svg,
 )
-from intfunc.curves import egg_figure_config, harmonic_config
+from intfunc.curves import egg_figure_config, harmonic_config, uniform_motion_config
+from intfunc.io import write_trace
 
 REGISTERS = ("RX", "RY", "X", "Y", "XX", "XY", "YX", "YY",
              "XXX", "XXY", "XYX", "XYY", "YXX", "YXY", "YYX", "YYY")
@@ -342,6 +354,12 @@ _UNKNOWN, _AXIS = "unknown register name(s): ", "axis must be an Axis"
 _SAMPLES, _UNIT = "samples must be (x, y) pairs of rationals", "scale unit must be a rational number"
 _BOUND, _F = "bound must be an int or a Fraction", "path must be an IntegerFunction"
 _SERIES, _VIEW = RealSampleSeries(((0, 0), (1, 1))), Viewport(0, 1, 0, 1)
+_BANK_TYPE, _CONFIG = "bank must be a RegisterBank", "config must be a GeneratorConfig"
+_TRACE, _TRACE_TYPE = GenerationTrace(), "trace must be a GenerationTrace"
+_DESIGNATION = "designation must be an iterable of register names"
+_RECORDS = "records must be an iterable of TraceRecords"
+_ENTRIES = "difference field entries must be (coordinate, d) pairs"
+_NOT_A_STEP = "step 1 is not a unit step (i+, j+, i- or j-)"
 # Each of these used to escape as a raw TypeError, ValueError, KeyError or
 # AttributeError from inside the call.
 RAW = [
@@ -386,6 +404,28 @@ RAW = [
     (lambda: difference_field("x", Axis.I, 1), _F),
     (lambda: full_derivative("x", Axis.I), _F),
     (lambda: class_derivative("x", Axis.I, 1), _F),
+    (lambda: choose_step(None), _BANK_TYPE),
+    (lambda: apply_step(None, Axis.I), _BANK_TYPE),
+    (lambda: apply_step(RegisterBank(), "i"), _AXIS),
+    (lambda: implied_designation(None), _BANK_TYPE),
+    (lambda: designation_violations(5, RegisterBank(), _TRACE), _DESIGNATION),
+    (lambda: designation_violations([["X"]], RegisterBank(), _TRACE), _DESIGNATION),
+    (lambda: designation_violations({"X"}, RegisterBank(), None), _TRACE_TYPE),
+    (lambda: designation_violations({"X"}, None, generate(harmonic_config(100))[1]), _BANK_TYPE),
+    (lambda: regulator_monotone_check(None), _TRACE_TYPE),
+    (lambda: generate(None), _CONFIG),
+    (lambda: composite_generate(None), _CONFIG),
+    (lambda: GenerationTrace(5), _RECORDS),
+    (lambda: GenerationTrace([object()]), _RECORDS),
+    (lambda: GenerationTrace([TraceRecord(1, I_PLUS, 1, 0, None)]), _BANK_TYPE),
+    (lambda: parse_steps(5), "step text must be a str"),
+    (lambda: uniform_motion_config(None, 1), "uniform motion needs positive step totals"),
+    (lambda: DifferenceField(Axis.I, 1, 5), _ENTRIES),
+    (lambda: DifferenceField(Axis.I, 1, [(1, 2, 3)]), _ENTRIES),
+    (lambda: write_trace(None, io.StringIO()), _TRACE_TYPE),
+    # An unhashable step is refused like any other non-step.
+    (lambda: IntegerFunction((0, 0), [[1]]), _NOT_A_STEP),
+    (lambda: GenerationTrace([TraceRecord(1, [1], 1, 0, RegisterBank())]), _NOT_A_STEP),
 ]
 
 
