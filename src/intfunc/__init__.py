@@ -22,18 +22,18 @@ _HOMES = {
         "REGISTER_CAPACITY", "RegisterBank", "RegisterOverflowError",
         "STEP_CODES", "StepCount", "StepKind", "StopRule", "TraceRecord",
         "WORK_REGISTERS", "WhilePositive", "apply_step", "choose_step",
-        "designation_violations", "from_step_sequence", "generate",
-        "implied_designation", "parse_steps",
+        "composite_generate", "designation_violations", "from_step_sequence",
+        "generate", "implied_designation", "parse_steps",
     ),
     "calculus": (
-        "CharacteristicIndex", "DifferenceField", "IntegerScale",
-        "ScaledDifference", "characteristic_indices", "class_derivative",
-        "difference_field", "full_derivative", "refinement_compatible",
-        "regulator_monotone_check", "scale_difference",
+        "CharacteristicIndex", "DifferenceField", "ScaledDifference",
+        "characteristic_indices", "class_derivative", "difference_field",
+        "full_derivative", "refinement_compatible", "regulator_monotone_check",
+        "scale_difference",
     ),
     "curves": (
-        "PRESETS", "PiResult", "RealSampleSeries", "composite_generate",
-        "digitize", "egg_figure_config", "format_bound", "free_fall_config",
+        "IntegerScale", "PRESETS", "PiResult", "RealSampleSeries", "digitize",
+        "egg_figure_config", "format_bound", "free_fall_config",
         "harmonic_config", "pi_bounds", "preset_config",
         "sinusoid_figure_config", "uniform_motion_config",
     ),

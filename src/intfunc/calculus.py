@@ -14,9 +14,7 @@ lanes of one int and build each class from a few big-int operations: every
 lane holds its coordinate's offset from the minimum, below 2**15, so a lane
 difference plus 2**15 stays within 0 .. 2**16 - 1 and no borrow crosses a
 lane.  struct writes and reads the lanes as little-endian shorts on every
-platform.  A wider span keeps the subtraction per entry.  Fraction is bound
-only under TYPE_CHECKING, so typing.get_type_hints of IntegerScale's
-methods raises NameError unless localns binds it.
+platform.  A wider span keeps the subtraction per entry.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 import operator
 import struct
 from itertools import compress, islice
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import (
     Axis,
@@ -35,10 +33,8 @@ from .core import (
     _Frozen,
     _check_positive,
     _check_type,
+    _is_int,
 )
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 
 class CharacteristicIndex(NamedTuple):
@@ -90,6 +86,8 @@ class DifferenceField:
     __slots__ = ("axis", "diff_class", "first", "_values")
 
     def __init__(self, axis: Axis, diff_class: int, entries):
+        _check_type(axis, Axis, "axis must be an Axis")
+        _check_positive(diff_class, "difference class")
         try:
             entries = tuple((c, d) for c, d in entries)
             first = entries[0][0] if entries else 0
@@ -213,6 +211,8 @@ class ScaledDifference(_Frozen):
     __slots__ = ("upper",)
 
     def __init__(self, upper: int):
+        if not _is_int(upper):
+            raise PreconditionError("scaled difference must be an integer")
         self._set(upper)
 
     @property
@@ -257,48 +257,6 @@ def full_derivative(f: IntegerFunction, axis: Axis) -> dict[int, DifferenceField
     n(n - 1)/2 entries in all, kept as one tuple of values per class.
     """
     return {field.diff_class: field for field in _class_fields(f, axis)}
-
-
-class IntegerScale(_Frozen):
-    """Real-world value of one integer step, as an exact rational."""
-
-    __slots__ = ("unit",)
-
-    def __init__(self, unit: Fraction):
-        from fractions import Fraction
-
-        if isinstance(unit, float):
-            raise PreconditionError("scale unit must be exact; pass a Fraction, not a float")
-        try:
-            unit = Fraction(unit)
-        except (TypeError, ValueError, ArithmeticError):
-            raise PreconditionError(f"scale unit must be a rational number, got {unit!r}") from None
-        if unit <= 0:
-            raise PreconditionError("scale unit must be positive")
-        self._set(unit)
-
-    def refined(self, m: int) -> "IntegerScale":
-        _check_positive(m, "refinement factor")
-        return IntegerScale(self.unit / m)
-
-    def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
-        """(floor(x / unit), floor(y / unit)), floored on numerators and
-        denominators; unit > 0 keeps the divisor positive.  ``x`` and ``y``
-        must be Fractions or ints: a float is refused, as IntegerScale
-        refuses one."""
-        from fractions import Fraction
-
-        for value in (x, y):
-            if not isinstance(value, (int, Fraction)):
-                raise PreconditionError("cell coordinates must be exact; pass a Fraction "
-                                        f"or an int, not {type(value).__name__}")
-        # curves.digitize applies the same floor to every sample, on the
-        # _numerator and _denominator slots of the exact Fractions a
-        # RealSampleSeries stores.  Here x and y may be ints, which have no
-        # such slots, so the public properties are read.
-        num, den = self.unit.numerator, self.unit.denominator
-        return IntegerPair((x.numerator * den) // (x.denominator * num),
-                           (y.numerator * den) // (y.denominator * num))
 
 
 def refinement_compatible(coarse: IntegerFunction, fine: IntegerFunction,

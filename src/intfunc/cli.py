@@ -49,7 +49,7 @@ EXIT_PRECONDITION = 5
 # Subcommands
 
 def _cmd_generate(args) -> int:
-    from .core import GenerationMode, generate
+    from .core import GenerationMode, composite_generate, generate
     from .io import output_file, read_config, write_trace
 
     config = read_config(args.config, args.set or ())
@@ -57,8 +57,6 @@ def _cmd_generate(args) -> int:
         if config.mode is GenerationMode.MONOTONE:
             f, trace = generate(config)
         else:
-            from .curves import composite_generate
-
             f, trace = composite_generate(config)
         write_trace(trace, start())
     print(f"wrote {args.out}: {f.length} steps, end [{f.end.i}, {f.end.j}]")
@@ -117,8 +115,7 @@ def _cmd_pi(args) -> int:
 
 
 def _cmd_digitize(args) -> int:
-    from .calculus import IntegerScale
-    from .curves import digitize
+    from .curves import IntegerScale, digitize
     from .io import (output_file, parse_rational, read_samples_file, trace_for_function,
                      write_trace)
 

@@ -10,8 +10,8 @@ choose_step and apply_step run one step on a RegisterBank; they are the
 readable reference.  Runs go through one step loop, which _kernel_source
 writes as Python source per kernel key with the live registers as locals
 and _compile_kernel compiles when first needed and caches: generate,
-curves.composite_generate, curves.pi_bounds and io.read_trace, which replays
-the machine over a trace file, all run it.  The key is a machine shape (the
+composite_generate, curves.pi_bounds and io.read_trace, which replays the
+machine over a trace file, all run it.  The key is a machine shape (the
 bank's dead registers, the mode and the watched register; see _shape) plus
 one of three loop kinds: untraced, traced or checked.  The dead registers
 (see _dead_registers) are all of a bank that the source reads, so banks that
@@ -364,13 +364,6 @@ class RegisterBank(_Frozen):
 
     def as_dict(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in ALL_REGISTERS}
-
-
-def register_rank(name: str) -> int:
-    """Rank of a work register (1, 2 or 3); regulators have no rank."""
-    if name not in WORK_REGISTERS:
-        raise PreconditionError(f"{name} is not a work register")
-    return len(name)
 
 
 def _cascade_pairs(letter: str) -> tuple[tuple[str, str], ...]:
@@ -994,4 +987,19 @@ def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]
     if config.mode is not GenerationMode.MONOTONE:
         raise PreconditionError(
             "generate handles monotone mode only; use curves.composite_generate")
+    return _run(config)
+
+
+def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
+    """Run the sign-harmonized generator for composite (non-monotone) curves.
+
+    Identical to the monotone generator except that an i step moves the
+    coordinate by the sign of X while RX grows by |X| (symmetrically for j
+    steps and Y).  With rates that stay positive this coincides with
+    generate step for step.
+    """
+    _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
+    if config.mode is not GenerationMode.SIGN_HARMONIZED:
+        raise PreconditionError("composite_generate requires SIGN_HARMONIZED mode")
+    _check_type(config.stop, StepCount, "composite runs must use a StepCount stop rule")
     return _run(config)

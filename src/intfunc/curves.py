@@ -4,8 +4,7 @@ Each preset fills the register bank so that the generator traces one curve
 family; the family is named by its type designation, the set of constant
 non-zero work registers ({X, Y} lines, {XX, Y} parabolas, {XXY, Y} sine-like
 curves, ...).  The quarter-wave run of the {XXY, Y} type brackets pi/2
-between two exact rationals.  IntegerScale is bound only under TYPE_CHECKING,
-so typing.get_type_hints(digitize) raises NameError unless localns binds it.
+between two exact rationals.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ import time
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from itertools import repeat
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .core import (
     GenerationMode,
-    GenerationTrace,
     GeneratorConfig,
     IntegerFunction,
+    IntegerPair,
     PreconditionError,
     RegisterBank,
     RegisterOverflowError,
@@ -36,12 +35,9 @@ from .core import (
     _check_type,
     _compile_kernel,
     _is_int,
-    _run,
     _shape,
+    composite_generate,  # generate's refusal text names curves.composite_generate
 )
-
-if TYPE_CHECKING:
-    from .calculus import IntegerScale
 
 #: The largest seed pi_bounds runs; its docstring shows why no register of
 #: that run can overflow.  Larger seeds are rejected up front.
@@ -332,6 +328,44 @@ class RealSampleSeries(_Frozen):
         return len(self.points)
 
 
+class IntegerScale(_Frozen):
+    """Real-world value of one integer step, as an exact rational."""
+
+    __slots__ = ("unit",)
+
+    def __init__(self, unit: Fraction):
+        if isinstance(unit, float):
+            raise PreconditionError("scale unit must be exact; pass a Fraction, not a float")
+        try:
+            unit = Fraction(unit)
+        except (TypeError, ValueError, ArithmeticError):
+            raise PreconditionError(f"scale unit must be a rational number, got {unit!r}") from None
+        if unit <= 0:
+            raise PreconditionError("scale unit must be positive")
+        self._set(unit)
+
+    def refined(self, m: int) -> "IntegerScale":
+        _check_positive(m, "refinement factor")
+        return IntegerScale(self.unit / m)
+
+    def cell_of(self, x: Fraction, y: Fraction) -> IntegerPair:
+        """(floor(x / unit), floor(y / unit)), floored on numerators and
+        denominators; unit > 0 keeps the divisor positive.  ``x`` and ``y``
+        must be Fractions or ints: a float is refused, as IntegerScale
+        refuses one."""
+        for value in (x, y):
+            if not isinstance(value, (int, Fraction)):
+                raise PreconditionError("cell coordinates must be exact; pass a Fraction "
+                                        f"or an int, not {type(value).__name__}")
+        # curves.digitize applies the same floor to every sample, on the
+        # _numerator and _denominator slots of the exact Fractions a
+        # RealSampleSeries stores.  Here x and y may be ints, which have no
+        # such slots, so the public properties are read.
+        num, den = self.unit.numerator, self.unit.denominator
+        return IntegerPair((x.numerator * den) // (x.denominator * num),
+                           (y.numerator * den) // (y.denominator * num))
+
+
 # Step-code tables, one byte per pair of consecutive samples.  x rises
 # strictly, so an i jump di is 0 or more: 1 is the i+ step (code 0) and 0 no
 # step (0xFF).  The j table reads dj + 1: 0, 1 and 2 (dj = -1, 0, 1) are the
@@ -356,8 +390,6 @@ def digitize(samples: RealSampleSeries, scale: IntegerScale) -> IntegerFunction:
     and interleaved i first; deleting the no-step bytes leaves the path.  A
     jump that no byte holds, or that a table maps to 0xFE, is too sparse.
     """
-    from .calculus import IntegerScale
-
     _check_type(samples, RealSampleSeries, "samples must be a RealSampleSeries")
     _check_type(scale, IntegerScale, "scale must be an IntegerScale")
     points = samples.points
@@ -387,18 +419,3 @@ def _too_sparse(ci: list[int], cj: list[int]) -> PreconditionError:
     return PreconditionError(
         f"samples too sparse: cell jump ({ci[t] - ci[t - 1]}, {cj[t] - cj[t - 1]}) "
         f"between {(ci[t - 1], cj[t - 1])} and {(ci[t], cj[t])}")
-
-
-def composite_generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]:
-    """Run the sign-harmonized generator for composite (non-monotone) curves.
-
-    Identical to the monotone generator except that an i step moves the
-    coordinate by the sign of X while RX grows by |X| (symmetrically for j
-    steps and Y).  With rates that stay positive this coincides with
-    core.generate step for step.
-    """
-    _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
-    if config.mode is not GenerationMode.SIGN_HARMONIZED:
-        raise PreconditionError("composite_generate requires SIGN_HARMONIZED mode")
-    _check_type(config.stop, StepCount, "composite runs must use a StepCount stop rule")
-    return _run(config)

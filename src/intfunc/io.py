@@ -46,6 +46,7 @@ import os
 import stat
 import sys
 from array import array
+from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
 from operator import contains, eq
@@ -92,8 +93,11 @@ def _open_text(path: str, newline=None):
     naming its line.
 
     The text layer decodes blocks ahead of the line being read, so only a
-    second read, of bytes, can tell which line holds the byte.
+    second read, of bytes, can tell which line holds the byte.  A ``path``
+    that is not a str or an os.PathLike is refused: open would take an int,
+    or a bool, as a file descriptor and close it on exit.
     """
+    _check_type(path, (str, os.PathLike), "path must be a str or an os.PathLike")
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as handle:
             yield handle
@@ -138,6 +142,7 @@ def _config_item(text: str, where: str) -> tuple[str, str]:
 
 def parse_config_items(lines) -> dict[str, str]:
     """KEY=VALUE lines into a mapping; comments and blank lines skipped."""
+    _check_type(lines, Iterable, "config lines must be an iterable of str")
     items: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -151,6 +156,7 @@ def parse_config_items(lines) -> dict[str, str]:
 
 
 def config_from_items(items: dict[str, str]) -> GeneratorConfig:
+    _check_type(items, Mapping, "config items must be a mapping of keys to values")
     registers = {name: _parse_int(items[name], name)
                  for name in ALL_REGISTERS if name in items}
     start = IntegerPair(_parse_int(items.get("I0", "0"), "I0"),
@@ -193,6 +199,7 @@ def read_config(path: str, overrides=()) -> GeneratorConfig:
 
 def format_config(config: GeneratorConfig) -> str:
     """Deterministic KEY=VALUE rendering; zero registers are omitted."""
+    _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
     lines = [f"I0={config.start.i}", f"J0={config.start.j}", f"MODE={config.mode.value}"]
     if isinstance(config.stop, StepCount):
         stop, cap = "COUNT", config.stop.count
@@ -258,10 +265,12 @@ def output_file(path: str | None):
     stdout writes (``/dev/stdout`` redirected to a file, say), the stream is
     sys.stdout: a second open file of it would write from an offset of its
     own, over what stdout writes.  A ``path`` of None means stdout; an empty
-    one is opened like any other, and fails."""
+    one is opened like any other, and fails.  Any other ``path`` that is not
+    a str or an os.PathLike is refused, as _open_text refuses it."""
     if path is None:
         yield lambda: sys.stdout
         return
+    _check_type(path, (str, os.PathLike), "path must be a str or an os.PathLike")
     try:
         handle, created = open(path, "x", encoding="utf-8", newline=""), True
     except FileExistsError:
@@ -447,6 +456,7 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     to _read_csv_rows, which _read_parsed runs on a whole file, so a file
     that is not a machine run gives the same trace or the same error.
     """
+    _check_type(stream, Iterable, "stream must be an iterable of lines")
     lines = iter(stream)
     _read_header(lines)
     parts = _Parts()
@@ -480,11 +490,13 @@ def read_trace_file(path: str) -> GenerationTrace:
 
 def trace_for_function(f: IntegerFunction) -> GenerationTrace:
     """Serialize a bare integer function as a trace with an all-zero bank."""
+    _check_type(f, IntegerFunction, "path must be an IntegerFunction")
     return _Parts().add(f, (0,) * len(ALL_REGISTERS)).trace()
 
 
 def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
     """The integer function a trace walked."""
+    _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
     if not len(trace):
         raise PreconditionError("trace has no steps; cannot recover an integer function")
     return trace.path

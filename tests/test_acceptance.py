@@ -15,6 +15,7 @@ import pytest
 from intfunc import (
     Axis,
     GenerationTrace,
+    IntegerScale,
     RegisterBank,
     StepKind,
     TraceRecord,
@@ -27,7 +28,6 @@ from intfunc import (
     refinement_compatible,
     render_pbm,
 )
-from intfunc.calculus import IntegerScale
 from intfunc.curves import (
     RealSampleSeries,
     composite_generate,

@@ -7,6 +7,7 @@ from intfunc import (
     GenerationTrace,
     IntegerFunction,
     IntegerPair,
+    IntegerScale,
     PreconditionError,
     RegisterBank,
     StepKind,
@@ -21,7 +22,6 @@ from intfunc import (
     regulator_monotone_check,
     scale_difference,
 )
-from intfunc.calculus import IntegerScale
 from intfunc.curves import digitize, harmonic_config, line_config, RealSampleSeries
 from fractions import Fraction
 

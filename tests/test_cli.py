@@ -852,7 +852,7 @@ def test_import_leaves_dataclasses_out(module, tmp_path):
 COMMAND_MODULES = [
     (["mech", "harmonic", "--x0", "100"], {"core", "curves", "io"}),
     (["generate", "--config", "h.cfg", "--out", "g.csv"], {"core", "io"}),
-    (["generate", "--config", "sh.cfg", "--out", "g.csv"], {"core", "curves", "io"}),
+    (["generate", "--config", "sh.cfg", "--out", "g.csv"], {"core", "io"}),
     (["derive", "--in", "h.csv", "--axis", "i", "--class", "2"], {"core", "io", "calculus"}),
     (["derive", "--in", "h.csv", "--axis", "i", "--all"], {"core", "io", "calculus"}),
     (["render", "--in", "h.csv", "--format", "ascii"], {"core", "io", "render"}),
@@ -862,7 +862,7 @@ COMMAND_MODULES = [
     (["pi", "--x0", "10000"], {"core", "curves"}),
     (["pi", "--x0", "10000", "--trace", "p.csv"], {"core", "curves", "io"}),
     (["digitize", "--unit", "1/10", "--samples", "s.txt", "--out", "d.csv"],
-     {"core", "io", "curves", "calculus"}),
+     {"core", "io", "curves"}),
 ]
 
 # Runs the command as `python -m intfunc.cli` does, then prints its exit code
@@ -898,8 +898,8 @@ def test_command_loads_only_what_it_runs(argv, allowed, command_inputs):
     assert code == "0", result.stderr
     assert "intfunc.cli" not in loaded  # it ran as __main__
     assert set(loaded) <= {f"intfunc.{name}" for name in allowed}, loaded
-    # calculus imports fractions only where IntegerScale uses it.
-    if argv[0] == "derive":
+    # core, io and calculus load no fractions: only curves and samples files need it.
+    if argv[0] in ("generate", "derive"):
         assert fractions == "False"
 
 

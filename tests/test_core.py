@@ -27,7 +27,6 @@ from intfunc import (
     implied_designation,
     parse_steps,
 )
-from intfunc.core import register_rank
 from intfunc.curves import harmonic_config, line_config
 
 from conftest import SAMPLE_STEP_TEXT
@@ -107,13 +106,6 @@ class TestRegisterBank:
         assert bank.value("XXY") == -1
         with pytest.raises(PreconditionError):
             bank.value("Q")
-
-    def test_register_rank(self):
-        assert register_rank("X") == 1
-        assert register_rank("YX") == 2
-        assert register_rank("XYY") == 3
-        with pytest.raises(PreconditionError):
-            register_rank("RX")
 
 
 class TestParseSteps:

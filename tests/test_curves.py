@@ -12,6 +12,7 @@ from intfunc import (
     GenerationMode,
     GeneratorConfig,
     IntegerPair,
+    IntegerScale,
     PreconditionError,
     RegisterBank,
     RegisterOverflowError,
@@ -21,7 +22,6 @@ from intfunc import (
     implied_designation,
 )
 from intfunc import curves
-from intfunc.calculus import IntegerScale
 from intfunc.curves import (
     BOUND_DIGITS_LIMIT,
     PI_SEED_LIMIT,

@@ -25,6 +25,7 @@ from intfunc import (
     I_PLUS,
     IntegerFunction,
     IntegerPair,
+    IntegerScale,
     J_MINUS,
     J_PLUS,
     PreconditionError,
@@ -38,7 +39,7 @@ from intfunc import (
     render_svg,
 )
 from intfunc import render
-from intfunc.calculus import IntegerScale, _class_values, _packed_values
+from intfunc.calculus import _class_values, _packed_values
 from intfunc.curves import RealSampleSeries, digitize
 
 FAST = settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 """intfunc.io: the file formats on their own, apart from the CLI.
 
-Covers the import boundary (no argparse), input that is not UTF-8 or that
-the CSV reader refuses, the step-index column, the one KEY=VALUE item
-parser behind config lines and --set, the rule that a trace error names
-the first bad line wherever the chunks of rows fall, the one trace assembler
-at batch and chunk edges, and a read's memory against what it keeps.
+Covers the import boundary (no argparse), a path that open() would take as
+a file descriptor, input that is not UTF-8 or that the CSV reader refuses,
+the step-index column, the one KEY=VALUE item parser behind config lines
+and --set, the rule that a trace error names the first bad line wherever
+the chunks of rows fall, the one trace assembler at batch and chunk edges,
+and a read's memory against what it keeps.
 """
 
 import csv
@@ -82,8 +83,8 @@ def _one_line_error(capsys, code, argv):
 
 
 def test_import_leaves_argparse_out():
-    # Neither argparse nor what only samples files need: fractions, and
-    # curves with calculus.
+    # Neither argparse, nor what only samples files need (fractions and
+    # curves), nor calculus.
     src = str(Path(intfunc.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     left_out = ("argparse", "fractions", "intfunc.curves", "intfunc.calculus")
@@ -91,6 +92,31 @@ def test_import_leaves_argparse_out():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "False False False False\n"
+
+
+@pytest.mark.parametrize("call", [
+    "write_trace_file(GenerationTrace(), True)",
+    "read_trace_file(True)",
+    "read_config(True)",
+    "read_samples_file(True)",
+])
+def test_a_path_that_is_not_a_name_is_refused(call, tmp_path):
+    # open() would take True as file descriptor 1 and close it on exit, so
+    # the print after the call would fail.  In a fresh process, whose fd 1
+    # the test can lose.
+    src = str(Path(intfunc.__file__).resolve().parents[1])
+    probe = ("from intfunc import GenerationTrace, PreconditionError\n"
+             "from intfunc.io import (read_config, read_samples_file, read_trace_file,\n"
+             "                        write_trace_file)\n"
+             "try:\n"
+             f"    {call}\n"
+             "except PreconditionError as exc:\n"
+             "    print(exc)\n"
+             "print('stdout still open')\n")
+    result = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+                            cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "path must be a str or an os.PathLike\nstdout still open\n"
 
 
 class TestNotUtf8:

@@ -149,22 +149,22 @@ def test_annotation_names_resolve(path):
 
 def test_type_hints_need_the_type_checking_names():
     # These annotations name classes bound only under TYPE_CHECKING, as the
-    # io, curves, cli and calculus docstrings say: get_type_hints resolves
-    # them only when localns binds those names.
+    # io and cli docstrings say: get_type_hints resolves them only when
+    # localns binds those names.
     from fractions import Fraction
     from typing import get_type_hints
 
     from intfunc import IntegerFunction, IntegerScale, RealSampleSeries, Viewport, curves
 
-    localns = {"Fraction": Fraction, "IntegerScale": IntegerScale,
-               "RealSampleSeries": RealSampleSeries, "Viewport": Viewport}
+    localns = {"Fraction": Fraction, "RealSampleSeries": RealSampleSeries, "Viewport": Viewport}
     returns = {intfunc.io.parse_rational: Fraction, intfunc.io._rational: Fraction,
                intfunc.io.read_samples_file: RealSampleSeries,
-               curves.digitize: IntegerFunction, intfunc.cli._parse_viewport: Viewport}
+               intfunc.cli._parse_viewport: Viewport}
     for function, returned in returns.items():
         with pytest.raises(NameError):
             get_type_hints(function)
         assert get_type_hints(function, localns=localns)["return"] is returned
-    with pytest.raises(NameError):
-        get_type_hints(IntegerScale.__init__)
-    assert get_type_hints(IntegerScale.__init__, localns=localns)["unit"] is Fraction
+    # curves binds IntegerScale and Fraction itself, so these need no localns.
+    assert get_type_hints(curves.digitize)["scale"] is IntegerScale
+    assert get_type_hints(curves.digitize)["return"] is IntegerFunction
+    assert get_type_hints(IntegerScale.__init__)["unit"] is Fraction

@@ -22,6 +22,7 @@ from intfunc import (
     I_PLUS,
     IntegerFunction,
     IntegerPair,
+    IntegerScale,
     J_MINUS,
     J_PLUS,
     PreconditionError,
@@ -33,7 +34,6 @@ from intfunc import (
     generate,
     harmonic_config,
 )
-from intfunc.calculus import IntegerScale
 from intfunc.cli import main
 from intfunc.curves import RealSampleSeries, digitize
 from intfunc.io import function_from_trace, trace_for_function, write_trace_file

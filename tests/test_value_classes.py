@@ -50,9 +50,18 @@ from intfunc import (
     render_ascii,
     render_pbm,
     render_svg,
+    scale_difference,
 )
 from intfunc.curves import egg_figure_config, harmonic_config, uniform_motion_config
-from intfunc.io import write_trace
+from intfunc.io import (
+    config_from_items,
+    format_config,
+    function_from_trace,
+    parse_config_items,
+    read_trace,
+    trace_for_function,
+    write_trace,
+)
 
 REGISTERS = ("RX", "RY", "X", "Y", "XX", "XY", "YX", "YY",
              "XXX", "XXY", "XYX", "XYY", "YXX", "YXY", "YYX", "YYY")
@@ -426,6 +435,15 @@ RAW = [
     # An unhashable step is refused like any other non-step.
     (lambda: IntegerFunction((0, 0), [[1]]), _NOT_A_STEP),
     (lambda: GenerationTrace([TraceRecord(1, [1], 1, 0, RegisterBank())]), _NOT_A_STEP),
+    (lambda: read_trace(None), "stream must be an iterable of lines"),
+    (lambda: function_from_trace(None), _TRACE_TYPE),
+    (lambda: trace_for_function(None), _F),
+    (lambda: format_config(None), _CONFIG),
+    (lambda: parse_config_items(5), "config lines must be an iterable of str"),
+    (lambda: config_from_items(None), "config items must be a mapping of keys to values"),
+    (lambda: DifferenceField("i", 1, []), _AXIS),
+    (lambda: DifferenceField(Axis.I, "x", []), "difference class must be a positive integer"),
+    (lambda: scale_difference("x"), "scaled difference must be an integer"),
 ]
 
 
