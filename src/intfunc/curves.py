@@ -157,12 +157,23 @@ PRESETS = {
 
 
 def preset_config(preset: str, **params) -> GeneratorConfig:
-    """Build a generator config for a named curve preset."""
+    """Build a generator config for a named curve preset.  A parameter the
+    preset's builder lacks, or one it needs and ``params`` lacks, is refused
+    with the preset's parameters (read from the builder's code object)."""
     try:
         builder = PRESETS[preset]
     except KeyError:
         raise PreconditionError(
             f"unknown preset {preset!r}; known: {', '.join(sorted(PRESETS))}") from None
+    code = builder.__code__
+    names = code.co_varnames[:code.co_argcount]
+    required = names[:len(names) - len(builder.__defaults__ or ())]
+    missing = [name for name in required if name not in params]
+    unknown = sorted(set(params) - set(names))
+    if missing or unknown:
+        raise PreconditionError(
+            f"preset {preset!r} takes {', '.join(names)} ({len(required)} required); "
+            f"missing: {', '.join(missing) or 'none'}; unknown: {', '.join(unknown) or 'none'}")
     return builder(**params)
 
 

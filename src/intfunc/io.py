@@ -12,22 +12,25 @@ and one row per executed step (step is one of i+, i-, j+, j-); the register
 columns hold the bank after that step.  Each row's i, j must be one step of
 its kind from the row before (the path starts one step back from the first
 row); a row that breaks this is a parse error.  The same format serializes
-bare integer functions (register columns all zero).  write_trace fills one
-row template per trace and writes it a chunk of rows at a time, and
-output_file opens an output file before the work that fills it.  A chunk
-is core._BATCH_STEPS (1 024) rows, the steps of one batch of a run.
+bare integer functions (register columns all zero).  A chunk is
+core._BATCH_STEPS (1 024) rows, the steps of one batch of a run, and its
+text is built whole: one row template, repeated, filled by one ``%``
+(_part_text).  write_trace writes one such text per chunk, and output_file
+opens an output file before the work that fills it.
 
 A file that a run wrote is fixed by its first row, so read_trace reads that
 row alone, parses it and, when its line is the text write_trace writes for
-it, replays the register machine from it, a chunk at a time; a chunk whose
-lines are the replayed rows, text for text, is taken with nothing parsed.
-Anything else (a file that is not a machine run, an edited row, CRLF line
-ends, a missing final newline) is parsed from the first row or chunk that
-differs, as _read_parsed parses a whole file, so it gives the same trace or
-the same error.  The parser is csv.reader and one row checker.  Like a
-run's batches, each replayed or checked chunk joins the trace as one part
-(core._Parts): a register stays one int while every part holds it at one
-value.
+it, replays the register machine from it, a chunk at a time: monotone until
+a chunk misses, then sign-harmonized for the rest of the file if that chunk
+holds an i- or j- row.  A chunk whose lines are the rows of the replayed
+part's text, one element per row, is taken with nothing parsed.  Anything
+else (a file that is not a machine run, an edited row, CRLF line ends, a
+missing final newline, an element that holds two rows or part of one) is
+parsed from the first row or chunk that differs, as _read_parsed parses a
+whole file, so it gives the same trace or the same error.  The parser is
+csv.reader and one row checker.  Like a run's batches, each replayed or
+checked chunk joins the trace as one part (core._Parts): a register stays
+one int while every part holds it at one value.
 
 Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
@@ -49,7 +52,7 @@ from array import array
 from collections.abc import Iterable, Mapping
 from contextlib import contextmanager
 from itertools import chain, islice, repeat
-from operator import contains, eq
+from operator import contains
 from typing import IO, TYPE_CHECKING
 
 from . import core
@@ -74,6 +77,7 @@ from .core import (
     _batch,
     _check_type,
     _dead_registers,
+    _int64s,
     _path_through,
 )
 
@@ -145,6 +149,7 @@ def parse_config_items(lines) -> dict[str, str]:
     _check_type(lines, Iterable, "config lines must be an iterable of str")
     items: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
+        _check_type(raw, str, "config lines must be an iterable of str")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -222,29 +227,37 @@ _WIDTH = len(TRACE_COLUMNS)
 _HEADER = ",".join(TRACE_COLUMNS) + "\n"
 
 
-def _rows(k: int, codes, i, j, registers):
-    """The CSV text of each row of a trace part, its steps numbered from
-    ``k``, from one row template.
+def _part_text(k: int, codes, i, j, registers) -> str:
+    """The CSV text of the rows of a trace part, its steps numbered from
+    ``k``: one row template, repeated once per row, filled by one ``%``.
 
-    The template has a ``%s`` or ``%d`` for k, step, i, j and each register
-    column that changes, and the text of each constant register.  No field
-    can hold a comma, quote or line break, so each row is what csv.writer
-    would write for it, byte for byte.
+    The template has a ``%s`` for k, step, i, j and each register column
+    that changes, and the text of each constant register.  Its values go in
+    as one tuple, row after row, interleaved by slice assignment from lists.
+    No field can hold a comma, quote or line break, so each row is what
+    csv.writer would write for it, byte for byte.
     """
-    fields = ["%d", "%s", "%d", "%d"] + [str(entry) if isinstance(entry, int) else "%d"
-                                         for entry in registers]
-    columns = [entry for entry in registers if not isinstance(entry, int)]
-    return map((",".join(fields) + "\n").__mod__, zip(
-        range(k, k + len(codes)), map(_TOKENS.__getitem__, codes), i, j, *columns))
+    fields = ["%s"] * 4 + [str(entry) if isinstance(entry, int) else "%s" for entry in registers]
+    columns = [i, j] + [entry for entry in registers if not isinstance(entry, int)]
+    n, width = len(codes), len(columns) + 2
+    values = [None] * (n * width)
+    values[0::width] = range(k, k + n)
+    values[1::width] = [_TOKENS[code] for code in codes]
+    for c, column in enumerate(columns, start=2):
+        values[c::width] = column.tolist()
+    return (",".join(fields) + "\n") * n % tuple(values)
 
 
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
-    """Write the header, then the rows (see _rows) a chunk at a time."""
+    """Write the header, then the text of each core._BATCH_STEPS rows (see
+    _part_text) in one write."""
     _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
-    rows = _rows(1, trace.codes, trace.i, trace.j, trace.registers)
+    codes, i, j, registers = trace.codes, trace.i, trace.j, trace.registers
     stream.write(_HEADER)
-    while chunk := "".join(islice(rows, core._BATCH_STEPS)):
-        stream.write(chunk)
+    for start in range(0, len(codes), core._BATCH_STEPS):
+        end = start + core._BATCH_STEPS
+        stream.write(_part_text(start + 1, codes[start:end], i[start:end], j[start:end], [
+            entry if isinstance(entry, int) else entry[start:end] for entry in registers]))
 
 
 def _is_stdout(handle: IO[str]) -> bool:
@@ -308,7 +321,7 @@ def _parse_column(cells: list[str], name: str) -> array:
         if name in ("i", "j"):
             raise ParseError(f"position {name} = {value} is out of range")
         raise RegisterOverflowError(f"register {name} = {value} is beyond capacity")
-    return values[0] if repeated else array("q", values)
+    return values[0] if repeated else _int64s(values)
 
 
 def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, list]:
@@ -417,29 +430,33 @@ def _read_parsed(stream: IO[str]) -> GenerationTrace:
     return _read_csv_rows(lines, _Parts())
 
 
-def _replayed(chunk: list[str], parts: _Parts, regs: list[int], dead) -> bool:
-    """Whether the machine with the dead registers ``dead`` (see
-    core._dead_registers), run from the registers ``regs`` (updated in place) at the
-    end of ``parts``, writes exactly the lines ``chunk``; if so, the part it
-    ran joins ``parts``.
+def _replayed(chunk: list[str], parts: _Parts, regs: list[int], shape) -> bool:
+    """Whether the machine ``shape`` (see core._shape), run from the
+    registers ``regs`` at the end of ``parts``, writes exactly the lines
+    ``chunk``; if so, the part it ran joins ``parts`` and ``regs`` moves to
+    its end.  An overflow in the replay is a miss.
 
-    A register cell's "-" is always followed by a digit, so "-," follows
-    only an i- or j- token: a chunk with one replays sign-harmonized, any
-    other monotone, which both modes run alike while no rate is negative.
-    A wrong guess, like an overflow in the replay, is a miss.
-
-    Nothing the size of the chunk is built beside it: the lines are scanned,
-    and each replayed row is compared with its line, one at a time, up to the
-    first row that differs.
+    The part's text is built whole (see _part_text) and split into its rows,
+    which must be the elements of ``chunk`` one for one: equal joined text
+    is not enough, since an iterable of str may split its rows elsewhere,
+    and csv.reader reads such lines otherwise.
     """
-    shape = (dead, any(map(contains, chunk, repeat("-,"))), None)
+    run = regs[:]
     try:
-        path, entries = _batch(regs, shape, len(chunk), parts.path.end)
+        path, entries = _batch(run, shape, len(chunk), parts.path.end)
     except IntegerFunctionError:
         return False
-    if not all(map(eq, _rows(len(parts) + 1, path.codes, path.i[1:], path.j[1:], entries), chunk)):
+    k, last = len(parts) + 1, len(chunk) - 1
+    # A replay that leaves the file's path mostly shows in its last row,
+    # which is cheap to check first.
+    if _part_text(k + last, path.codes[last:], path.i[-1:], path.j[-1:], [
+            entry if isinstance(entry, int) else entry[last:] for entry in entries]) != chunk[-1]:
+        return False
+    text = _part_text(k, path.codes, path.i[1:], path.j[1:], entries)
+    if text.splitlines(keepends=True) != chunk:
         return False
     parts.add(path, entries)
+    regs[:] = run
     return True
 
 
@@ -449,12 +466,19 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     Every trace that a run writes is fixed by its first row, so that row is
     read alone and parsed, and when its line is the text write_trace writes
     for it, the machine is replayed from its registers and position for each
-    chunk of core._BATCH_STEPS lines after it.  A chunk whose replayed rows
-    are its lines, text for text, joins the trace with nothing parsed: the
-    parser would have read those lines as the same part.  Any other row 1,
-    or the first chunk that misses and the rest of the stream after it, go
-    to _read_csv_rows, which _read_parsed runs on a whole file, so a file
-    that is not a machine run gives the same trace or the same error.
+    chunk of core._BATCH_STEPS lines after it.  A chunk whose lines are the
+    replayed part's rows (see _replayed) joins the trace with nothing
+    parsed: the parser would have read those lines as the same part.
+
+    The replay runs monotone until a chunk misses.  The two modes write the
+    same rows until a rate goes negative, and then a sign-harmonized run
+    writes an i- or j- token, so its line holds "-,", which no other cell
+    can write (a "-" in a number is followed by a digit).  So a missed chunk
+    that holds "-," is replayed once more sign-harmonized, and the rest of
+    the file stays in that mode.  Any other row 1, or the first chunk that
+    misses and the rest of the stream after it, go to _read_csv_rows, which
+    _read_parsed runs on a whole file, so a file that is not a machine run
+    gives the same trace or the same error.
     """
     _check_type(stream, Iterable, "stream must be an iterable of lines")
     lines = iter(stream)
@@ -467,7 +491,7 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     except (IntegerFunctionError, csv.Error):
         written = False
     else:
-        written = next(_rows(1, path.codes, path.i[1:], path.j[1:], registers)) == first
+        written = _part_text(1, path.codes, path.i[1:], path.j[1:], registers) == first
     if not written:
         return _read_csv_rows(chain([first], lines), parts)
     parts.add(path, registers)
@@ -477,8 +501,13 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
     # a step count wrote runs on that run's kernels.
     regs = list(registers)
     dead = _dead_registers(regs)
+    harmonized = False
     while chunk := list(islice(lines, core._BATCH_STEPS)):
-        if not _replayed(chunk, parts, regs, dead):
+        replayed = _replayed(chunk, parts, regs, (dead, harmonized, None))
+        if not (replayed or harmonized) and any(map(contains, chunk, repeat("-,"))):
+            harmonized = True
+            replayed = _replayed(chunk, parts, regs, (dead, harmonized, None))
+        if not replayed:
             return _read_csv_rows(chain(chunk, lines), parts)
     return parts.trace()
 
@@ -511,6 +540,7 @@ def function_from_trace(trace: GenerationTrace) -> IntegerFunction:
 # loaded, a third of what Fraction("3/10") takes.
 
 def parse_rational(text: str) -> Fraction:
+    _check_type(text, str, "rational text must be a str")
     from fractions import Fraction
 
     return _rational(text, Fraction)

@@ -5,7 +5,8 @@ a file descriptor, input that is not UTF-8 or that the CSV reader refuses,
 the step-index column, the one KEY=VALUE item parser behind config lines
 and --set, the rule that a trace error names the first bad line wherever
 the chunks of rows fall, the one trace assembler at batch and chunk edges,
-and a read's memory against what it keeps.
+a read's memory against what it keeps, and reads of the same text split
+into other lines.
 """
 
 import csv
@@ -387,6 +388,23 @@ def test_pi_trace_file_is_unchanged(tmp_path, capsys):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PI_1E6_TRACE_SHA256
 
 
+# sha256 of what write_trace writes for two sign-harmonized runs of 3 000
+# rows, each across two chunk edges, with i- and j- rows among them.
+FIGURE_TRACE_SHA256 = {
+    "egg_figure": "db8f1822caf58d44c04183acde5c664f2f69a182f3343a9c10d68119700967ca",
+    "sinusoid_figure": "1ad5543592cc9b90908002dd7ebd98b2526dd9a66da731b90481a7d257fe6a17",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIGURE_TRACE_SHA256))
+def test_sign_harmonized_trace_file_is_unchanged(name):
+    trace = composite_generate(PRESETS[name](3000))[1]
+    assert len(trace) > 2 * core._BATCH_STEPS
+    text = _text(trace)
+    assert "-," in text
+    assert hashlib.sha256(text.encode()).hexdigest() == FIGURE_TRACE_SHA256[name]
+
+
 # core._Parts builds every trace.  Each run below crosses batch and chunk
 # edges: in the two lines one regulator holds for about 10 000 steps, so it is
 # an int in some parts and a column in a later one, and the other way round.
@@ -565,11 +583,15 @@ def trace_files(traces, long_trace_lines):
         [line + "\n" for line in long_trace_lines]]
 
 
-def _outcome(reader, text, newline):
+def _outcome_of_lines(reader, lines):
     try:
-        return reader(io.StringIO(text, newline=newline))
+        return reader(lines)
     except IntegerFunctionError as exc:
         return type(exc), str(exc)
+
+
+def _outcome(reader, text, newline):
+    return _outcome_of_lines(reader, io.StringIO(text, newline=newline))
 
 
 # Rows 1 and B open and close the first chunk of B lines that the parser
@@ -710,6 +732,53 @@ def test_machine_runs_are_replayed_after_row_1(parses, monkeypatch):
     # The last trace runs within 2**63 - 1 only by a little more than its
     # length, so its first replay is checked.
     assert fits[0] is False
+
+
+@pytest.fixture(scope="module")
+def machine_files():
+    """The lines of each machine trace and of the pi trace of 1e6, whose
+    harmonic run replays monotone."""
+    return [_text(trace).splitlines(keepends=True)
+            for trace in _machine_traces() + [_pi_trace(10**6)]]
+
+
+def _resplit(lines, how, at, cut):
+    """Re-split ``lines`` in place, keeping its text: element ``at`` (for
+    "edge", the row that closes a replayed chunk, cut) is joined with the
+    next, cut in two, or preceded by an empty str."""
+    if how == "edge":
+        b = core._BATCH_STEPS
+        at, how = 1 + b * (1 + at % ((len(lines) - 2) // b)), "cut"
+    if how == "join":
+        lines[at:at + 2] = ["".join(lines[at:at + 2])]
+    elif how == "cut":
+        cut = 1 + cut % max(len(lines[at]) - 1, 1)
+        lines[at:at + 1] = [lines[at][:cut], lines[at][cut:]]
+    else:
+        lines.insert(at, "")
+
+
+# read_trace takes any iterable of str, as csv.reader does: a replayed chunk
+# counts only where its elements are the replayed rows one for one, so an
+# element that holds two rows or part of one reads as _read_parsed reads it,
+# even where the chunk's joined text is the rows' text.
+_SPLIT = st.tuples(st.sampled_from(["join", "cut", "empty", "edge"]),
+                   st.integers(1, 10**4), st.integers(0, 200))
+
+
+@settings(max_examples=60, deadline=None)
+@given(pick=st.integers(0, 4), splits=st.lists(_SPLIT, min_size=1, max_size=2))
+@example(pick=4, splits=[("join", 2, 0), ("cut", 2, 69)])  # row 2 + row 3[:5], row 3[5:]
+@example(pick=4, splits=[("edge", 1, 40)])
+@example(pick=0, splits=[("cut", 2000, 10)])
+@example(pick=1, splits=[("join", 3, 0)])
+@example(pick=2, splits=[("empty", 1500, 0)])
+def test_any_split_of_the_lines_reads_as_the_parser_reads(machine_files, pick, splits):
+    lines = list(machine_files[pick])
+    for how, at, cut in splits:
+        _resplit(lines, how, 1 + (at - 1) % (len(lines) - 1), cut)
+    assert "".join(lines) == "".join(machine_files[pick])
+    assert _outcome_of_lines(read_trace, lines) == _outcome_of_lines(_read_parsed, lines)
 
 
 def test_a_run_is_replayed_on_the_kernel_it_ran_on():

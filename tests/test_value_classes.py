@@ -52,12 +52,18 @@ from intfunc import (
     render_svg,
     scale_difference,
 )
-from intfunc.curves import egg_figure_config, harmonic_config, uniform_motion_config
+from intfunc.curves import (
+    egg_figure_config,
+    harmonic_config,
+    preset_config,
+    uniform_motion_config,
+)
 from intfunc.io import (
     config_from_items,
     format_config,
     function_from_trace,
     parse_config_items,
+    parse_rational,
     read_trace,
     trace_for_function,
     write_trace,
@@ -444,6 +450,17 @@ RAW = [
     (lambda: DifferenceField("i", 1, []), _AXIS),
     (lambda: DifferenceField(Axis.I, "x", []), "difference class must be a positive integer"),
     (lambda: scale_difference("x"), "scaled difference must be an integer"),
+    (lambda: parse_config_items([[1]]), "config lines must be an iterable of str"),
+    (lambda: parse_config_items(["X=1", b"Y=2"]), "config lines must be an iterable of str"),
+    (lambda: parse_rational(None), "rational text must be a str"),
+    (lambda: parse_rational(5), "rational text must be a str"),
+    (lambda: parse_rational(Fraction(1, 2)), "rational text must be a str"),
+    (lambda: preset_config("conic"), "preset 'conic' takes xx, yy, steps, x, y, start "
+                                     "(3 required); missing: xx, yy, steps; unknown: none"),
+    (lambda: preset_config("line", x=1, y=1, steps=3, nope=1),
+     "preset 'line' takes x, y, steps, start (3 required); missing: none; unknown: nope"),
+    (lambda: preset_config("egg_figure", steps=5, x=1, a=2),
+     "preset 'egg_figure' takes steps (0 required); missing: none; unknown: a, x"),
 ]
 
 
