@@ -529,7 +529,14 @@ class GenerationTrace:
     @staticmethod
     def from_columns(codes, i, j, registers) -> "GenerationTrace":
         """The trace whose ``codes``, ``i``, ``j`` and ``registers`` are these
-        (see the class docstring); register values are not checked."""
+        (see the class docstring); register values are not checked.  ``i``,
+        ``j`` and each register column must hold one value per code, and
+        ``registers`` one entry per register."""
+        if len(registers) != len(ALL_REGISTERS):
+            raise PreconditionError(f"registers must hold {len(ALL_REGISTERS)} entries")
+        columns = [i, j] + [entry for entry in registers if not isinstance(entry, int)]
+        if any(len(column) != len(codes) for column in columns):
+            raise PreconditionError("i, j and each register column must hold one value per step")
         return _Parts().add(_path_through(codes, i, j), registers).trace()
 
     @property

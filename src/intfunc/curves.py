@@ -160,6 +160,7 @@ def preset_config(preset: str, **params) -> GeneratorConfig:
     """Build a generator config for a named curve preset.  A parameter the
     preset's builder lacks, or one it needs and ``params`` lacks, is refused
     with the preset's parameters (read from the builder's code object)."""
+    _check_type(preset, str, "preset name must be a str")
     try:
         builder = PRESETS[preset]
     except KeyError:
@@ -184,7 +185,11 @@ class PiResult(_Frozen):
 
     def __init__(self, i_quarter: int, j_quarter: int, lower: Fraction, upper: Fraction,
                  step_count: int, elapsed: float):
-        if not (0 < lower < upper):
+        try:
+            ordered = 0 < lower < upper
+        except TypeError:
+            raise PreconditionError("bounds must be numbers") from None
+        if not ordered:
             raise PreconditionError("bounds must be positive with lower < upper")
         self._set(i_quarter, j_quarter, lower, upper, step_count, elapsed)
 

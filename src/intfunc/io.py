@@ -28,7 +28,8 @@ else (a file that is not a machine run, an edited row, CRLF line ends, a
 missing final newline, an element that holds two rows or part of one) is
 parsed from the first row or chunk that differs, as _read_parsed parses a
 whole file, so it gives the same trace or the same error.  The parser is
-csv.reader and one row checker.  Like a run's batches, each replayed or
+csv.reader and one row checker; a chunk that fails is read again one row at
+a time, to name its first bad line.  Like a run's batches, each replayed or
 checked chunk joins the trace as one part (core._Parts): a register stays
 one int while every part holds it at one value.
 
@@ -36,6 +37,10 @@ Samples files are "x,y" lines of exact rational tokens such as 3/10, 0.25
 or 2 ('#' starts a comment).  Fraction and RealSampleSeries are bound only
 under TYPE_CHECKING, so typing.get_type_hints of parse_rational, _rational
 or read_samples_file raises NameError unless localns binds them.
+
+Every file is opened as UTF-8 text with newline="", as csv needs.  Lines
+still end at LF, CR or CRLF; config and samples lines strip the ending, so
+their line numbers, values and errors do not depend on it.
 
 Malformed input raises ParseError; so does a byte that is not UTF-8 in a
 file, naming the file and the first line that holds one.  A trace register
@@ -89,12 +94,13 @@ if TYPE_CHECKING:
 TRACE_COLUMNS = ("k", "step", "i", "j") + ALL_REGISTERS
 
 _CONFIG_KEYS = ("I0", "J0", "MODE", "STOP", "CAP") + ALL_REGISTERS
+_OVERRIDES = "config overrides must be an iterable of KEY=VALUE str"
 
 
 @contextmanager
-def _open_text(path: str, newline=None):
-    """``path`` opened as UTF-8 text; a byte that is not UTF-8 is a ParseError
-    naming its line.
+def _open_text(path: str):
+    """``path`` opened as UTF-8 text with newline="" (see the module
+    docstring); a byte that is not UTF-8 is a ParseError naming its line.
 
     The text layer decodes blocks ahead of the line being read, so only a
     second read, of bytes, can tell which line holds the byte.  A ``path``
@@ -103,7 +109,7 @@ def _open_text(path: str, newline=None):
     """
     _check_type(path, (str, os.PathLike), "path must be a str or an os.PathLike")
     try:
-        with open(path, "r", encoding="utf-8", newline=newline) as handle:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
             yield handle
     except UnicodeDecodeError as error:
         with open(path, "rb") as handle:
@@ -194,11 +200,15 @@ def config_from_items(items: dict[str, str]) -> GeneratorConfig:
 def read_config(path: str, overrides=()) -> GeneratorConfig:
     """The config file at ``path`` with KEY=VALUE ``overrides`` (--set)
     applied; a malformed item or unknown key of ``overrides`` is refused
-    before the file is opened."""
-    overrides = [_config_item(assignment, "--set") for assignment in overrides]
+    before the file is opened, as is one that is not a str."""
+    _check_type(overrides, Iterable, _OVERRIDES)
+    assigned = []
+    for assignment in overrides:
+        _check_type(assignment, str, _OVERRIDES)
+        assigned.append(_config_item(assignment, "--set"))
     with _open_text(path) as handle:
         items = parse_config_items(handle)
-    items.update(overrides)
+    items.update(assigned)
     return config_from_items(items)
 
 
@@ -250,8 +260,10 @@ def _part_text(k: int, codes, i, j, registers) -> str:
 
 def write_trace(trace: GenerationTrace, stream: IO[str]) -> None:
     """Write the header, then the text of each core._BATCH_STEPS rows (see
-    _part_text) in one write."""
+    _part_text) in one write.  ``stream`` is any object with a write method."""
     _check_type(trace, GenerationTrace, "trace must be a GenerationTrace")
+    if not callable(getattr(stream, "write", None)):
+        raise PreconditionError("stream must have a write method")
     codes, i, j, registers = trace.codes, trace.i, trace.j, trace.registers
     stream.write(_HEADER)
     for start in range(0, len(codes), core._BATCH_STEPS):
@@ -354,20 +366,6 @@ def _parse_rows(rows: list[list[str]], k: int, last) -> tuple[IntegerFunction, l
     return _path_through(codes, i, j), registers
 
 
-def _raise_first_defect(numbered_rows, k: int, last) -> None:
-    """Check ``(lineno, row)`` pairs one at a time, expected to start at step
-    index ``k`` from position ``last``; raise for the first malformed row,
-    naming the line it starts on."""
-    for lineno, row in numbered_rows:
-        if not row:
-            continue
-        try:
-            last = _parse_rows([row], k, last)[0].end
-        except (ParseError, RegisterOverflowError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
-        k += 1
-
-
 def _read_header(lines) -> None:
     """Read and check the header line through csv.reader."""
     reader = csv.reader(lines)
@@ -386,11 +384,11 @@ def _read_csv_rows(lines, parts: _Parts) -> GenerationTrace:
     checked by _parse_rows.  Its line numbers start at len(parts) + 2: the
     header is line 1, and each row of ``parts`` was one line.
 
-    Each chunk is checked column by column; only a chunk that fails is
-    rescanned row by row, so the error names the first bad row by the line it
-    starts on (a quoted cell can span lines).  A line the CSV reader refuses
-    (a cell over its field size limit) is named too, once the rows before it
-    have passed.
+    Each chunk is checked column by column; a chunk that fails is read again
+    one row at a time, each row joining ``parts``, so the error names the
+    first bad row by the line it starts on (a quoted cell can span lines).
+    A line the CSV reader refuses (a cell over its field size limit) is
+    named too, once the rows before it have passed.
     """
     reader = csv.reader(lines)
     refused, first = [], len(parts) + 2
@@ -401,22 +399,27 @@ def _read_csv_rows(lines, parts: _Parts) -> GenerationTrace:
         lineno = first
         try:
             for row in reader:
-                yield lineno, row
+                if row:  # csv.reader reads a blank line as []
+                    yield lineno, row
                 lineno = first + reader.line_num
         except csv.Error as exc:
             refused.append(ParseError(f"line {first - 1 + reader.line_num}: {exc}"))
 
     numbered = numbered_rows()
     while chunk := list(islice(numbered, core._BATCH_STEPS)):
-        k, last = len(parts) + 1, parts.path.end
-        if nonblank := [row for _, row in chunk if row]:
-            try:
-                parts.add(*_parse_rows(nonblank, k, last))
-            except IntegerFunctionError:
-                # The rescan raises for the first bad row; the chunk's own
-                # error is only a fallback.
-                _raise_first_defect(chunk, k, last)
-                raise
+        try:
+            parts.add(*_parse_rows([row for _, row in chunk], len(parts) + 1, parts.path.end))
+        except IntegerFunctionError:
+            # No re-raise follows: every rule that fails a chunk fails one of
+            # its rows.  The width, k order, token, cell and range rules hold
+            # row by row; a position _path_through refuses at row t fails row
+            # t's check against row t - 1; only the file's first row can start
+            # out of range (a PreconditionError, not prefixed).
+            for lineno, row in chunk:
+                try:
+                    parts.add(*_parse_rows([row], len(parts) + 1, parts.path.end))
+                except (ParseError, RegisterOverflowError) as exc:
+                    raise type(exc)(f"line {lineno}: {exc}") from None
     if refused:
         raise refused[0]
     return parts.trace()
@@ -513,7 +516,7 @@ def read_trace(stream: IO[str]) -> GenerationTrace:
 
 
 def read_trace_file(path: str) -> GenerationTrace:
-    with _open_text(path, newline="") as handle:
+    with _open_text(path) as handle:
         return read_trace(handle)
 
 

@@ -36,7 +36,9 @@ def _check_grid(columns: int, rows: int) -> None:
 
 
 def _check_label(text: str | None) -> None:
-    """Refuse an SVG label holding a character that XML 1.0 does not allow."""
+    """Refuse an SVG label that is not a str or None, or that holds a
+    character XML 1.0 does not allow."""
+    _check_type(text, (str, type(None)), "scale label must be a str or None")
     if text and (bad := re.search(_XML_INVALID, text)):
         raise PreconditionError(f"scale label holds {bad.group()!r}, which XML 1.0 does not allow")
 

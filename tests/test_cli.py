@@ -787,6 +787,7 @@ class TestGridLimit:
     (["--format", "svg", "--cell-px", "9" * 4300], 5, f"cell_px must be at most {2**63 - 1}"),
     (["--format", "svg", f"--viewport=0:{'9' * 4300}:0:1"], 5,
      f"viewport bounds must lie within +/- {2**63 - 1}"),
+    (["--format", "svg", "--viewport", "1:2:3"], 3, "--viewport expects imin:imax:jmin:jmax"),
 ])
 def test_bad_render_argument_wins_over_a_missing_trace(tmp_path, capsys, args, code, message):
     # The missing --in file would exit 3; the argument is refused before it is read.

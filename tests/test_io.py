@@ -2,7 +2,8 @@
 
 Covers the import boundary (no argparse), a path that open() would take as
 a file descriptor, input that is not UTF-8 or that the CSV reader refuses,
-the step-index column, the one KEY=VALUE item parser behind config lines
+a trace header that is missing or wrong, config and samples lines at any
+line ending, the step-index column, the one KEY=VALUE item parser behind config lines
 and --set, the rule that a trace error names the first bad line wherever
 the chunks of rows fall, the one trace assembler at batch and chunk edges,
 a read's memory against what it keeps, and reads of the same text split
@@ -36,6 +37,7 @@ from intfunc import (
     IntegerFunction,
     IntegerFunctionError,
     ParseError,
+    PreconditionError,
     RegisterBank,
     RegisterOverflowError,
     StepCount,
@@ -63,6 +65,8 @@ from intfunc.io import (
     TRACE_COLUMNS,
     _read_parsed,
     parse_rational,
+    read_config,
+    read_samples_file,
     read_trace,
     trace_for_function,
     write_trace,
@@ -310,6 +314,62 @@ def test_error_names_the_line_a_row_starts_on():
     for reader in (read_trace, _read_parsed):
         with pytest.raises(ParseError, match=r"^line 4: invalid step token 'up'"):
             reader(io.StringIO(text))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty trace file (missing header)"),
+    ("k,step,i,j\n", "trace header does not match the expected 20 columns"),
+    ("k" * (csv.field_size_limit() + 1) + "\n",
+     f"line 1: field larger than field limit ({csv.field_size_limit()})"),
+])
+def test_a_bad_header_is_refused(text, message):
+    for reader in (read_trace, _read_parsed):
+        with pytest.raises(ParseError) as info:
+            reader(io.StringIO(text))
+        assert str(info.value) == message
+
+
+def _read_or_refuse(path, reader):
+    try:
+        return reader(str(path))
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+def test_config_and_samples_read_alike_at_any_line_ending(tmp_path, ending):
+    # Files open with newline="", so lines keep their ending; config and
+    # samples lines strip it, and a line is numbered alike at any ending.
+    files = {
+        "line.cfg": ("# a line\nX=3\n\nY=5  # rate\nSTOP=COUNT\nCAP=8\n", read_config),
+        "bad.cfg": ("X=3\n\nY=5\nX1\n", read_config),
+        "line.txt": ("# x,y\n0,0\n\n1/4, 3/20 # one\n1/2,3/10\n", read_samples_file),
+        "bad.txt": ("# x,y\n\n0,0,0\n", read_samples_file),
+    }
+    for name, (text, reader) in files.items():
+        lf, other = tmp_path / name, tmp_path / f"other-{name}"
+        lf.write_bytes(text.encode())
+        other.write_bytes(text.replace("\n", ending).encode())
+        assert _read_or_refuse(lf, reader) == _read_or_refuse(other, reader)
+    assert read_config(str(tmp_path / "other-line.cfg")) == GeneratorConfig(
+        (0, 0), RegisterBank(X=3, Y=5), StepCount(8))
+    assert _read_or_refuse(tmp_path / "other-bad.cfg", read_config) == (
+        "line 4: expected KEY=VALUE, got 'X1'")
+    assert read_samples_file(str(tmp_path / "other-line.txt")).points == (
+        (0, 0), (Fraction(1, 4), Fraction(3, 20)), (Fraction(1, 2), Fraction(3, 10)))
+    assert _read_or_refuse(tmp_path / "other-bad.txt", read_samples_file) == (
+        "line 3: expected x,y")
+
+
+def test_write_trace_takes_any_object_with_a_write_method():
+    trace = generate(line_config(3, 5, 8))[1]
+    written, text = [], io.StringIO()
+    write_trace(trace, SimpleNamespace(write=written.append))
+    write_trace(trace, text)
+    assert "".join(written) == text.getvalue()
+    with pytest.raises(PreconditionError) as info:
+        write_trace(trace, SimpleNamespace(write="text"))
+    assert str(info.value) == "stream must have a write method"
 
 
 # One trace per preset, with negative constant registers among them, and a

@@ -124,9 +124,9 @@ class TestPositionsFollowSteps:
     def test_columns_with_a_contradicting_position(self):
         with pytest.raises(PreconditionError, match="step 3$"):
             GenerationTrace.from_columns(b"\0\1\2", array("q", [1, 1, 1]),
-                                         array("q", [0, 1, 0]), ())
+                                         array("q", [0, 1, 0]), [0] * 16)
         assert GenerationTrace.from_columns(
-            b"\0\1\2", array("q", [1, 1, 0]), array("q", [0, 1, 1]), ()).path.start == (0, 0)
+            b"\0\1\2", array("q", [1, 1, 0]), array("q", [0, 1, 1]), [0] * 16).path.start == (0, 0)
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.integers(-9, 9), st.integers(-9, 9)),

@@ -4,6 +4,7 @@ copying, construction and validation messages."""
 import copy
 import io
 import pickle
+from array import array
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -64,6 +65,7 @@ from intfunc.io import (
     function_from_trace,
     parse_config_items,
     parse_rational,
+    read_config,
     read_trace,
     trace_for_function,
     write_trace,
@@ -320,6 +322,22 @@ POSITIVE = [
 ]
 VALIDATION += [(partial(build, value), PreconditionError, f"{name} must be a positive integer")
                for build, name in POSITIVE for value in (0, True, 2.0)]
+_COLUMNS = "i, j and each register column must hold one value per step"
+VALIDATION += [
+    (lambda: digitize(RealSampleSeries(()), IntegerScale(1)), PreconditionError,
+     "at least one sample is required"),
+    (lambda: generate(harmonic_config(100))[1].column("Q"), PreconditionError,
+     "unknown register name: Q"),
+    # Columns of another length than the codes used to build a wrong trace.
+    (lambda: GenerationTrace.from_columns(b"\0\0", [1], [0], [0] * 16), PreconditionError,
+     _COLUMNS),
+    (lambda: GenerationTrace.from_columns(b"\0\0", [1, 2], [0, 0, 0], [0] * 16),
+     PreconditionError, _COLUMNS),
+    (lambda: GenerationTrace.from_columns(b"\0\0", [1, 2], [0, 0], [array("q", [1])] + [0] * 15),
+     PreconditionError, _COLUMNS),
+    (lambda: GenerationTrace.from_columns(b"\0\0", [1, 2], [0, 0], [0] * 3), PreconditionError,
+     "registers must hold 16 entries"),
+]
 
 
 @pytest.mark.parametrize("build, error, message", VALIDATION,
@@ -375,6 +393,7 @@ _DESIGNATION = "designation must be an iterable of register names"
 _RECORDS = "records must be an iterable of TraceRecords"
 _ENTRIES = "difference field entries must be (coordinate, d) pairs"
 _NOT_A_STEP = "step 1 is not a unit step (i+, j+, i- or j-)"
+_OVERRIDES = "config overrides must be an iterable of KEY=VALUE str"
 # Each of these used to escape as a raw TypeError, ValueError, KeyError or
 # AttributeError from inside the call.
 RAW = [
@@ -461,6 +480,14 @@ RAW = [
      "preset 'line' takes x, y, steps, start (3 required); missing: none; unknown: nope"),
     (lambda: preset_config("egg_figure", steps=5, x=1, a=2),
      "preset 'egg_figure' takes steps (0 required); missing: none; unknown: a, x"),
+    (lambda: PiResult(15, 9, None, Fraction(16, 9), 24, 0.0), "bounds must be numbers"),
+    (lambda: PiResult(15, 9, Fraction(14, 9), "2", 24, 0.0), "bounds must be numbers"),
+    # Overrides are refused before the file is opened: no file has this name.
+    (lambda: read_config("no-such.cfg", None), _OVERRIDES),
+    (lambda: read_config("no-such.cfg", [[1]]), _OVERRIDES),
+    (lambda: write_trace(_TRACE, None), "stream must have a write method"),
+    (lambda: preset_config(["line"]), "preset name must be a str"),
+    (lambda: render_svg(_PATH, _VIEW, 5), "scale label must be a str or None"),
 ]
 
 
