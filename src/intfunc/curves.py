@@ -186,11 +186,10 @@ class PiResult(_Frozen):
     def __init__(self, i_quarter: int, j_quarter: int, lower: Fraction, upper: Fraction,
                  step_count: int, elapsed: float):
         try:
-            ordered = 0 < lower < upper
+            if not 0 < lower < upper:
+                raise PreconditionError("bounds must be positive with lower < upper")
         except TypeError:
             raise PreconditionError("bounds must be numbers") from None
-        if not ordered:
-            raise PreconditionError("bounds must be positive with lower < upper")
         self._set(i_quarter, j_quarter, lower, upper, step_count, elapsed)
 
 

@@ -3,11 +3,11 @@
 Covers the import boundary (no argparse), a path that open() would take as
 a file descriptor, input that is not UTF-8 or that the CSV reader refuses,
 a trace header that is missing or wrong, config and samples lines at any
-line ending, the step-index column, the one KEY=VALUE item parser behind config lines
-and --set, the rule that a trace error names the first bad line wherever
-the chunks of rows fall, the one trace assembler at batch and chunk edges,
-a read's memory against what it keeps, and reads of the same text split
-into other lines.
+line ending, the step-index column, the one KEY=VALUE item parser behind
+config lines and --set, the rule that a trace error names the first bad
+line wherever the chunks of rows fall, the one trace assembler at batch and
+chunk edges, a read's memory against what it keeps, and reads of the same
+text split into other lines.
 """
 
 import csv
