@@ -29,7 +29,6 @@ _HOMES = {
         "CharacteristicIndex", "DifferenceField", "ScaledDifference",
         "characteristic_indices", "class_derivative", "difference_field",
         "full_derivative", "refinement_compatible", "regulator_monotone_check",
-        "scale_difference",
     ),
     "curves": (
         "IntegerScale", "PRESETS", "PiResult", "RealSampleSeries", "digitize",

@@ -119,7 +119,7 @@ class DifferenceField:
         return self._values
 
     def scaled(self) -> tuple["ScaledDifference", ...]:
-        return tuple(map(scale_difference, self._values))
+        return tuple(map(ScaledDifference, self._values))
 
     def __len__(self) -> int:
         return len(self._values)
@@ -224,10 +224,6 @@ class ScaledDifference(_Frozen):
 
     def __contains__(self, value: int) -> bool:
         return value == self.upper or value == self.lower
-
-
-def scale_difference(d: int) -> ScaledDifference:
-    return ScaledDifference(d)
 
 
 def class_derivative(f: IntegerFunction, axis: Axis, diff_class: int) -> IntegerFunction:

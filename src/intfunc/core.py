@@ -141,7 +141,7 @@ def _step_codes(steps) -> bytes:
     return bytes(STEP_CODES.index(step) if step in STEP_CODES else 4 for step in steps)
 
 
-def _int64s(values: list[int]) -> array:
+def _int64s(values: Sequence[int]) -> array:
     """An array('q') of ``values``, packed by one struct call, which takes
     about half the time of array('q', values) for values under 2**32.  A
     value beyond 64 bits raises struct.error.  The copy ([:]) is allocated
@@ -179,7 +179,9 @@ class IntegerFunction:
 
     @classmethod
     def from_codes(cls, start, codes: bytes) -> "IntegerFunction":
-        """The path from ``start`` through the steps of ``codes``."""
+        """The path from ``start`` through the steps of ``codes`` (bytes or a
+        bytearray)."""
+        _check_type(codes, (bytes, bytearray), "codes must be bytes of step codes")
         f = cls.__new__(cls)
         f._fill(start, bytes(codes))
         return f
@@ -529,9 +531,11 @@ class GenerationTrace:
     @staticmethod
     def from_columns(codes, i, j, registers) -> "GenerationTrace":
         """The trace whose ``codes`` (bytes), ``i``, ``j`` and ``registers``
-        are these (see the class docstring); register values are not checked.
-        ``i``, ``j`` and each register column must be sequences of ints, one
-        value per code, and ``registers`` one entry per register."""
+        are these (see the class docstring); register values are not checked
+        against REGISTER_CAPACITY.  ``i``, ``j`` and each register column must
+        be sequences of ints, one value per code, and ``registers`` one entry
+        per register.  An array('q') column is taken as it is; any other is
+        packed into one, so its values must fit in 64 bits."""
         _check_type(codes, (bytes, bytearray), "codes must be bytes of step codes")
         if not (isinstance(registers, Sequence) and len(registers) == len(ALL_REGISTERS)):
             raise PreconditionError(f"registers must hold {len(ALL_REGISTERS)} entries")
@@ -541,6 +545,11 @@ class GenerationTrace:
             raise PreconditionError("i, j and each register column must be sequences of ints")
         if any(len(column) != len(codes) for column in columns):
             raise PreconditionError("i, j and each register column must hold one value per step")
+        try:
+            registers = [entry if _is_int(entry) or type(entry) is array and entry.typecode == "q"
+                         else _int64s(entry) for entry in registers]
+        except struct.error:
+            raise PreconditionError("register columns must hold 64-bit ints") from None
         return _Parts().add(_path_through(codes, i, j), registers).trace()
 
     @property
@@ -587,9 +596,6 @@ class GenerationTrace:
         """Values the axis' regulator took, one per step of that axis."""
         mask = self.path.axis_mask(axis)  # refuses a non-Axis before axis.regulator
         return list(compress(self.column(axis.regulator), mask))
-
-    def register_series(self, name: str) -> list[int]:
-        return list(self.column(name))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GenerationTrace):
@@ -1008,7 +1014,7 @@ def generate(config: GeneratorConfig) -> tuple[IntegerFunction, GenerationTrace]
     _check_type(config, GeneratorConfig, "config must be a GeneratorConfig")
     if config.mode is not GenerationMode.MONOTONE:
         raise PreconditionError(
-            "generate handles monotone mode only; use curves.composite_generate")
+            "generate handles monotone mode only; use composite_generate")
     return _run(config)
 
 

@@ -15,7 +15,6 @@ import time
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable
 
 from .core import (
     GenerationMode,
@@ -36,16 +35,11 @@ from .core import (
     _compile_kernel,
     _is_int,
     _shape,
-    composite_generate,  # generate's refusal text names curves.composite_generate
 )
 
 #: The largest seed pi_bounds runs; its docstring shows why no register of
 #: that run can overflow.  Larger seeds are rejected up front.
 PI_SEED_LIMIT = 10**17
-
-#: The most significant digits format_bound writes: Python's default limit
-#: on the digits of an integer's text.  More digits are refused up front.
-BOUND_DIGITS_LIMIT = 4300
 
 
 def _require_nonzero(**params) -> None:
@@ -263,29 +257,25 @@ def pi_bounds(x0: int) -> PiResult:
     )
 
 
-def format_bound(value: Fraction, round_up: bool, digits: int = 7) -> str:
-    """Render a positive rational at ``digits`` significant digits, rounded
-    outward (down for lower bounds, up for upper bounds), with no exponent
-    and trailing zeros trimmed.
+def format_bound(value: Fraction, round_up: bool) -> str:
+    """Render a positive rational at 7 significant digits, rounded outward
+    (down for lower bounds, up for upper bounds), with no exponent and
+    trailing zeros trimmed.
 
     The text is one division of the exact numerator by the exact
-    denominator in a decimal context of ``digits`` digits, rounded once
-    toward the asked side (ROUND_FLOOR or ROUND_CEILING), so it is outward
-    by construction.  The context's exponent range is decimal's widest, so a
+    denominator in a decimal context of 7 digits, rounded once toward the
+    asked side (ROUND_FLOOR or ROUND_CEILING), so it is outward by
+    construction.  The context's exponent range is decimal's widest, so a
     huge or tiny value still rounds at its own leading digit.  A float is
     refused: its exact binary value is not the decimal it prints as.
-    ``digits`` above BOUND_DIGITS_LIMIT is refused.
     """
     if isinstance(value, float):
         raise PreconditionError("bound must be exact; pass a Fraction, not a float")
     if not (_is_int(value) or isinstance(value, Fraction)):
         raise PreconditionError("bound must be an int or a Fraction")
-    _check_positive(digits, "digits")
-    if digits > BOUND_DIGITS_LIMIT:
-        raise PreconditionError(f"digits must be at most {BOUND_DIGITS_LIMIT}")
     if value <= 0:
         raise PreconditionError("bound formatting expects a positive value")
-    context = Context(prec=digits, rounding=ROUND_CEILING if round_up else ROUND_FLOOR,
+    context = Context(prec=7, rounding=ROUND_CEILING if round_up else ROUND_FLOOR,
                       Emax=MAX_EMAX, Emin=MIN_EMIN)
     return f"{context.divide(value.numerator, value.denominator).normalize(context):f}"
 
@@ -337,10 +327,6 @@ class RealSampleSeries(_Frozen):
                        map(operator.mul, nums, dens[1:]))):
             raise PreconditionError("sample x values must be strictly increasing")
         self._set(points)
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable) -> "RealSampleSeries":
-        return cls(pairs)
 
     def __len__(self) -> int:
         return len(self.points)

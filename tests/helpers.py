@@ -143,12 +143,12 @@ def iterated_sums(bank, codes, harmonized=False):
     return columns, bytes(picked)
 
 
-def machin_pi(digits=80):
-    """(low, high): integers with low < pi * 10**digits < high, from
+def machin_pi(places=80):
+    """(low, high): integers with low < pi * 10**places < high, from
     Machin's formula pi/4 = 4 arctan(1/5) - arctan(1/239) in integer
     arithmetic.  Ten guard digits absorb the floor of every term."""
     guard = 10**10
-    scale = 10**digits * guard
+    scale = 10**places * guard
 
     def arctan_inverse(x):
         # arctan(1/x) = sum over k of (-1)**k / ((2k + 1) x**(2k + 1)).

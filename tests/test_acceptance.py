@@ -21,6 +21,7 @@ from intfunc import (
     TraceRecord,
     Viewport,
     class_derivative,
+    composite_generate,
     difference_field,
     from_step_sequence,
     full_derivative,
@@ -30,7 +31,6 @@ from intfunc import (
 )
 from intfunc.curves import (
     RealSampleSeries,
-    composite_generate,
     digitize,
     egg_figure_config,
     format_bound,

@@ -10,6 +10,7 @@ from intfunc import (
     IntegerScale,
     PreconditionError,
     RegisterBank,
+    ScaledDifference,
     StepKind,
     TraceRecord,
     characteristic_indices,
@@ -20,7 +21,6 @@ from intfunc import (
     generate,
     refinement_compatible,
     regulator_monotone_check,
-    scale_difference,
 )
 from intfunc.curves import digitize, harmonic_config, line_config, RealSampleSeries
 from fractions import Fraction
@@ -118,7 +118,7 @@ class TestDifferenceField:
 class TestScaledDifference:
     @pytest.mark.parametrize("d,members", [(3, {3, 2}), (0, {0, -1}), (1, {1, 0})])
     def test_membership(self, d, members):
-        scaled = scale_difference(d)
+        scaled = ScaledDifference(d)
         assert scaled.as_set() == members
         assert scaled.lower == d - 1
         assert d in scaled

@@ -24,6 +24,7 @@ from intfunc import (
     RegisterOverflowError,
     StepKind,
     TraceRecord,
+    composite_generate,
     difference_field,
     from_step_sequence,
     full_derivative,
@@ -31,7 +32,6 @@ from intfunc import (
 )
 from intfunc.cli import main
 from intfunc.curves import (
-    composite_generate,
     egg_figure_config,
     harmonic_config,
     line_config,

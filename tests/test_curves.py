@@ -18,15 +18,14 @@ from intfunc import (
     RegisterOverflowError,
     StepCount,
     WhilePositive,
+    composite_generate,
     generate,
     implied_designation,
 )
 from intfunc import curves
 from intfunc.curves import (
-    BOUND_DIGITS_LIMIT,
     PI_SEED_LIMIT,
     RealSampleSeries,
-    composite_generate,
     digitize,
     egg_figure_config,
     format_bound,
@@ -210,24 +209,6 @@ class TestFormatBound:
         with pytest.raises(PreconditionError):
             format_bound(Fraction(0), round_up=True)
 
-    @pytest.mark.parametrize("digits", [0, -1, True])
-    def test_rejects_digits_that_are_not_positive_ints(self, digits):
-        with pytest.raises(PreconditionError, match="digits must be a positive integer"):
-            format_bound(Fraction(157, 100), round_up=True, digits=digits)
-
-    @pytest.mark.parametrize("digits", [10**18, BOUND_DIGITS_LIMIT + 1])
-    def test_rejects_digits_past_the_limit(self, digits):
-        started = time.perf_counter()
-        with pytest.raises(PreconditionError, match=f"digits must be at most {BOUND_DIGITS_LIMIT}"):
-            format_bound(Fraction(1, 3), round_up=True, digits=digits)
-        assert time.perf_counter() - started < 0.1
-
-    def test_formats_at_the_digit_limit(self):
-        assert format_bound(Fraction(1, 3), round_up=True,
-                            digits=BOUND_DIGITS_LIMIT) == "0." + "3" * 4299 + "4"
-        assert format_bound(Fraction(1, 3), round_up=False,
-                            digits=BOUND_DIGITS_LIMIT) == "0." + "3" * 4300
-
     def test_rejects_a_float(self):
         # 1.57 is exactly 1.5700000000000000621..., so "1.57" is no upper bound.
         with pytest.raises(PreconditionError, match="bound must be exact"):
@@ -251,18 +232,18 @@ _BOUND_VALUES = (
 
 
 @settings(max_examples=500, deadline=None)
-@given(value=_BOUND_VALUES, round_up=st.booleans(), digits=st.integers(1, 15))
-def test_bound_text_is_outward_and_tight(value, round_up, digits):
-    text = format_bound(value, round_up, digits)
+@given(value=_BOUND_VALUES, round_up=st.booleans())
+def test_bound_text_is_outward_and_tight(value, round_up):
+    text = format_bound(value, round_up)
     # Plain decimal: no exponent, no trailing zero after the point, no bare point.
     assert re.fullmatch(r"[1-9][0-9]*(\.[0-9]*[1-9])?|0\.[0-9]*[1-9]", text), text
     whole, _, part = text.partition(".")
     significant = (whole + part).strip("0")
-    assert len(significant) <= digits
-    # The leading digit sits at 10**lead, so the last of ``digits`` places at
+    assert len(significant) <= 7
+    # The leading digit sits at 10**lead, so the last of the 7 places at
     # 10**lead * unit.
     lead = len(whole) - 1 if whole != "0" else len(part.lstrip("0")) - len(part) - 1
-    unit = Fraction(10) ** (lead - digits + 1)
+    unit = Fraction(10) ** (lead - 6)
     bound = Fraction(text)
     if round_up:
         # The next text below is one unit down, or a tenth of one below a
@@ -283,8 +264,8 @@ class TestRealSampleSeries:
         with pytest.raises(PreconditionError):
             RealSampleSeries(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))))
 
-    def test_from_pairs_accepts_ints_and_strings(self):
-        series = RealSampleSeries.from_pairs([(0, 0), ("1/2", "1/5"), (1, 1)])
+    def test_accepts_a_list_of_ints_and_strings(self):
+        series = RealSampleSeries([(0, 0), ("1/2", "1/5"), (1, 1)])
         assert series.points[1] == (Fraction(1, 2), Fraction(1, 5))
 
     def test_exact_pairs_are_kept_as_given(self):

@@ -98,7 +98,7 @@ def _assert_same_run(trace, records):
     assert trace.records == tuple(records)
     assert trace == GenerationTrace(records)
     for name in ALL_REGISTERS:
-        assert trace.register_series(name) == [r.bank.value(name) for r in records]
+        assert list(trace.column(name)) == [r.bank.value(name) for r in records]
     assert list(trace.i) == [r.i for r in records]
     assert list(trace.j) == [r.j for r in records]
 
@@ -201,7 +201,7 @@ def test_zero_constant_rate_moves_plus(mode):
                              stop=StepCount(3), mode=mode)
     f, trace = _run(config)
     assert [s.token for s in f.steps] == ["i+", "i+", "i+"]
-    assert trace.register_series("RX") == [0, 0, 0]
+    assert list(trace.column("RX")) == [0, 0, 0]
 
 
 def test_fed_negative_rate_moves_minus_when_harmonized():
@@ -210,7 +210,7 @@ def test_fed_negative_rate_moves_minus_when_harmonized():
                              stop=StepCount(2), mode=GenerationMode.SIGN_HARMONIZED)
     f, trace = _run(config)
     assert [s.token for s in f.steps] == ["i-", "i-"]
-    assert trace.register_series("RX") == [1, 3]
+    assert list(trace.column("RX")) == [1, 3]
 
 
 @pytest.mark.parametrize("mode", list(GenerationMode))

@@ -27,12 +27,13 @@ from intfunc import (
     RegisterBank,
     StepKind,
     TraceRecord,
+    composite_generate,
     from_step_sequence,
     generate,
     harmonic_config,
 )
 from intfunc.cli import main
-from intfunc.curves import composite_generate, egg_figure_config, line_config
+from intfunc.curves import egg_figure_config, line_config
 from intfunc.io import (
     TRACE_COLUMNS,
     ParseError,
@@ -88,6 +89,17 @@ class TestSharedPath:
             trace.i[0] = 5
         assert function_from_trace(trace) is f
         assert trace_for_function(f).path is f
+
+    def test_list_register_columns_are_packed(self):
+        # A register column given as a list is stored as the array('q') the
+        # same values give, so the two traces are equal and both write.
+        listed = GenerationTrace.from_columns(b"\0\0", [1, 2], [0, 0], [[1, 2]] + [0] * 15)
+        packed = array("q", [1, 2])
+        given = GenerationTrace.from_columns(b"\0\0", [1, 2], [0, 0], [packed] + [0] * 15)
+        assert listed == given
+        assert given.registers[0] is packed
+        assert type(listed.column("RX")) is array
+        assert read_lines(trace_lines(listed)) == listed
 
     def test_empty_traces_are_equal_whatever_their_start(self):
         empty = trace_for_function(IntegerFunction((5, -3)))

@@ -51,7 +51,6 @@ from intfunc import (
     render_ascii,
     render_pbm,
     render_svg,
-    scale_difference,
 )
 from intfunc.curves import (
     egg_figure_config,
@@ -407,6 +406,7 @@ _ENTRIES = "difference field entries must be (coordinate, d) pairs"
 _NOT_A_STEP = "step 1 is not a unit step (i+, j+, i- or j-)"
 _OVERRIDES = "config overrides must be an iterable of KEY=VALUE str"
 _INT_COLUMNS = "i, j and each register column must be sequences of ints"
+_CODES = "codes must be bytes of step codes"
 # Each of these used to escape as a raw TypeError, ValueError, KeyError or
 # AttributeError from inside the call.
 RAW = [
@@ -427,7 +427,7 @@ RAW = [
     (lambda: RealSampleSeries(((0, "x"),)), _SAMPLES),
     (lambda: RealSampleSeries(((0,),)), _SAMPLES),
     (lambda: RealSampleSeries(((0, 1, 2),)), _SAMPLES),
-    (lambda: RealSampleSeries.from_pairs([(0, 1, 2)]), _SAMPLES),
+    (lambda: RealSampleSeries([(0, 1, 2)]), _SAMPLES),
     (lambda: harmonic_config(2.5), "resolution must be an integer"),
     (lambda: format_bound("x", True), _BOUND),
     (lambda: format_bound(None, True), _BOUND),
@@ -481,7 +481,7 @@ RAW = [
     (lambda: config_from_items(None), "config items must be a mapping of keys to values"),
     (lambda: DifferenceField("i", 1, []), _AXIS),
     (lambda: DifferenceField(Axis.I, "x", []), "difference class must be a positive integer"),
-    (lambda: scale_difference("x"), "scaled difference must be an integer"),
+    (lambda: ScaledDifference("x"), "scaled difference must be an integer"),
     (lambda: parse_config_items([[1]]), "config lines must be an iterable of str"),
     (lambda: parse_config_items(["X=1", b"Y=2"]), "config lines must be an iterable of str"),
     (lambda: parse_rational(None), "rational text must be a str"),
@@ -502,11 +502,18 @@ RAW = [
     (lambda: preset_config(["line"]), "preset name must be a str"),
     (lambda: render_svg(_PATH, _VIEW, 5), "scale label must be a str or None"),
     # One junk argument each in place of from_columns(b"\0", [1], [0], [0] * 16).
-    (lambda: GenerationTrace.from_columns([[1]], [1], [0], [0] * 16),
-     "codes must be bytes of step codes"),
+    (lambda: GenerationTrace.from_columns([[1]], [1], [0], [0] * 16), _CODES),
     (lambda: GenerationTrace.from_columns(b"\0", "x", [0], [0] * 16), _INT_COLUMNS),
     (lambda: GenerationTrace.from_columns(b"\0", [1], None, [0] * 16), _INT_COLUMNS),
     (lambda: GenerationTrace.from_columns(b"\0", [1], [0], 5), "registers must hold 16 entries"),
+    # Codes are bytes: an int was read as a count of zero bytes, a list as their values.
+    (lambda: IntegerFunction.from_codes((0, 0), 5), _CODES),
+    (lambda: IntegerFunction.from_codes((0, 0), True), _CODES),
+    (lambda: IntegerFunction.from_codes((0, 0), None), _CODES),
+    (lambda: IntegerFunction.from_codes((0, 0), [0, 1]), _CODES),
+    # A list column is packed into an array('q'), which holds 64 bits.
+    (lambda: GenerationTrace.from_columns(b"\0", [1], [0], [[2**70]] + [0] * 15),
+     "register columns must hold 64-bit ints"),
 ]
 
 
